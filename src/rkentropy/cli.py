@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,34 +31,6 @@ from .tableau import get_scheme
 class ConfigError(ValueError):
     """Bad key, unparsable value, or violated constraint in a config."""
 
-
-_DEFAULTS = {
-    "problem": "pme",
-    "beta": 2.0,
-    "rho1": 1.0,
-    "rho2": 1.0,
-    "mu": 1.0,
-    "scheme": "implicit_euler",
-    "n": 64,
-    "length": 1.0,
-    "tau": 1e-4,
-    "t_end": 0.01,
-    "newton_tol": 1e-12,
-    "newton_max_iter": 50,
-    "entropy": "experiment_power",
-    "alpha": 5.0,
-    "ic": "barenblatt",
-    "t0": 0.01,
-    "x_r": 0.25,
-    "mean": 1.0,
-    "amplitude": 0.1,
-    "ic_file": "",
-    "snapshot_times": "",
-}
-
-_INT_KEYS = {"n", "newton_max_iter"}
-_FLOAT_KEYS = {"beta", "rho1", "rho2", "mu", "length", "tau", "t_end",
-               "newton_tol", "alpha", "t0", "x_r", "mean", "amplitude"}
 
 _PROBLEMS = ("pme", "linear_system", "dlss")
 _ENTROPIES = ("power", "log_sum", "experiment_power", "first_order")
@@ -89,6 +62,11 @@ class RunConfig:
     amplitude: float = 0.1
     ic_file: str = ""
     snapshot_times: list[float] = field(default_factory=list)
+
+
+_TYPES = get_type_hints(RunConfig)
+_INT_KEYS = {key for key, kind in _TYPES.items() if kind is int}
+_FLOAT_KEYS = {key for key, kind in _TYPES.items() if kind is float}
 
 
 def _validate(cfg: RunConfig):
@@ -123,7 +101,7 @@ def _validate(cfg: RunConfig):
 
 def parse_config(path) -> RunConfig:
     """Read a flat key=value config file into a validated RunConfig."""
-    raw = dict(_DEFAULTS)
+    raw = vars(RunConfig())
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -139,14 +117,15 @@ def parse_config(path) -> RunConfig:
                 raw[key] = int(value)
             elif key in _FLOAT_KEYS:
                 raw[key] = float(value)
+            elif key == "snapshot_times":
+                raw[key] = [float(tok) for tok in value.split(",") if tok]
             else:
                 raw[key] = value
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse value for {key!r}: {value!r}"
             ) from None
-    snap = [float(tok) for tok in str(raw.pop("snapshot_times")).split(",") if tok]
-    cfg = RunConfig(**raw, snapshot_times=snap)
+    cfg = RunConfig(**raw)
     _validate(cfg)
     return cfg
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DomainError, Grid1D, PorousMedium, Problem, StateField, diff1
-from .stepping import NewtonConfig, StepError, Trajectory, _backward_flat
+from .stepping import NewtonConfig, StepError, Trajectory, _step
 from .tableau import Scheme
 
 
@@ -257,8 +257,10 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     g[0] = 0 exactly (v(0) = u).  Each solve continues from the previous
     tau node's solution: the backward problem can develop spurious Newton
     roots away from the physical branch at larger tau, and continuation
-    keeps the iteration inside the correct basin.  A failed backward solve
-    truncates the sweep; everything computed so far is kept.
+    keeps the iteration inside the correct basin.  A backward solve that
+    fails (StepError), or leaves the problem's domain or the entropy's
+    (DomainError), truncates the sweep at that node and records it in
+    ``failed_index``; everything computed so far is kept.
     """
     if not tau_max > 0:
         raise ValueError("tau_max must be positive")
@@ -271,16 +273,16 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     g[0] = 0.0
     h_u = evaluate(e, u, problem.grid)
     failed: int | None = None
-    y_prev = None
+    w_prev = None
     for j in range(1, m + 1):
         try:
-            v, _, y_prev = _backward_flat(problem, scheme, u.flat, taus[j],
-                                          cfg, y_init=y_prev)
-        except StepError:
+            v, _, w_prev = _step(problem, scheme, u.flat, taus[j], cfg,
+                                 backward=True, w_init=w_prev)
+            g[j] = h_u - evaluate(e, StateField.from_flat(v, problem.species),
+                                  problem.grid)
+        except (StepError, DomainError):
             failed = j
             break
-        g[j] = h_u - evaluate(e, StateField.from_flat(v, problem.species),
-                              problem.grid)
     h = taus[1] - taus[0]
     d2g = np.full(m + 1, np.nan)
     last = (failed if failed is not None else m + 1) - 1

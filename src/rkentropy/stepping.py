@@ -1,11 +1,26 @@
 """Newton-based forward stepping, backward solving, and trajectories.
 
-Implicit stages are solved in the shifted variables Z_i = tau * sum_j
-a_ij K_j rather than in the slopes K_i: the residuals then live on the
+Both directions solve one relation.  Let x be the known endpoint of a
+step and g_i = x + Y_i the stage values.  The stage offsets satisfy
+
+    Y = -tau M A[x + Y],   M = a forward (x = u_old),
+                           M = a - 1 b^T backward (x = u_new),
+
+and the other endpoint follows explicitly: u_new = u_old - tau b.A[g]
+forward, u_old = u_new + tau b.A[g] backward.  The offsets live on the
 scale of the state itself, so the Newton tolerance keeps its meaning at
 tight settings (slope residuals carry an extra 1/dx^2 and would sit above
-any tolerance below stencil noise).  The slopes are recovered afterwards
-as K_i = -A[u_old + Z_i].
+any tolerance below stencil noise).
+
+Newton does not iterate on rows it does not need.  Writing M = C B, where
+B keeps the nonzero rows of M that are not exact multiples of a larger
+row (decided in rational arithmetic), gives Y = C W and
+W = -tau B A[x + C W].  Because the eliminated rows are linear in Y, the
+iterates of the reduced system are those of the full one from any start
+that satisfies them.  Forward explicit Euler and backward implicit Euler
+have M with no nonzero row and are closed-form; trapezoidal and composite
+Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
+for one state-sized W in either direction.
 
 No damping or line search is used; non-convergence is surfaced as
 StepError, never masked.
@@ -14,11 +29,13 @@ StepError, never masked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from .operators import Problem, StateField
-from .tableau import Scheme
+from .operators import DomainError, Problem, StateField
+from .tableau import ButcherTableau, Scheme
 
 
 class StepError(RuntimeError):
@@ -86,145 +103,90 @@ def _newton(residual, jacobian, y0: np.ndarray, cfg: NewtonConfig):
     )
 
 
-def _forward_flat(problem: Problem, scheme: Scheme, u0: np.ndarray, tau: float,
-                  cfg: NewtonConfig):
-    """One step on flat state vectors; returns (u_new, newton_iterations)."""
-    if scheme.is_composite_simpson:
-        return _forward_simpson(problem, u0, tau, cfg)
-    tb = scheme.tableau
-    s, m = tb.s, u0.size
-    a, b = tb.a, tb.b
-
-    if tb.is_explicit():
-        K = np.empty((s, m))
-        for i in range(s):
-            g = u0 + tau * sum(a[i, j] * K[j] for j in range(i))
-            K[i] = -problem.apply_flat(g)
-        return u0 + tau * (b[:, None] * K).sum(axis=0), 0
-
-    def residual(z):
-        Z = z.reshape(s, m)
-        Ag = np.array([problem.apply_flat(u0 + Z[j]) for j in range(s)])
-        return (Z + tau * a @ Ag).reshape(-1)
-
-    def jacobian(z):
-        Z = z.reshape(s, m)
-        J = [problem.jacobian_flat(u0 + Z[j]) for j in range(s)]
-        M = np.zeros((s * m, s * m))
-        for i in range(s):
-            for j in range(s):
-                blk = tau * a[i, j] * J[j]
-                if i == j:
-                    blk = blk + np.eye(m)
-                M[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-        return M
-
-    au0 = problem.apply_flat(u0)
-    z0 = np.concatenate([-tau * a[i].sum() * au0 for i in range(s)])
-    z, iters = _newton(residual, jacobian, z0, cfg)
-    Z = z.reshape(s, m)
-    K = np.array([-problem.apply_flat(u0 + Z[i]) for i in range(s)])
-    return u0 + tau * (b[:, None] * K).sum(axis=0), iters
+def _proportional(row, base):
+    """The exact factor lam with row == lam * base, or None."""
+    j = next(j for j, v in enumerate(base) if v)
+    lam = row[j] / base[j]
+    return lam if all(v == lam * w for v, w in zip(row, base)) else None
 
 
-def _forward_simpson(problem: Problem, u0: np.ndarray, tau: float,
-                     cfg: NewtonConfig):
-    a_old = problem.apply_flat(u0)
-    eye = np.eye(u0.size)
+@dataclass(frozen=True)
+class _Relation:
+    """W = -tau B A[x + C W] for one tableau and direction (Y = C W, M = C B).
 
-    def residual(u):
-        return u - u0 + tau / 6.0 * (
-            problem.apply_flat(u) + 4.0 * problem.apply_flat(0.5 * (u + u0)) + a_old
-        )
-
-    def jacobian(u):
-        return (
-            eye
-            + tau / 6.0 * problem.jacobian_flat(u)
-            + tau / 3.0 * problem.jacobian_flat(0.5 * (u + u0))
-        )
-
-    return _newton(residual, jacobian, u0, cfg)
-
-
-def _backward_flat(problem: Problem, scheme: Scheme, u: np.ndarray, tau: float,
-                   cfg: NewtonConfig, y_init: np.ndarray | None = None):
-    """Solve for the previous state v with forward(v, tau) == u.
-
-    ``y_init`` optionally overrides the tau -> 0 initial iterate with a
-    full stacked vector (stage increments and previous state), which lets
-    sweeps continue from a neighbouring solution instead of restarting.
-    Returns (v, iterations, stacked solution).
+    ``start`` gives the tau -> 0 initial iterate W = -tau * start * A[x].
     """
-    if tau == 0.0:
-        return u.copy(), 0, None
-    if scheme.is_composite_simpson:
-        return _backward_simpson(problem, u, tau, cfg, y_init)
-    tb = scheme.tableau
-    s, m = tb.s, u.size
-    a, b = tb.a, tb.b
 
-    # joint unknown y = (Z_1..Z_s, v); the stage relations and the update
-    # relation v - u + tau*sum b_i K_i = 0 are solved simultaneously.
-    def unpack(y):
-        return y[: s * m].reshape(s, m), y[s * m:]
-
-    def residual(y):
-        Z, v = unpack(y)
-        Ag = np.array([problem.apply_flat(v + Z[j]) for j in range(s)])
-        r_stage = Z + tau * a @ Ag
-        r_update = v - u - tau * (b[:, None] * Ag).sum(axis=0)
-        return np.concatenate([r_stage.reshape(-1), r_update])
-
-    def jacobian(y):
-        Z, v = unpack(y)
-        J = [problem.jacobian_flat(v + Z[j]) for j in range(s)]
-        M = np.zeros(((s + 1) * m, (s + 1) * m))
-        for i in range(s):
-            rows = slice(i * m, (i + 1) * m)
-            acc = np.zeros((m, m))
-            for j in range(s):
-                blk = tau * a[i, j] * J[j]
-                acc += blk
-                if i == j:
-                    blk = blk + np.eye(m)
-                M[rows, j * m:(j + 1) * m] = blk
-            M[rows, s * m:] = acc
-        rows = slice(s * m, (s + 1) * m)
-        bsum = np.zeros((m, m))
-        for j in range(s):
-            M[rows, j * m:(j + 1) * m] = -tau * b[j] * J[j]
-            bsum += b[j] * J[j]
-        M[rows, s * m:] = np.eye(m) - tau * bsum
-        return M
-
-    if y_init is None:
-        # initial iterate from the tau -> 0 limit: K_i = -A[u], v = u
-        au = problem.apply_flat(u)
-        y_init = np.concatenate([-tau * a[i].sum() * au for i in range(s)] + [u])
-    y, iters = _newton(residual, jacobian, y_init, cfg)
-    return unpack(y)[1], iters, y
+    B: np.ndarray
+    C: np.ndarray
+    start: np.ndarray
 
 
-def _backward_simpson(problem: Problem, u: np.ndarray, tau: float,
-                      cfg: NewtonConfig, y_init: np.ndarray | None = None):
-    a_new = problem.apply_flat(u)
-    eye = np.eye(u.size)
+@cache
+def _relation(tableau: ButcherTableau, backward: bool) -> _Relation:
+    """Factor M = C B exactly: B keeps the nonzero rows of M that are not
+    a multiple of a row at least as large (ties keep the first row)."""
+    rows = [[Fraction(float(a)) - (Fraction(float(b)) if backward else 0)
+             for a, b in zip(row, tableau.b)] for row in tableau.a]
+    nonzero = [i for i, row in enumerate(rows) if any(row)]
+    kept, multiple = [], {}
+    for i in sorted(nonzero, key=lambda i: -max(map(abs, rows[i]))):
+        for k in kept:
+            lam = _proportional(rows[i], rows[k])
+            if lam is not None:
+                multiple[i] = (k, lam)
+                break
+        else:
+            kept.append(i)
+    kept.sort()
+    C = np.zeros((tableau.s, len(kept)))
+    for pos, k in enumerate(kept):
+        C[k, pos] = 1.0
+    for i, (k, lam) in multiple.items():
+        C[i, kept.index(k)] = float(lam)
+    B = np.array([[float(v) for v in rows[k]] for k in kept]).reshape(-1, tableau.s)
+    return _Relation(B=B, C=C, start=tableau.a.sum(axis=1)[kept])
 
-    def residual(v):
-        return u - v + tau / 6.0 * (
-            a_new + 4.0 * problem.apply_flat(0.5 * (u + v)) + problem.apply_flat(v)
-        )
 
-    def jacobian(v):
-        return (
-            -eye
-            + tau / 3.0 * problem.jacobian_flat(0.5 * (u + v))
-            + tau / 6.0 * problem.jacobian_flat(v)
-        )
+def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
+          cfg: NewtonConfig, backward: bool = False,
+          w_init: np.ndarray | None = None):
+    """Solve the stage relation from the known endpoint x.
 
-    v, iters = _newton(residual, jacobian, u if y_init is None else y_init, cfg)
-    return v, iters, v
+    Forward, x = u_old and the result is u_new; backward, x = u_new and
+    the result is u_old.  ``w_init`` overrides the tau -> 0 initial
+    iterate with a W from a neighbouring solve, which lets sweeps continue
+    along a solution branch instead of restarting.  Returns (the other
+    endpoint, Newton iterations, W).
+    """
+    rel = _relation(scheme.tableau, backward)
+    s, r = rel.C.shape
+    m = x.size
+    moving = np.any(rel.C != 0.0, axis=1)  # stages other than g_i = x
+    a_x = problem.apply_flat(x)
+    last = {}  # A[g] at the latest iterate, which _newton returns
+
+    def residual(w):
+        y = rel.C @ w.reshape(r, m)
+        ag = np.array([problem.apply_flat(x + y[i]) if moving[i] else a_x
+                       for i in range(s)])
+        last["ag"] = ag
+        return (w.reshape(r, m) + tau * rel.B @ ag).reshape(-1)
+
+    def jacobian(w):
+        y = rel.C @ w.reshape(r, m)
+        jac = np.eye(r * m)
+        for i in np.flatnonzero(moving):
+            coef = tau * np.outer(rel.B[:, i], rel.C[i])
+            jac += np.kron(coef, problem.jacobian_flat(x + y[i]))
+        return jac
+
+    if w_init is None:
+        w_init = ((-tau * rel.start)[:, None] * a_x).reshape(-1)
+    w, iters = _newton(residual, jacobian, w_init, cfg)
+    b = scheme.tableau.b
+    other = x + (tau if backward else -tau) * (b[:, None] * last["ag"]).sum(axis=0)
+    return other, iters, w
 
 
 def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: float,
@@ -234,7 +196,7 @@ def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: floa
         raise ValueError("tau must be positive")
     cfg = cfg or NewtonConfig()
     problem._check_state(u_prev)
-    u_new, _ = _forward_flat(problem, scheme, u_prev.flat, tau, cfg)
+    u_new, _, _ = _step(problem, scheme, u_prev.flat, tau, cfg)
     return StateField.from_flat(u_new, problem.species)
 
 
@@ -249,13 +211,20 @@ def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
         raise ValueError("tau must be nonnegative")
     cfg = cfg or NewtonConfig()
     problem._check_state(u)
-    v, _, _ = _backward_flat(problem, scheme, u.flat, tau, cfg)
+    if tau == 0.0:
+        return u.copy()
+    v, _, _ = _step(problem, scheme, u.flat, tau, cfg, backward=True)
     return StateField.from_flat(v, problem.species)
 
 
 def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: float,
         cfg: NewtonConfig | None = None) -> Trajectory:
-    """Advance ceil(t_end/tau) uniform steps from t = 0, keeping every state."""
+    """Advance ceil(t_end/tau) uniform steps from t = 0, keeping every state.
+
+    A failed Newton solve (StepError) or an iterate outside the problem's
+    domain (DomainError) is re-raised with the same type, its message
+    prefixed by the step index and time.
+    """
     if not tau > 0:
         raise ValueError("tau must be positive")
     if t_end < tau:
@@ -267,14 +236,16 @@ def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: flo
     iters: list[int] = []
     x = u0.flat
     for k in range(n_steps):
+        where = f"step {k + 1} (t={k * tau:.6g} -> {(k + 1) * tau:.6g}) failed"
         try:
-            x, it = _forward_flat(problem, scheme, x, tau, cfg)
+            x, it, _ = _step(problem, scheme, x, tau, cfg)
         except StepError as err:
             raise StepError(
-                f"step {k + 1} (t={k * tau:.6g} -> {(k + 1) * tau:.6g}) failed: {err}",
-                residual=err.residual,
+                f"{where}: {err}", residual=err.residual,
                 iterations=err.iterations,
             ) from err
+        except DomainError as err:
+            raise DomainError(f"{where}: {err}") from err
         if not np.all(np.isfinite(x)):
             raise StepError(
                 f"step {k + 1} produced non-finite values (overflow or "

@@ -1,9 +1,13 @@
 """Runge-Kutta scheme descriptions and the structural dissipation constant.
 
-A scheme is either a classical Butcher tableau or the composite Simpson
-rule, which averages the endpoint states inside the operator and therefore
-has no tableau representation over stage values.  Every scheme carries the
-constant
+Every scheme is a Butcher tableau, the composite Simpson rule included:
+its middle stage is exactly (u_old + u_new)/2, which makes it the
+rank-one, stiffly accurate tableau
+
+    a = [[0, 0, 0], [1/12, 1/3, 1/12], [1/6, 2/3, 1/6]],
+    b = [1/6, 2/3, 1/6],  c = [0, 1/2, 1].
+
+Every scheme carries the constant
 
     c_rk = 2 * sum_i b_i * (1 - c_i)
 
@@ -48,12 +52,6 @@ class ButcherTableau:
     def s(self) -> int:
         return self.b.size
 
-    def is_explicit(self) -> bool:
-        """True when a_ij = 0 for j >= i, so stages evaluate sequentially."""
-        return all(
-            self.a[i, j] == 0.0 for i in range(self.s) for j in range(i, self.s)
-        )
-
     def validate(self) -> list[str]:
         """Return a list of violated-sum descriptions, empty when consistent."""
         violations = []
@@ -80,30 +78,31 @@ def c_rk(tableau: ButcherTableau) -> float:
     return 2.0 * float(np.dot(tableau.b, 1.0 - tableau.c))
 
 
+SIMPSON = ButcherTableau(
+    a=[[0.0, 0.0, 0.0], [1 / 12, 1 / 3, 1 / 12], [1 / 6, 2 / 3, 1 / 6]],
+    b=[1 / 6, 2 / 3, 1 / 6],
+    c=[0.0, 0.5, 1.0],
+)
+
+
 @dataclass(frozen=True)
 class Scheme:
-    """A named time-stepping scheme.
-
-    ``tableau`` is None for the composite Simpson variant, whose update
-    couples A[u_new], A[(u_new + u_old)/2] and A[u_old] with Simpson
-    weights and is declared order >= 2 (c_rk_effective = 1).
-    """
+    """A named time-stepping scheme: a tableau and its constant c_rk."""
 
     name: str
-    tableau: ButcherTableau | None
+    tableau: ButcherTableau
     c_rk_effective: float
 
     @property
     def is_composite_simpson(self) -> bool:
-        return self.tableau is None
+        """True when the tableau is the composite Simpson tableau."""
+        t = self.tableau
+        return all(np.array_equal(x, y) for x, y in (
+            (t.a, SIMPSON.a), (t.b, SIMPSON.b), (t.c, SIMPSON.c)))
 
     @staticmethod
     def from_tableau(name: str, tableau: ButcherTableau) -> "Scheme":
         return Scheme(name=name, tableau=tableau, c_rk_effective=c_rk(tableau))
-
-    @staticmethod
-    def composite_simpson(name: str = "simpson") -> "Scheme":
-        return Scheme(name=name, tableau=None, c_rk_effective=1.0)
 
 
 def _builtin_schemes() -> dict[str, Scheme]:
@@ -116,7 +115,7 @@ def _builtin_schemes() -> dict[str, Scheme]:
         "explicit_euler": Scheme.from_tableau("explicit_euler", explicit_euler),
         "implicit_euler": Scheme.from_tableau("implicit_euler", implicit_euler),
         "trapezoidal": Scheme.from_tableau("trapezoidal", trapezoidal),
-        "simpson": Scheme.composite_simpson(),
+        "simpson": Scheme.from_tableau("simpson", SIMPSON),
     }
 
 

@@ -17,6 +17,7 @@ from rkentropy.entropy import (
     q_denominator,
 )
 from rkentropy.operators import (
+    Dlss,
     DomainError,
     Grid1D,
     LinearSystem,
@@ -208,6 +209,19 @@ def test_profile_truncates_on_failure(pme32):
     assert prof.failed_index is not None
     assert prof.g[0] == 0.0
     assert np.isnan(prof.g[prof.failed_index])
+
+
+@pytest.mark.parametrize(
+    "name", ["explicit_euler", "implicit_euler", "trapezoidal", "simpson"])
+def test_profile_truncates_on_domain_error(name):
+    # the backward iterates (or the closed-form implicit-Euler v) leave the
+    # positive cone that Dlss and the log entropy need
+    grid = Grid1D(32, 1.0)
+    u = StateField.scalar(1.0 + 0.9 * np.cos(2.0 * np.pi * grid.x()))
+    prof = profile_g(LogEntropySum(), Dlss(grid), get_scheme(name), u, 1e-2, 20)
+    assert prof.failed_index is not None
+    assert prof.g[0] == 0.0
+    assert np.all(np.isnan(prof.g[prof.failed_index:]))
 
 
 def test_q_denominator_variants(pme32):

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
-from rkentropy.operators import Grid1D, LinearSystem, PorousMedium, StateField
+from rkentropy import tableau
+from rkentropy.operators import (
+    Dlss,
+    DomainError,
+    Grid1D,
+    LinearSystem,
+    PorousMedium,
+    StateField,
+)
 from rkentropy.stepping import (
     NewtonConfig,
     StepError,
+    _step,
     backward_solve,
     forward_step,
     run,
 )
-from rkentropy.tableau import get_scheme
+from rkentropy.tableau import ButcherTableau, get_scheme, register
 
 ALL_SCHEMES = ["explicit_euler", "implicit_euler", "trapezoidal", "simpson"]
 
@@ -20,6 +29,12 @@ def pme32():
     problem = PorousMedium(grid, 2.0)
     u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
     return problem, u
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """Registrations made by a test stay inside that test."""
+    monkeypatch.setattr(tableau, "_REGISTRY", dict(tableau._REGISTRY))
 
 
 def test_explicit_euler_is_one_apply(pme32):
@@ -203,3 +218,75 @@ def test_expansion_constant_matches_scheme(pme32):
         err = np.max(np.abs(second - scheme.c_rk_effective * daa))
         scale = max(np.max(np.abs(daa)), 1.0)
         assert err <= 0.05 * scale, (name, err, scale)
+
+
+def test_run_domain_error_names_step_and_time():
+    grid = Grid1D(32, 1.0)
+    problem = Dlss(grid)
+    u = StateField.scalar(1.0 + 0.9 * np.cos(2.0 * np.pi * grid.x()))
+    with pytest.raises(DomainError, match=r"step 1 \(t=0 -> 0\.01\) failed: "):
+        run(problem, get_scheme("implicit_euler"), u, 1e-2, 1e-2)
+
+
+def _smooth_dlss32():
+    grid = Grid1D(32, 1.0)
+    u = StateField.scalar(1.0 + 0.2 * np.cos(2.0 * np.pi * grid.x()))
+    return Dlss(grid), u
+
+
+@pytest.mark.parametrize("case", ["pme", "dlss"])
+def test_simpson_satisfies_the_composite_rule(pme32, case):
+    problem, u = pme32 if case == "pme" else _smooth_dlss32()
+    tau = 1e-3 if case == "pme" else 1e-6
+    cfg = NewtonConfig(tol=1e-12)
+    scheme = get_scheme("simpson")
+
+    def simpson_residual(u0, u1):
+        a = problem.apply_flat
+        return u1 - u0 + tau / 6.0 * (a(u0) + 4.0 * a(0.5 * (u0 + u1)) + a(u1))
+
+    u1 = forward_step(problem, scheme, u, tau, cfg)
+    v = backward_solve(problem, scheme, u, tau, cfg)
+    for u_old, u_new in ((u.flat, u1.flat), (v.flat, u.flat)):
+        assert np.max(np.abs(simpson_residual(u_old, u_new))) <= 100.0 * cfg.tol
+
+
+def test_newton_solves_one_state_or_nothing(pme32):
+    # stage rows that vanish or repeat a larger row are eliminated exactly:
+    # every built-in scheme solves for one state-sized W, except the
+    # closed-form forward explicit Euler and backward implicit Euler
+    problem, u = pme32
+    closed_form = {("explicit_euler", False), ("implicit_euler", True)}
+    for name in ALL_SCHEMES:
+        for backward in (False, True):
+            _, _, w = _step(problem, get_scheme(name), u.flat, 1e-4,
+                            NewtonConfig(), backward=backward)
+            want = 0 if (name, backward) in closed_form else u.flat.size
+            assert w.size == want, (name, backward)
+
+
+def test_registered_heun_is_its_closed_form(pme32, scratch_registry):
+    problem, u = pme32
+    heun = register("heun", ButcherTableau(
+        a=[[0.0, 0.0], [1.0, 0.0]], b=[0.5, 0.5], c=[0.0, 1.0]))
+    tau = 1e-4
+    a0 = problem.apply_flat(u.flat)
+    want = u.flat - tau / 2.0 * (a0 + problem.apply_flat(u.flat - tau * a0))
+    got = forward_step(problem, heun, u, tau)
+    assert np.array_equal(got.flat, want)
+
+
+def test_registered_gauss_keeps_every_stage(pme32, scratch_registry):
+    problem, u = pme32
+    r = np.sqrt(3.0) / 6.0
+    gauss = register("gauss2", ButcherTableau(
+        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
+        c=[0.5 - r, 0.5 + r]))
+    cfg = NewtonConfig(tol=1e-12)
+    tau = 1e-3
+    for backward in (False, True):
+        _, _, w = _step(problem, gauss, u.flat, tau, cfg, backward=backward)
+        assert w.size == 2 * u.flat.size
+    v = backward_solve(problem, gauss, u, tau, cfg)
+    u_again = forward_step(problem, gauss, v, tau, cfg)
+    assert np.max(np.abs(u_again.flat - u.flat)) <= 100.0 * cfg.tol
