@@ -6,8 +6,12 @@ differences on a uniform periodic grid; the diffusion families are written
 so that sum_i A[u]_i telescopes to zero (discrete mass conservation).
 
 Each problem provides the operator A, its exact directional derivative
-DA[u](w), and the exact Jacobian as a dense banded-cyclic matrix (small
-grids only; Newton at desk scale does not need sparse storage).
+DA[u](w), and the exact Jacobian in cyclic band form: cell i of species s
+depends only on the cells (i + k) mod n, k in ``offsets``, of each
+species, so ``jacobian_flat`` returns one band of n entries per species
+pair and offset, O(n) storage.  The stepping Newton matrices keep this
+structure (see ``stepping``); ``jacobian`` assembles the dense matrix for
+inspection and tests.
 """
 
 from __future__ import annotations
@@ -88,14 +92,42 @@ class StateField:
         return f"StateField(species={self.species}, n={self.n})"
 
 
+def _shift(w: np.ndarray, k: int) -> np.ndarray:
+    """w_{(i+k) mod n} for every cell i (np.roll(w, -k) for |k| < n)."""
+    return np.concatenate((w[k:], w[:k]))
+
+
 def diff1(w: np.ndarray, dx: float) -> np.ndarray:
     """Periodic central first difference (w_{i+1} - w_{i-1}) / (2 dx)."""
-    return (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * dx)
+    return (_shift(w, 1) - _shift(w, -1)) / (2.0 * dx)
 
 
 def diff2(w: np.ndarray, dx: float) -> np.ndarray:
     """Periodic second difference (w_{i+1} - 2 w_i + w_{i-1}) / dx^2."""
-    return (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / dx**2
+    return (_shift(w, 1) - 2.0 * w + _shift(w, -1)) / dx**2
+
+
+def _diff2_bands(dx: float) -> np.ndarray:
+    """The entries of D2 at the offsets (-1, 0, 1)."""
+    return np.array([1.0, -2.0, 1.0]) / dx**2
+
+
+def _cells_at(offsets: tuple[int, ...], n: int) -> np.ndarray:
+    """Cell (i + offsets[j]) mod n at [j, i]."""
+    return (np.arange(n) + np.asarray(offsets)[:, None]) % n
+
+
+def band_coordinates(blocks: int, offsets: tuple[int, ...], n: int):
+    """Dense (row, column) of each entry of a cyclic band array.
+
+    A band array has shape (blocks, blocks, len(offsets), n); its entry
+    [s, t, j, i] sits in row s*n + i and column t*n + (i + offsets[j]) mod n.
+    On grids with n <= 2*max|offset| two offsets can name the same column;
+    such entries add.  Returns two integer arrays of the band array's shape.
+    """
+    s = np.arange(blocks)[:, None, None, None]
+    t = np.arange(blocks)[None, :, None, None]
+    return np.broadcast_arrays(s * n + np.arange(n), t * n + _cells_at(offsets, n))
 
 
 def diff2_matrix(n: int, dx: float) -> np.ndarray:
@@ -110,6 +142,7 @@ class Problem:
     """Base for the equation families; subclasses fill in the flat kernels."""
 
     species = 1
+    offsets: tuple[int, ...] = (-1, 0, 1)  # stencil reach, in cells
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
@@ -129,9 +162,16 @@ class Problem:
         )
 
     def jacobian(self, u: StateField) -> np.ndarray:
-        """Exact Jacobian of apply at u, dense (species*n) x (species*n)."""
+        """Exact Jacobian of apply at u, dense (species*n) x (species*n).
+
+        Assembled from the bands of ``jacobian_flat``.
+        """
         self._check_state(u)
-        return self.jacobian_flat(u.flat)
+        size = self.species * self.grid.n
+        rows, cols = band_coordinates(self.species, self.offsets, self.grid.n)
+        dense = np.zeros((size, size))
+        np.add.at(dense, (rows, cols), self.jacobian_flat(u.flat))
+        return dense
 
     # -- flat kernels (stepping works on these) -------------------------
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
@@ -141,6 +181,10 @@ class Problem:
         raise NotImplementedError
 
     def jacobian_flat(self, x: np.ndarray) -> np.ndarray:
+        """Jacobian bands, shape (species, species, len(offsets), n).
+
+        Entry [s, t, j, i] is dA_{s,i} / dx_{t,(i + offsets[j]) mod n}.
+        """
         raise NotImplementedError
 
     # -- validation ------------------------------------------------------
@@ -169,7 +213,8 @@ class PorousMedium(Problem):
     """A[u] = -D2(u^beta), the porous-medium / fast-diffusion operator.
 
     Zero cells are admissible for beta >= 1 (u^(beta-1) stays finite);
-    for beta < 1 they are rejected because the mobility blows up.
+    for beta < 1 every kernel rejects a nonpositive cell with a
+    DomainError before it takes the power, because the mobility blows up.
     """
 
     def __init__(self, grid: Grid1D, beta: float):
@@ -177,21 +222,29 @@ class PorousMedium(Problem):
             raise ValueError(f"beta must be positive, got {beta}")
         super().__init__(grid)
         self.beta = float(beta)
-        self._d2m = diff2_matrix(grid.n, grid.dx)
+        self._d2 = _diff2_bands(grid.dx)
+        self._neighbours = _cells_at(self.offsets, grid.n)
 
     def _check_state(self, u: StateField):
         super()._check_state(u)
+        self._check_domain(u.flat)
+
+    def _check_domain(self, x):
         if self.beta < 1.0:
-            _require_positive(u.flat, f"porous medium with beta={self.beta} < 1")
+            _require_positive(x, f"porous medium with beta={self.beta} < 1")
 
     def apply_flat(self, x):
+        self._check_domain(x)
         return -diff2(x**self.beta, self.grid.dx)
 
     def deriv_flat(self, x, wx):
+        self._check_domain(x)
         return -diff2(self.beta * x ** (self.beta - 1.0) * wx, self.grid.dx)
 
     def jacobian_flat(self, x):
-        return -self._d2m * (self.beta * x ** (self.beta - 1.0))[None, :]
+        self._check_domain(x)
+        mobility = self.beta * x ** (self.beta - 1.0)
+        return (-self._d2[:, None] * mobility[self._neighbours])[None, None]
 
 
 class ScalarDiffusion(Problem):
@@ -209,36 +262,35 @@ class ScalarDiffusion(Problem):
 
     def _fluxes(self, x):
         # flux numerator g_i = a((x_i + x_{i+1})/2) * (x_{i+1} - x_i), interface i+1/2
-        xp = np.roll(x, -1)
+        xp = _shift(x, 1)
         mid = 0.5 * (x + xp)
         return np.asarray(self.a(mid)) * (xp - x), mid, xp
 
     def apply_flat(self, x):
         g, _, _ = self._fluxes(x)
-        return -(g - np.roll(g, 1)) / self.grid.dx**2
+        return -(g - _shift(g, -1)) / self.grid.dx**2
 
     def deriv_flat(self, x, wx):
         _, mid, xp = self._fluxes(x)
-        wp = np.roll(wx, -1)
+        wp = _shift(wx, 1)
         dg = np.asarray(self.da(mid)) * 0.5 * (wx + wp) * (xp - x) + np.asarray(
             self.a(mid)
         ) * (wp - wx)
-        return -(dg - np.roll(dg, 1)) / self.grid.dx**2
+        return -(dg - _shift(dg, -1)) / self.grid.dx**2
 
     def jacobian_flat(self, x):
         n = self.grid.n
-        xp = np.roll(x, -1)
+        xp = _shift(x, 1)
         mid = 0.5 * (x + xp)
         av = np.asarray(self.a(mid)) * np.ones(n)
         pv = 0.5 * np.asarray(self.da(mid)) * (xp - x) * np.ones(n)
-        jac = np.zeros((n, n))
-        idx = np.arange(n)
+        pm, am = _shift(pv, -1), _shift(av, -1)
         dx2 = self.grid.dx**2
-        # dA_i/du_{i+1} from flux i, dA_i/du_{i-1} from flux i-1
-        jac[idx, (idx + 1) % n] = -(pv + av) / dx2
-        jac[idx, (idx - 1) % n] = (np.roll(pv, 1) - np.roll(av, 1)) / dx2
-        jac[idx, idx] = -((pv - av) - (np.roll(pv, 1) + np.roll(av, 1))) / dx2
-        return jac
+        # dA_i/du_{i-1} from flux i-1, dA_i/du_{i+1} from flux i
+        bands = np.stack([(pm - am) / dx2,
+                          -((pv - av) - (pm + am)) / dx2,
+                          -(pv + av) / dx2])
+        return bands[None, None]
 
 
 class LinearSystem(Problem):
@@ -246,7 +298,7 @@ class LinearSystem(Problem):
 
     du1/dt = rho1 * Lap(u1) + mu * (u2 - u1), and symmetrically for u2,
     so A[u]_j = -rho_j * D2(u_j) - mu * (u_other - u_j).  The operator is
-    linear: DA[u](w) = A[w].
+    linear: DA[u](w) = A[w], and its Jacobian bands are constant.
     """
 
     species = 2
@@ -258,14 +310,12 @@ class LinearSystem(Problem):
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
         self.mu = float(mu)
-        d2m = diff2_matrix(grid.n, grid.dx)
-        eye = np.eye(grid.n)
-        self._jac = np.block(
-            [
-                [-self.rho1 * d2m + self.mu * eye, -self.mu * eye],
-                [-self.mu * eye, -self.rho2 * d2m + self.mu * eye],
-            ]
-        )
+        d2 = _diff2_bands(grid.dx)
+        eye = np.array([0.0, 1.0, 0.0])
+        bands = np.array([[-self.rho1 * d2 + self.mu * eye, -self.mu * eye],
+                          [-self.mu * eye, -self.rho2 * d2 + self.mu * eye]])
+        self._bands = np.repeat(bands[..., None], grid.n, axis=-1)
+        self._bands.flags.writeable = False
 
     def apply_flat(self, x):
         n = self.grid.n
@@ -282,7 +332,7 @@ class LinearSystem(Problem):
         return self.apply_flat(wx)
 
     def jacobian_flat(self, x):
-        return self._jac
+        return self._bands
 
 
 class Dlss(Problem):
@@ -293,9 +343,11 @@ class Dlss(Problem):
     against this operator stay exact.
     """
 
+    offsets = (-2, -1, 0, 1, 2)
+
     def __init__(self, grid: Grid1D):
         super().__init__(grid)
-        self._d2m = diff2_matrix(grid.n, grid.dx)
+        self._d2 = _diff2_bands(grid.dx)
 
     def _check_state(self, u: StateField):
         super()._check_state(u)
@@ -312,7 +364,16 @@ class Dlss(Problem):
         return diff2(inner, dx)
 
     def jacobian_flat(self, x):
-        d2m = self._d2m
-        dx = self.grid.dx
-        core = np.diag(diff2(np.log(x), dx)) + x[:, None] * d2m * (1.0 / x)[None, :]
-        return d2m @ core
+        # D2 @ core with the tridiagonal core diag(D2 log x) + diag(x) D2
+        # diag(1/x): row i of the product picks core row i+p with weight
+        # D2[i, i+p], so band p+q collects d2[p] * core_q[i+p]
+        d2 = self._d2
+        inv = 1.0 / x
+        core = [x * d2[0] * _shift(inv, -1),
+                diff2(np.log(x), self.grid.dx) + x * d2[1] * inv,
+                x * d2[2] * _shift(inv, 1)]
+        bands = np.zeros((1, 1, 5, self.grid.n))
+        for p, dp in zip((-1, 0, 1), d2):
+            for q, core_q in zip((-1, 0, 1), core):
+                bands[0, 0, p + q + 2] += dp * _shift(core_q, p)
+        return bands

@@ -27,7 +27,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.integrate import quad
 
 DISC_TOL = 1e-12  # acceptance slack on discriminants / vertex values (scaled)
 
@@ -433,6 +432,8 @@ def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
     The integral is accumulated segment by segment with adaptive
     quadrature (absolute tolerance 1e-10 per segment).
     """
+    from scipy.integrate import quad  # not at module top: it dominates import time
+
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size < 1 or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0):
         raise ValueError("u_grid must be strictly positive and ascending")

@@ -22,6 +22,15 @@ have M with no nonzero row and are closed-form; trapezoidal and composite
 Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
 for one state-sized W in either direction.
 
+Each Newton iteration builds the matrix I + tau sum_i (B[:, i] C[i]) (x)
+J(g_i) in the cyclic band form of the problem's Jacobian
+(``Problem.jacobian_flat``), scatters it into a sparse matrix whose
+pattern is cached per grid size, block count and stencil, and factors it
+with SuperLU in natural order.  The unknowns are ordered cell by cell, so
+the fill stays in the band and the cyclic border: O(n) work and storage
+per iteration for every family.  scipy's sparse modules load with the
+first solve that factors.
+
 No damping or line search is used; non-convergence is surfaced as
 StepError, never masked.
 """
@@ -34,7 +43,7 @@ from functools import cache
 
 import numpy as np
 
-from .operators import DomainError, Problem, StateField
+from .operators import DomainError, Problem, StateField, band_coordinates
 from .tableau import ButcherTableau, Scheme
 
 
@@ -74,8 +83,12 @@ class Trajectory:
         return len(self.states)
 
 
-def _newton(residual, jacobian, y0: np.ndarray, cfg: NewtonConfig):
-    """Plain Newton iteration; returns (solution, iterations_used)."""
+def _newton(residual, factor, y0: np.ndarray, cfg: NewtonConfig):
+    """Plain Newton iteration; returns (solution, iterations_used).
+
+    ``factor(y)`` factors the Newton matrix at y and returns a function
+    that solves with it; it raises RuntimeError when the matrix is singular.
+    """
     y = y0.copy()
     res = residual(y)
     norm = float(np.max(np.abs(res))) if res.size else 0.0
@@ -83,14 +96,15 @@ def _newton(residual, jacobian, y0: np.ndarray, cfg: NewtonConfig):
         if norm <= cfg.tol:
             return y, it
         try:
-            y -= np.linalg.solve(jacobian(y), res)
-        except np.linalg.LinAlgError as err:
+            solve = factor(y)
+        except RuntimeError as err:
             raise StepError(
                 f"singular Newton matrix at iteration {it} "
                 f"(residual {norm:.3e}): {err}",
                 residual=norm,
                 iterations=it,
             ) from err
+        y -= solve(res)
         res = residual(y)
         norm = float(np.max(np.abs(res)))
     if norm <= cfg.tol:
@@ -115,11 +129,16 @@ class _Relation:
     """W = -tau B A[x + C W] for one tableau and direction (Y = C W, M = C B).
 
     ``start`` gives the tau -> 0 initial iterate W = -tau * start * A[x].
+    ``moving`` lists the stages whose value depends on W (nonzero row of
+    C), and ``coupling[q]`` is the outer product B[:, i] C[i] of the q-th
+    of them: the Newton matrix is I + tau sum_q coupling[q] (x) J(g_i).
     """
 
     B: np.ndarray
     C: np.ndarray
     start: np.ndarray
+    moving: tuple[int, ...]
+    coupling: np.ndarray
 
 
 @cache
@@ -145,7 +164,42 @@ def _relation(tableau: ButcherTableau, backward: bool) -> _Relation:
     for i, (k, lam) in multiple.items():
         C[i, kept.index(k)] = float(lam)
     B = np.array([[float(v) for v in rows[k]] for k in kept]).reshape(-1, tableau.s)
-    return _Relation(B=B, C=C, start=tableau.a.sum(axis=1)[kept])
+    moving = tuple(int(i) for i in np.flatnonzero(np.any(C != 0.0, axis=1)))
+    return _Relation(B=B, C=C, start=tableau.a.sum(axis=1)[kept], moving=moving,
+                     coupling=B.T[list(moving), :, None] * C[list(moving), None, :])
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """CSC layout of a cyclic band array (``operators.band_coordinates``).
+
+    The matrix orders the unknowns cell by cell (row i*blocks + k for cell
+    i of block k), so with several blocks the LU fill in natural order
+    stays within a band of width blocks*reach plus the cyclic border; in
+    block order the Schur complement of the first block fills densely.
+    Band entry e goes to ``data[scatter[e]]``; entries that name the same
+    position on small grids share a slot and add.  ``diag`` holds the
+    slots of the diagonal.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    scatter: np.ndarray
+    diag: np.ndarray
+
+
+@cache
+def _pattern(n: int, blocks: int, offsets: tuple[int, ...]) -> _Pattern:
+    size = blocks * n
+    rows, cols = ((index % n) * blocks + index // n
+                  for index in band_coordinates(blocks, offsets, n))
+    keys, scatter = np.unique((cols * size + rows).ravel(), return_inverse=True)
+    return _Pattern(
+        indices=(keys % size).astype(np.int32),
+        indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32),
+        scatter=scatter,
+        diag=np.searchsorted(keys, np.arange(size) * (size + 1)),
+    )
 
 
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
@@ -162,28 +216,42 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     rel = _relation(scheme.tableau, backward)
     s, r = rel.C.shape
     m = x.size
-    moving = np.any(rel.C != 0.0, axis=1)  # stages other than g_i = x
     a_x = problem.apply_flat(x)
     last = {}  # A[g] at the latest iterate, which _newton returns
 
     def residual(w):
         y = rel.C @ w.reshape(r, m)
-        ag = np.array([problem.apply_flat(x + y[i]) if moving[i] else a_x
+        ag = np.array([problem.apply_flat(x + y[i]) if i in rel.moving else a_x
                        for i in range(s)])
         last["ag"] = ag
         return (w.reshape(r, m) + tau * rel.B @ ag).reshape(-1)
 
-    def jacobian(w):
+    if r:  # closed-form relations (r = 0) never factor
+        from scipy.sparse import csc_array
+        from scipy.sparse.linalg import splu
+
+        n, blocks = problem.grid.n, r * problem.species
+        pattern = _pattern(n, blocks, problem.offsets)
+        matrix = csc_array((np.zeros(pattern.indices.size), pattern.indices,
+                            pattern.indptr), shape=(r * m, r * m))
+        coupling = tau * rel.coupling[:, :, None, :, None, None, None]
+
+    def factor(w):
+        # band form of I + tau sum_q coupling[q] (x) J(g_i): block (k, s)
+        # x (l, t) of the (r*species)^2 cyclic band blocks
         y = rel.C @ w.reshape(r, m)
-        jac = np.eye(r * m)
-        for i in np.flatnonzero(moving):
-            coef = tau * np.outer(rel.B[:, i], rel.C[i])
-            jac += np.kron(coef, problem.jacobian_flat(x + y[i]))
-        return jac
+        jac = np.stack([problem.jacobian_flat(x + y[i]) for i in rel.moving])
+        bands = (coupling * jac[:, None, :, None]).sum(axis=0)
+        matrix.data[:] = np.bincount(pattern.scatter, weights=bands.ravel(),
+                                     minlength=matrix.data.size)
+        matrix.data[pattern.diag] += 1.0
+        lu = splu(matrix, permc_spec="NATURAL")
+        return lambda rhs: lu.solve(
+            rhs.reshape(blocks, n).T.ravel()).reshape(n, blocks).T.ravel()
 
     if w_init is None:
         w_init = ((-tau * rel.start)[:, None] * a_x).reshape(-1)
-    w, iters = _newton(residual, jacobian, w_init, cfg)
+    w, iters = _newton(residual, factor, w_init, cfg)
     b = scheme.tableau.b
     other = x + (tau if backward else -tau) * (b[:, None] * last["ag"]).sum(axis=0)
     return other, iters, w

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -240,3 +244,15 @@ def test_main_region_command(tmp_path):
                  "--alpha-steps", "3", "--beta-steps", "3", "--out",
                  str(out)]) == 0
     assert out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # every command pays the package import; scipy's quadrature and sparse
+    # solvers load on first use instead
+    probe = ("import sys, rkentropy; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkentropy.operators import (
     Dlss,
@@ -189,3 +191,43 @@ def test_parameter_validation(grid32):
         PorousMedium(grid32, -1.0)
     with pytest.raises(ValueError):
         LinearSystem(grid32, -1.0, 1.0, 1.0)
+
+
+def test_pme_fast_diffusion_kernels_reject_nonpositive_cells(grid32):
+    # beta < 1: each kernel raises before it takes the power of a
+    # nonpositive cell (which would only warn and return nan)
+    p = PorousMedium(grid32, 0.5)
+    x = np.ones(grid32.n)
+    x[7] = -0.25
+    for kernel in (lambda: p.apply_flat(x), lambda: p.deriv_flat(x, x),
+                   lambda: p.jacobian_flat(x)):
+        with pytest.raises(DomainError, match="cell 7"):
+            kernel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 48), seed=st.integers(0, 2**32 - 1))
+def test_jacobian_bands(n, seed):
+    # n = 4 makes the Dlss offsets -2 and +2 name the same column
+    grid = Grid1D(n, 1.0)
+    rng = np.random.default_rng(seed)
+    d2m = diff2_matrix(n, grid.dx)
+    for p, u in _problems(grid, rng):
+        name = type(p).__name__
+        x = u.flat
+        bands = p.jacobian_flat(x)
+        assert isinstance(bands, np.ndarray), name
+        assert bands.nbytes == 8 * p.species**2 * len(p.offsets) * n, name
+        jac = p.jacobian(u)
+        w = rng.uniform(-1.0, 1.0, x.size)
+        dv = p.deriv_flat(x, w)
+        scale = max(np.max(np.abs(dv)), 1.0)
+        assert np.max(np.abs(jac @ w - dv)) <= 1e-13 * scale, name
+        # the dense formulas the bands replace
+        if isinstance(p, PorousMedium):
+            want = -d2m * (p.beta * x ** (p.beta - 1.0))[None, :]
+            assert np.array_equal(jac, want), name
+        if isinstance(p, Dlss):
+            core = np.diag(diff2(np.log(x), grid.dx)) + x[:, None] * d2m * (1.0 / x)[None, :]
+            want = d2m @ core
+            assert np.max(np.abs(jac - want)) <= 1e-13 * np.max(np.abs(want)), name

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from rkentropy.operators import (
 from rkentropy.stepping import (
     NewtonConfig,
     StepError,
+    _pattern,
     _step,
     backward_solve,
     forward_step,
@@ -290,3 +293,59 @@ def test_registered_gauss_keeps_every_stage(pme32, scratch_registry):
     v = backward_solve(problem, gauss, u, tau, cfg)
     u_again = forward_step(problem, gauss, v, tau, cfg)
     assert np.max(np.abs(u_again.flat - u.flat)) <= 100.0 * cfg.tol
+
+
+def test_registered_gauss_on_a_two_species_system(scratch_registry):
+    # two kept stage rows times two species: four coupled blocks of bands
+    grid = Grid1D(16, 1.0)
+    problem = LinearSystem(grid, 1.0, 2.0, 0.7)
+    rng = np.random.default_rng(17)
+    u = StateField.pair(rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16))
+    r = np.sqrt(3.0) / 6.0
+    gauss = register("gauss2", ButcherTableau(
+        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
+        c=[0.5 - r, 0.5 + r]))
+    cfg = NewtonConfig(tol=1e-12)
+    tau = 1e-3
+    _, _, w = _step(problem, gauss, u.flat, tau, cfg, backward=True)
+    assert w.size == 2 * u.flat.size
+    v = backward_solve(problem, gauss, u, tau, cfg)
+    u_again = forward_step(problem, gauss, v, tau, cfg)
+    assert np.max(np.abs(u_again.flat - u.flat)) <= 100.0 * cfg.tol
+
+
+def test_singular_newton_matrix_is_a_step_error():
+    # backward explicit Euler solves W = tau A[u + W]; for beta = 1 the
+    # Newton matrix is I + tau D2, singular at tau = dx^2 / 2 on n = 4
+    problem = PorousMedium(Grid1D(4, 1.0), 1.0)
+    u = StateField.scalar([1.0, 2.0, 1.0, 3.0])
+    with pytest.raises(StepError, match="singular Newton matrix at iteration 0"):
+        backward_solve(problem, get_scheme("explicit_euler"), u, 1.0 / 32.0)
+
+
+def test_fast_diffusion_run_raises_domain_error_not_a_warning():
+    grid = Grid1D(32, 1.0)
+    problem = PorousMedium(grid, 0.5)
+    u = StateField.scalar(1.0 + 0.9 * np.cos(2.0 * np.pi * grid.x()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"step \d+ \(t=\S+ -> \S+\) failed: "
+                                              r"porous medium with beta=0\.5"):
+            run(problem, get_scheme("explicit_euler"), u, 1e-3, 0.1)
+
+
+@pytest.mark.parametrize("blocks, offsets", [(1, (-1, 0, 1)), (2, (-1, 0, 1)),
+                                             (4, (-1, 0, 1)),
+                                             (2, (-2, -1, 0, 1, 2))])
+def test_newton_matrix_is_a_narrow_cyclic_band(blocks, offsets):
+    # an LU in natural order fills only within the cyclic band, so the
+    # unknowns must be ordered cell by cell: O(n) fill for any block count
+    n = 32
+    size = blocks * n
+    pattern = _pattern(n, blocks, offsets)
+    cols = np.repeat(np.arange(size), np.diff(pattern.indptr))
+    dist = np.abs(pattern.indices - cols)
+    reach = max(map(abs, offsets))
+    assert np.max(np.minimum(dist, size - dist)) < blocks * (reach + 1)
+    assert pattern.indices.size == blocks**2 * len(offsets) * n
+    assert np.array_equal(pattern.indices[pattern.diag], np.arange(size))
