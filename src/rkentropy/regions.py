@@ -15,13 +15,17 @@ module decides those questions numerically:
 * the fourth-order (log-diffusion) multiplier chain in exact rational
   arithmetic.
 
-Every accepted point returns a witness; ``certify_r0`` / ``certify_r1``
-re-check a witness by direct sampling of the underlying polynomial, which
-keeps the numeric search honest.
+Every accepted point returns a witness, and ``certify_r0`` / ``certify_r1``
+decide it exactly: at a fixed multiplier the polynomial is a quadratic form
+in monomials of the derivative variables, and one rational LDL^T of its
+Gram matrix (``fractions.Fraction``, into which floats convert exactly)
+decides positive semidefiniteness with no tolerance.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -132,26 +136,15 @@ def r0_poly_coeffs(alpha, beta, d, c_rk, c1, c2):
     for multiplier choice (c1, c2).  All arguments broadcast, so c1/c2 may
     be arrays for a vectorized scan.
     """
-    b1 = (c_rk + 1.0) + (1.0 - 1.0 / d) * c1
-    b2 = ((c_rk + 2.0) * (beta - alpha)
-          + (1.0 - 1.0 / d) * (2.0 * beta - alpha - 1.0) * c1
-          - (2.0 / d + 1.0) * c2)
-    b3 = (beta - alpha) ** 2 - (2.0 * beta - 2.0 * alpha - 1.0) * c2
-    b4 = -(d - 1.0) * ((2.0 * beta - alpha - 1.0) * c1 + 2.0 * c2)
+    b1 = (c_rk + 1) + (1 - 1 / d) * c1
+    b2 = ((c_rk + 2) * (beta - alpha)
+          + (1 - 1 / d) * (2 * beta - alpha - 1) * c1
+          - (2 / d + 1) * c2)
+    b3 = (beta - alpha) ** 2 - (2 * beta - 2 * alpha - 1) * c2
+    b4 = -(d - 1) * ((2 * beta - alpha - 1) * c1 + 2 * c2)
     b5 = -c1
-    b6 = -d * (d - 1.0) * c1
+    b6 = -d * (d - 1) * c1
     return b1, b2, b3, b4, b5, b6
-
-
-def eval_q_poly(eta: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate Q(eta) rowwise for eta of shape (k, 4) = (eta_G, eta_L,
-    eta_R, eta_S); returns (values, pointwise magnitude scales)."""
-    eg, el, er, es = eta[:, 0], eta[:, 1], eta[:, 2], eta[:, 3]
-    mon = np.stack(
-        [el**2, el * eg**2, eg**4, es * eg**2, er**2, es**2], axis=1
-    )
-    c = np.asarray(coeffs, dtype=float)
-    return mon @ c, np.maximum(np.abs(mon) @ np.abs(c), 1e-300)
 
 
 def _r0_r_value(alpha, beta, d, c_rk, c1, c2):
@@ -161,7 +154,7 @@ def _r0_r_value(alpha, beta, d, c_rk, c1, c2):
     Q, so Q is pointwise nonnegative iff R(c2) >= 0 for some c2.
     """
     b1, b2, b3, b4, b5, b6 = r0_poly_coeffs(alpha, beta, d, c_rk, c1, c2)
-    return 4.0 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
+    return 4 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
 
 
 def r0_membership(q: RegionQuery, n_lambda: int = 1999
@@ -170,8 +163,10 @@ def r0_membership(q: RegionQuery, n_lambda: int = 1999
 
     c1 = -lambda (c_rk + 1) / (1 - 1/d) for lambda in (0, 1); for each
     lambda the remainder R is quadratic in c2 (recovered exactly from
-    three evaluations) and satisfiable iff its discriminant is
-    nonnegative.  Returns the first witnessing (lambda, c2 at the vertex).
+    three evaluations) with leading coefficient
+    -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2 < 0, so it is satisfiable iff its
+    discriminant is nonnegative.  Returns the first witnessing (lambda,
+    c2 at the vertex).
     """
     if q.d < 2:
         raise ValueError("r0_membership needs d >= 2; use r0_1d for d = 1")
@@ -182,88 +177,75 @@ def r0_membership(q: RegionQuery, n_lambda: int = 1999
     r_p = _r0_r_value(q.alpha, q.beta, q.d, q.c_rk, c1s, 1.0)
     quad_a = 0.5 * (r_p + r_m) - r_0
     quad_b = 0.5 * (r_p - r_m)
-    quad_c = r_0
-    disc = quad_b**2 - 4.0 * quad_a * quad_c
-    scale = np.maximum(1.0, np.maximum(quad_b**2, np.abs(4.0 * quad_a * quad_c)))
-    ok = (quad_a > 0.0) | (disc >= -DISC_TOL * scale)
-    hits = np.flatnonzero(ok)
+    disc = quad_b**2 - 4.0 * quad_a * r_0
+    scale = np.maximum(1.0, np.maximum(quad_b**2, np.abs(4.0 * quad_a * r_0)))
+    hits = np.flatnonzero(disc >= -DISC_TOL * scale)
     if hits.size == 0:
         return False, None
     k = int(hits[0])
-    if quad_a[k] < 0.0:
-        c2 = -quad_b[k] / (2.0 * quad_a[k])  # vertex of the downward parabola
-    elif quad_a[k] > 0.0:
-        # upward parabola: step past the rightmost root (the leading
-        # coefficient is negative for every lambda in (0, 1), so this
-        # branch is defensive only)
-        vertex = -quad_b[k] / (2.0 * quad_a[k])
-        c2 = vertex + np.sqrt(max(disc[k], 0.0)) / (2.0 * quad_a[k]) + 1.0
-    elif quad_b[k] != 0.0:
-        # degenerate linear remainder: step past its root on the rising side
-        c2 = -quad_c[k] / quad_b[k] + np.sign(quad_b[k])
-    else:
-        c2 = 0.0
+    c2 = -quad_b[k] / (2.0 * quad_a[k])  # vertex: quad_a < 0 for every lambda
     return True, Witness(c1=float(c1s[k]), c2=float(c2), lam=float(lams[k]))
 
 
-def certify_r0(q: RegionQuery, w: Witness, n_samples: int = 10_000,
-               seed: int = 20240601) -> float:
-    """Worst normalized value of Q(eta) at the witness over random samples.
+def certify_r0(q: RegionQuery, w: Witness) -> float:
+    """Exact certificate that Q(eta) >= 0 everywhere at the witness.
 
-    Samples mix magnitudes (the polynomial is inhomogeneous).  A certified
-    witness stays above -1e-9.
+    Q is a quadratic form in (eta_L, eta_G^2, eta_S, eta_R) with Gram
+    matrix [[b1, b2/2, 0], [b2/2, b3, b4/2], [0, b4/2, b6]] (+) [b5], its
+    coefficients computed in Fraction from the exact values of the inputs.
+    Returns the smallest LDL^T pivot over the largest |entry| (>= 0) when
+    the matrix is positive semidefinite, and -1.0 when it is not.
     """
-    rng = np.random.default_rng(seed)
-    eta = rng.normal(size=(n_samples, 4)) * 10.0 ** rng.uniform(
-        -2.0, 2.0, size=(n_samples, 1)
-    )
-    coeffs = r0_poly_coeffs(q.alpha, q.beta, q.d, q.c_rk, w.c1, w.c2)
-    values, scales = eval_q_poly(eta, coeffs)
-    return float(np.min(values / scales))
+    alpha, beta, c_rk, c1, c2 = map(Fraction, (q.alpha, q.beta, q.c_rk,
+                                               w.c1, w.c2))
+    b1, b2, b3, b4, b5, b6 = r0_poly_coeffs(alpha, beta, Fraction(q.d), c_rk,
+                                            c1, c2)
+    return _psd_margin([[b1, b2 / 2, 0, 0], [b2 / 2, b3, b4 / 2, 0],
+                        [0, b4 / 2, b6, 0], [0, 0, 0, b5]])
 
 
 # ---------------------------------------------------------------------------
 # first-order region (order >= 2 schemes, one space dimension)
 # ---------------------------------------------------------------------------
 
-def _r1_a_coeffs(alpha, beta, c_rk=1.0):
-    a1 = (beta - 1.0) * (
-        2.0 * c_rk * alpha**2 * beta - 3.0 * c_rk * alpha**2
-        + 2.0 * alpha * beta**2 - 2.0 * (5.0 * c_rk + 3.0) * alpha * beta
-        + (15.0 * c_rk + 4.0) * alpha + 2.0 * beta**3 - 14.0 * beta**2
-        + 4.0 * (3.0 * c_rk + 7.0) * beta - 2.0 * (9.0 * c_rk + 8.0)
+def _r1_a_coeffs(alpha, beta, c_rk=1):
+    a1 = (beta - 1) * (
+        2 * c_rk * alpha**2 * beta - 3 * c_rk * alpha**2
+        + 2 * alpha * beta**2 - 2 * (5 * c_rk + 3) * alpha * beta
+        + (15 * c_rk + 4) * alpha + 2 * beta**3 - 14 * beta**2
+        + 4 * (3 * c_rk + 7) * beta - 2 * (9 * c_rk + 8)
     )
-    a2 = (beta - 1.0) * (
-        4.0 * c_rk * alpha**2 + (8.0 * c_rk + 7.0) * alpha * beta
-        - (32.0 * c_rk + 9.0) * alpha + 12.0 * beta**2
-        - 2.0 * (8.0 * c_rk + 25.0) * beta + 6.0 * (8.0 * c_rk + 7.0)
+    a2 = (beta - 1) * (
+        4 * c_rk * alpha**2 + (8 * c_rk + 7) * alpha * beta
+        - (32 * c_rk + 9) * alpha + 12 * beta**2
+        - 2 * (8 * c_rk + 25) * beta + 6 * (8 * c_rk + 7)
     )
-    a3 = (c_rk * alpha**2 + 2.0 * alpha * beta - (5.0 * c_rk + 2.0) * alpha
-          + 4.0 * (c_rk + 1.0) * beta**2 - 2.0 * (5.0 * c_rk + 8.0) * beta
-          + 12.0 * (c_rk + 1.0))
-    a4 = 2.0 * (beta - 1.0) * (
-        2.0 * (4.0 * c_rk + 1.0) * alpha + 9.0 * beta - (16.0 * c_rk + 13.0)
+    a3 = (c_rk * alpha**2 + 2 * alpha * beta - (5 * c_rk + 2) * alpha
+          + 4 * (c_rk + 1) * beta**2 - 2 * (5 * c_rk + 8) * beta
+          + 12 * (c_rk + 1))
+    a4 = 2 * (beta - 1) * (
+        2 * (4 * c_rk + 1) * alpha + 9 * beta - (16 * c_rk + 13)
     )
-    a5 = (2.0 * (2.0 * c_rk + 1.0) * alpha + 4.0 * (2.0 * c_rk + 3.0) * beta
-          - 16.0 * (c_rk + 1.0))
-    a6 = 2.0 - alpha
-    a7 = 2.0 * (c_rk + 1.0)
+    a5 = (2 * (2 * c_rk + 1) * alpha + 4 * (2 * c_rk + 3) * beta
+          - 16 * (c_rk + 1))
+    a6 = 2 - alpha
+    a7 = 2 * (c_rk + 1)
     return a1, a2, a3, a4, a5, a6, a7
 
 
-def r1_c2_lower_bound(alpha: float, beta: float, c_rk: float = 1.0) -> float:
+def r1_c2_lower_bound(alpha: float, beta: float, c_rk: float = 1) -> float:
     """Threshold c2* above which the (x, y) quadratic part can be definite."""
     return (
-        (c_rk + 1.0) * (2.0 * c_rk + 1.0) * alpha**2
-        - (2.0 * c_rk + 2.0) * (4.0 * c_rk - 3.0) * alpha * beta
-        - (9.0 * c_rk + 9.0) * alpha
-        + 2.0 * c_rk * (4.0 * c_rk + 3.0) * beta**2
-        - (8.0 * c_rk + 12.0) * beta
-        + (12.0 * c_rk + 14.0)
-    ) / (3.0 * (c_rk + 1.0))
+        (c_rk + 1) * (2 * c_rk + 1) * alpha**2
+        - (2 * c_rk + 2) * (4 * c_rk - 3) * alpha * beta
+        - (9 * c_rk + 9) * alpha
+        + 2 * c_rk * (4 * c_rk + 3) * beta**2
+        - (8 * c_rk + 12) * beta
+        + (12 * c_rk + 14)
+    ) / (3 * (c_rk + 1))
 
 
-def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1.0):
+def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1):
     """Coefficients (b1..b7) of the first-order derivative polynomial
 
         P(xi) = b1 xi1^6 + b2 xi1^4 xi2 + b3 xi1^3 xi3 + b4 xi1^2 xi2^2
@@ -274,31 +256,18 @@ def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1.0):
     """
     a1, a2, a3, a4, a5, a6, a7 = _r1_a_coeffs(alpha, beta, c_rk)
     c1 = -a6
-    b1 = a1 + (alpha + 2.0 * beta - 7.0) * c3
-    b2 = a2 + (alpha + 2.0 * beta - 6.0) * c2 + 5.0 * c3
+    b1 = a1 + (alpha + 2 * beta - 7) * c3
+    b2 = a2 + (alpha + 2 * beta - 6) * c2 + 5 * c3
     b3 = a3 + c2
-    b4 = a4 + (alpha + 2.0 * beta - 5.0) * c1 + 3.0 * c2
-    b5 = a5 + 2.0 * c1
+    b4 = a4 + (alpha + 2 * beta - 5) * c1 + 3 * c2
+    b5 = a5 + 2 * c1
     b6 = a6 + c1  # zero by construction
     b7 = a7
     return b1, b2, b3, b4, b5, b6, b7
 
 
-def eval_p_poly(xi: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate P(xi) rowwise for xi of shape (k, 3); returns (values,
-    pointwise magnitude scales)."""
-    x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
-    mon = np.stack(
-        [x1**6, x1**4 * x2, x1**3 * x3, x1**2 * x2**2, x1 * x2 * x3,
-         x2**3, x3**2],
-        axis=1,
-    )
-    c = np.asarray(coeffs, dtype=float)
-    return mon @ c, np.maximum(np.abs(mon) @ np.abs(c), 1e-300)
-
-
 def _r1_lemma_expr(alpha, beta, c2, c3, c_rk=1.0):
-    """Case-(i) expression of the quadratic-form lemma for P/xi1^6:
+    """Four times the determinant of the Gram matrix of P (``certify_r1``):
     E = b1 (4 b4 b7 - b5^2) - b2^2 b7 - b3^2 b4 + b2 b3 b5."""
     b1, b2, b3, b4, b5, _, b7 = r1_poly_coeffs(alpha, beta, c2, c3, c_rk)
     return b1 * (4.0 * b4 * b7 - b5**2) - b2**2 * b7 - b3**2 * b4 + b2 * b3 * b5
@@ -333,64 +302,71 @@ def r1_membership(alpha: float, beta: float, n_c2: int = 4001,
     scale = np.maximum(
         1.0, np.maximum(np.abs(e_m), np.maximum(np.abs(e_0), np.abs(e_p)))
     )
-    ok = (disc0 > 0.0) & (value >= -DISC_TOL * scale)
-    hits = np.flatnonzero(ok)
+    hits = np.flatnonzero((disc0 > 0.0) & (value >= -DISC_TOL * scale))
     if hits.size:
         k = int(hits[0])
         a6 = _r1_a_coeffs(alpha, beta, c_rk)[5]
         return True, Witness(c1=float(-a6), c2=float(c2s[k]),
                              c3=float(vertex[k]))
-    # degenerate quadratic part: lemma case with 4 b4 b7 = b5^2
-    near0 = np.flatnonzero(np.abs(disc0) <= DISC_TOL * np.maximum(1.0, b5**2))
-    for k in near0:
-        c2 = float(c2s[k])
-        a1, a2, a3, a4, a5, a6, a7 = _r1_a_coeffs(alpha, beta, c_rk)
-        b3k = a3 + c2
-        b5k = a5 + 2.0 * (-a6)
-        # 2 b2 b7 - b3 b5 = 0 is linear in c3
-        c3 = (b3k * b5k / (2.0 * a7) - (a2 + (alpha + 2.0 * beta - 6.0) * c2)) / 5.0
-        b1k = a1 + (alpha + 2.0 * beta - 7.0) * c3
-        if 4.0 * b1k * a7 - b3k**2 >= -DISC_TOL * max(1.0, b3k**2):
-            return True, Witness(c1=float(-a6), c2=c2, c3=float(c3))
     return False, None
 
 
-def certify_r1(alpha: float, beta: float, w: Witness, n_samples: int = 10_000,
-               seed: int = 20240602) -> float:
-    """Worst normalized value of P(xi) at the witness over random samples."""
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(n_samples, 3)) * 10.0 ** rng.uniform(
-        -2.0, 2.0, size=(n_samples, 1)
-    )
-    coeffs = r1_poly_coeffs(alpha, beta, w.c2, w.c3, 1.0)
-    values, scales = eval_p_poly(xi, coeffs)
-    return float(np.min(values / scales))
+def certify_r1(alpha: float, beta: float, w: Witness) -> float:
+    """Exact certificate that P(xi) >= 0 everywhere at the witness.
+
+    With b6 = 0, P is a quadratic form in (xi1^3, xi1 xi2, xi3) with Gram
+    matrix [[b1, b2/2, b3/2], [b2/2, b4, b5/2], [b3/2, b5/2, b7]]; decided
+    and scored like ``certify_r0`` (-1.0 also when b6 != 0).
+    """
+    alpha, beta, c2, c3 = map(Fraction, (alpha, beta, w.c2, w.c3))
+    b1, b2, b3, b4, b5, b6, b7 = r1_poly_coeffs(alpha, beta, c2, c3)
+    if b6 != 0:
+        return -1.0
+    return _psd_margin([[b1, b2 / 2, b3 / 2], [b2 / 2, b4, b5 / 2],
+                        [b3 / 2, b5 / 2, b7]])
 
 
 # ---------------------------------------------------------------------------
-# quadratic-form nonnegativity lemma
+# exact positive-semidefiniteness and the quadratic-form lemma
 # ---------------------------------------------------------------------------
+
+def _psd_margin(m) -> float:
+    """Exact LDL^T of the symmetric rational matrix ``m``: the smallest
+    pivot over the largest |entry| (>= 0) if ``m`` is positive semidefinite
+    (a zero pivot needs a zero rest of its row), else -1.0.  Fraction-free:
+    ``m`` is scaled to integers, and each Schur complement is kept
+    multiplied by the product ``s`` of the pivots before it."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    top = max(abs(x) for row in a for x in row) or 1
+    n, s, ratios = len(a), 1, []
+    for k in range(n):
+        p = a[k][k]
+        if p < 0 or (p == 0 and any(a[k][k + 1:])):
+            return -1.0
+        ratios.append(Fraction(p, s * top))  # pivot k of m over max |entry|
+        if p:
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = p * a[i][j] - a[i][k] * a[k][j]
+            s *= p
+    return float(min(ratios))
+
 
 def quad_form_nonneg(A: float, B: float, C: float, D: float, E: float,
                      F: float) -> bool:
     """Decide whether A + B x + C y + D x^2 + E xy + F y^2 >= 0 on R^2.
 
-    Requires F > 0.  Nonnegative iff either
-      (i)  4DF - E^2 > 0 and A (4DF - E^2) - B^2 F - C^2 D + B C E >= 0, or
-      (ii) 4DF - E^2 = 0, 2BF - CE = 0 and 4AF - C^2 >= 0
-    (equalities within 1e-12 after normalizing out the coefficient scale,
-    which makes the decision invariant under positive rescaling).
+    Requires F > 0.  Nonnegative iff the homogenized form in (1, x, y),
+    matrix [[A, B/2, C/2], [B/2, D, E/2], [C/2, E/2, F]], is positive
+    semidefinite; decided exactly in Fraction by ``_psd_margin``, so the
+    verdict has no tolerance and is invariant under positive rescaling.
     """
     if not F > 0:
         raise ValueError("quad_form_nonneg requires F > 0")
-    m = max(abs(A), abs(B), abs(C), abs(D), abs(E), abs(F))
-    a, b, c, d, e, f = (v / m for v in (A, B, C, D, E, F))
-    g = 4.0 * d * f - e**2
-    if g > DISC_TOL:
-        return a * g - b**2 * f - c**2 * d + b * c * e >= 0.0
-    if g < -DISC_TOL:
-        return False
-    return abs(2.0 * b * f - c * e) <= DISC_TOL and 4.0 * a * f - c**2 >= -DISC_TOL
+    A, B, C, D, E, F = map(Fraction, (A, B, C, D, E, F))
+    return _psd_margin([[A, B / 2, C / 2], [B / 2, D, E / 2],
+                        [C / 2, E / 2, F]]) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +394,35 @@ class ConditionRow:
     cond3_ok: bool
 
 
+@functools.cache
+def _gauss_rules():
+    """20- and 40-point Gauss-Legendre rules (loads numpy.polynomial)."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(20) + leggauss(40)
+
+
+def _integrate(f, a: float, b: float) -> float:
+    """Adaptive Gauss-Legendre quadrature of f over [a, b]: a piece keeps
+    its 40-point value once the 20-point rule agrees within
+    max(1e-10 * (its share of b - a), 1.49e-8 * |value|) -- QUADPACK's
+    epsabs and default epsrel -- and is bisected otherwise, up to 200
+    pieces."""
+    x20, w20, x40, w40 = _gauss_rules()
+    total, pieces, pending = 0.0, 1, [(a, b)]
+    while pending:
+        lo, hi = pending.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coarse = half * np.sum(w20 * f(mid + half * x20))
+        fine = half * np.sum(w40 * f(mid + half * x40))
+        tol = max(1e-10 * (hi - lo) / (b - a), 1.49e-8 * abs(fine))
+        if abs(fine - coarse) <= tol or pieces >= 200:
+            total += fine
+        else:
+            pending += [(lo, mid), (mid, hi)]
+            pieces += 1
+    return float(total)
+
+
 def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
                       ) -> list[ConditionRow]:
     """Evaluate the three admissibility conditions of the scalar family.
@@ -429,25 +434,19 @@ def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
       cond2:  (c_rk + 1) h''(u) mu(u)^2 - ((d-1)/d) b(u)           >= 0
       cond3:  (c_rk + 2) mu(u) mu''(u) + (c_rk - 1) mu'(u)^2       <  0
 
-    The integral is accumulated segment by segment with adaptive
-    quadrature (absolute tolerance 1e-10 per segment).
+    The integral is accumulated segment by segment with ``_integrate``, so
+    mu, dmu and hpp must accept an array of abscissae.
     """
-    from scipy.integrate import quad  # not at module top: it dominates import time
-
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size < 1 or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0):
         raise ValueError("u_grid must be strictly positive and ascending")
-
-    def integrand(v):
-        return mu(v) * dmu(v) * hpp(v)
 
     rows = []
     acc = 0.0
     prev = u_grid[0]
     for u in u_grid:
         if u > prev:
-            seg, _ = quad(integrand, prev, u, epsabs=1e-10, limit=200)
-            acc += seg
+            acc += _integrate(lambda v: mu(v) * dmu(v) * hpp(v), prev, u)
             prev = u
         b_main = (2.0 / 3.0) * (c_rk + 1.0) * acc
         b_alt = (2.0 / 3.0) * (c_rk + 2.0) * acc

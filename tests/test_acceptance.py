@@ -116,8 +116,9 @@ def test_criterion_03_r0_certified_membership():
                     if ok:
                         accepted += 1
                         assert certify_r0(q, w) >= -1e-9, (a, b, d, c_rk)
-    print(f"PASS criterion 3: {accepted} accepted points certified at "
-          f"Q >= -1e-9*scale; (1,1) accepted for d in {{2,10}}, all c_rk")
+    print(f"PASS criterion 3: {accepted} accepted points certified by an "
+          f"exact LDL^T certificate; (1,1) accepted for d in {{2,10}}, "
+          f"all c_rk")
 
 
 def test_criterion_04_r1_region():
@@ -133,7 +134,8 @@ def test_criterion_04_r1_region():
                 assert certify_r1(float(a), float(b), w) >= -1e-9, (a, b)
     assert members > 0
     print(f"PASS criterion 4: first-order region nonempty ({members} members "
-          f"certified), slope gate rejections verified")
+          f"certified by an exact LDL^T certificate), slope gate rejections "
+          f"verified")
 
 
 def test_criterion_05_dlss_constants():

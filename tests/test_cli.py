@@ -247,12 +247,17 @@ def test_main_region_command(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # every command pays the package import; scipy's quadrature and sparse
-    # solvers load on first use instead
-    probe = ("import sys, rkentropy; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') "
-             "if m in sys.modules))")
+    # every command pays the package import; scipy's sparse solvers load on
+    # first use instead, and no path loads scipy's quadrature at all
+    show = ("print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') "
+            "if m in sys.modules))")
+    conditions = ("from rkentropy.cli import cmd_check_conditions as c; "
+                  "c('pme_power', 1.0, 2.0, 0.5, 2.0, 16, 1, 1.0); "
+                  "c('heat_log', 1.0, 1.0, 0.5, 2.0, 16, 3, 0.0); ")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    for probe in ("import sys, rkentropy; " + show,
+                  "import sys, rkentropy; " + conditions + show):
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]", probe

@@ -1,10 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkentropy.regions import (
     RegionQuery,
+    _integrate,
+    _r0_r_value,
+    _r1_a_coeffs,
     certify_r0,
     certify_r1,
     dlss_b12,
@@ -12,17 +18,17 @@ from rkentropy.regions import (
     dlss_c1_of_c3,
     dlss_chain,
     emit_mask,
-    eval_p_poly,
-    eval_q_poly,
     quad_form_nonneg,
     r0_1d,
     r0_membership,
     r0_poly_coeffs,
     r0_strip_discriminant,
+    r1_c2_lower_bound,
     r1_membership,
     r1_poly_coeffs,
     scalar_conditions,
 )
+from sampling_oracle import eval_p_poly, eval_q_poly, sample_r0, sample_r1
 
 
 # -- one-dimensional strips ---------------------------------------------------
@@ -194,6 +200,127 @@ def test_r1_witness_eliminates_cubic_term():
     assert b[5] == 0.0  # xi2^3 coefficient
 
 
+def test_r1_c2_lower_bound_is_the_root_of_disc0():
+    # disc0 = 4 b4 b7 - b5^2 vanishes exactly at c2* and rises with slope
+    # 12 a7 > 0, so the scan, which starts above c2*, never sees it vanish
+    for a, b in ((1, 1), (Fraction(7, 4), Fraction(1, 3)),
+                 (Fraction(1, 2), Fraction(5, 2)), (3, Fraction(9, 8))):
+        a, b = Fraction(a), Fraction(b)
+        c2_star = r1_c2_lower_bound(a, b)
+        assert isinstance(c2_star, Fraction)
+        disc0 = []
+        for c2 in (c2_star, c2_star + 1):
+            _, _, _, b4, b5, _, b7 = r1_poly_coeffs(a, b, c2, 0)
+            disc0.append(4 * b4 * b7 - b5**2)
+        assert disc0[0] == 0
+        assert disc0[1] == 12 * _r1_a_coeffs(a, b)[6] > 0
+
+
+def test_r0_remainder_opens_downward():
+    # the c2^2 coefficient of R is -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2 < 0 for
+    # every lambda in (0, 1), so the scan's vertex is always a maximum
+    a, b = Fraction(13, 10), Fraction(7, 10)
+    for d in (2, 3, 10):
+        d = Fraction(d)
+        for c_rk in (0, 1, 2):
+            for lam in (Fraction(1, 2000), Fraction(1, 2),
+                        Fraction(1999, 2000)):
+                c1 = -lam * (c_rk + 1) / (1 - 1 / d)
+                r_m, r_0, r_p = (_r0_r_value(a, b, d, c_rk, c1, c2)
+                                 for c2 in (-1, 0, 1))
+                b1, _, _, _, _, b6 = r0_poly_coeffs(a, b, d, c_rk, c1, 0)
+                lead = -b6 * (2 / d + 1) ** 2 - 4 * b1 * (d - 1) ** 2
+                assert (r_p + r_m) / 2 - r_0 == lead < 0
+
+
+# -- exact certificates against the sampling oracle ------------------------------
+
+_CONFIGS = st.one_of(
+    st.tuples(st.just("pme0"), st.integers(2, 10),
+              st.sampled_from([0.0, 1.0, 2.0])),
+    st.just(("pme1", 1, 1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_CONFIGS, i=st.integers(0, 20), j=st.integers(0, 20),
+       shift=st.tuples(st.floats(-0.04, 0.04), st.floats(-0.04, 0.04)))
+def test_every_witness_passes_the_exact_certificate(config, i, j, shift):
+    # a cell of the 21 x 21 grid on [0.5, 4]^2, offset as the benchmark does
+    family, d, c_rk = config
+    a = 0.5 + 3.5 * i / 20 + shift[0]
+    b = 0.5 + 3.5 * j / 20 + shift[1]
+    if family == "pme0":
+        q = RegionQuery(a, b, d, c_rk)
+        ok, w = r0_membership(q)
+        if ok:
+            assert certify_r0(q, w) >= 0.0
+            assert sample_r0(q, w) >= -1e-9
+    else:
+        ok, w = r1_membership(a, b)
+        if ok:
+            assert certify_r1(a, b, w) >= 0.0
+            assert sample_r1(a, b, w) >= -1e-9
+
+
+def test_exact_certificates_reject_a_shifted_witness():
+    for d in (2, 10):
+        for c_rk in (0.0, 1.0, 2.0):
+            q = RegionQuery(1.0, 1.0, d, c_rk)
+            w = r0_membership(q)[1]
+            bad = replace(w, c2=w.c2 + 1e3)
+            assert certify_r0(q, w) >= 0.0
+            assert certify_r0(q, bad) == -1.0
+            assert sample_r0(q, bad) < -1e-9  # the oracle sees Q dip too
+    w = r1_membership(1.0, 1.0)[1]
+    bad = replace(w, c2=w.c2 + 1e3)
+    assert certify_r1(1.0, 1.0, bad) == -1.0
+    assert sample_r1(1.0, 1.0, bad) < -1e-9
+
+
+def test_exact_certificate_accepts_a_singular_gram_matrix():
+    # a boundary witness of the benchmark grid: R(c2) peaks at exactly 0,
+    # so the third pivot is 0 (its rest of row, towards the b5 block, is 0
+    # too); any other c2 fails
+    q = RegionQuery(0.5, 2.25, 2, 1.0)
+    w = r0_membership(q)[1]
+    assert (w.c1, w.c2) == (-0.5, 0.5)
+    assert certify_r0(q, w) == 0.0
+    for c2 in (0.5 - 2.0**-40, 0.5 + 2.0**-40):
+        assert certify_r0(q, replace(w, c2=c2)) == -1.0
+
+
+def test_certify_r1_rejects_a_borrowed_witness_outside_the_gate():
+    w = r1_membership(1.0, 1.0)[1]
+    for a, b in ((4.0, 0.5), (8.0, 2.0), (0.5, 2.0), (1.0, 3.0)):
+        assert not -2.0 <= a - 2.0 * b <= 1.0
+        assert certify_r1(a, b, w) == -1.0
+        assert sample_r1(a, b, w) < -1e-9
+
+
+def test_coefficients_are_type_generic():
+    # Fraction in, Fraction out (a float literal would silently demote the
+    # certificate to floats); float inputs keep their former values bit
+    # for bit
+    fr = Fraction
+    exact = (*r0_poly_coeffs(fr(13, 10), fr(7, 10), fr(3), fr(1), fr(-9, 10),
+                             fr(2, 5)),
+             *r1_poly_coeffs(fr(13, 10), fr(7, 10), fr(5, 2), fr(-3, 10), fr(1)),
+             *_r1_a_coeffs(fr(13, 10), fr(7, 10), fr(2)),
+             r1_c2_lower_bound(fr(13, 10), fr(7, 10), fr(1)))
+    assert all(type(x) is Fraction for x in exact)
+    assert r0_poly_coeffs(1.3, 0.7, 3, 1.0, -0.9, 0.4) == (
+        1.4, -1.9266666666666667, 1.2400000000000002, -3.2200000000000006,
+        0.9, 5.4)
+    assert r1_poly_coeffs(1.3, 0.7, 2.5, -0.3, 1.0) == (
+        2.3291999999999993, -14.787000000000003, 6.629999999999999, 14.93,
+        -11.6, 0.0, 4.0)
+    assert _r1_a_coeffs(1.3, 0.7, 2.0) == (
+        1.6103999999999987, -7.809000000000002, 6.279999999999998, 9.18,
+        -15.400000000000006, 0.7, 6.0)
+    assert r1_c2_lower_bound(1.3, 0.7, 1.0) == 0.3266666666666662
+
+
 # -- quadratic-form lemma --------------------------------------------------------
 
 def test_quad_form_reference_cases():
@@ -298,6 +425,27 @@ def test_scalar_conditions_variant_prefactor():
                              c_rk=1.0)
     r = rows[-1]
     assert r.b_alt == pytest.approx(r.b * 1.5, rel=1e-12)  # (c+2)/(c+1) at c=1
+
+
+def test_scalar_conditions_integral_matches_closed_form():
+    # mu mu' h'' = beta^2 e u^k with e = beta - alpha, k = 2e + alpha - 2:
+    # steep near u0 = 1e-3, so the adaptive rule has to bisect
+    alpha, beta = 1.0, 0.6
+    e, k = beta - alpha, 2.0 * (beta - alpha) + alpha - 2.0
+    handles = dict(mu=lambda u: beta * u**e,
+                   dmu=lambda u: beta * e * u ** (e - 1.0),
+                   d2mu=lambda u: 0.0 * u, hpp=lambda u: u ** (alpha - 1.0))
+    u_grid = np.array([1e-3, 2e-3, 0.1, 1.0])
+    rows = scalar_conditions(**handles, u_grid=u_grid, d=2, c_rk=1.0)
+    for row in rows[1:]:
+        integral = beta**2 * e * (row.u ** (k + 1) - 1e-3 ** (k + 1)) / (k + 1)
+        assert row.b == pytest.approx((4.0 / 3.0) * integral, rel=1e-10)
+
+
+def test_integrate_bisects_to_a_kink_and_stops_at_the_limit():
+    value = _integrate(lambda v: np.abs(v - 1.0 / 3.0), 0.0, 1.0)
+    assert value == pytest.approx(5.0 / 18.0, abs=1e-10)
+    assert np.isnan(_integrate(lambda v: np.full_like(v, np.nan), 0.0, 1.0))
 
 
 def test_scalar_conditions_input_validation():
