@@ -195,6 +195,16 @@ def _package_version() -> str:
     return __version__
 
 
+def _scipy_meta() -> list[str]:
+    """scipy's version and the LAPACK it was built against, which factors
+    every Newton matrix and can be another build than numpy's BLAS."""
+    import scipy
+
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return [f"scipy_version = {scipy.__version__}",
+            f"scipy_lapack = {lapack['name']} {lapack['version']}"]
+
+
 def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     """Run the configured trajectory; write entropy.csv and snapshots."""
     out = Path(out_dir)
@@ -232,6 +242,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
     meta.append(f"rkentropy_version = {_package_version()}")
     meta.append(f"numpy_version = {np.__version__}")
+    meta += _scipy_meta()
     (out / "run_meta.txt").write_text("\n".join(meta) + "\n")
     return path
 

@@ -11,7 +11,8 @@ depends only on the cells (i + k) mod n, k in ``offsets``, of each
 species, so ``jacobian_flat`` returns one band of n entries per species
 pair and offset, O(n) storage.  The stepping Newton matrices keep this
 structure (see ``stepping``); ``jacobian`` assembles the dense matrix for
-inspection and tests.
+inspection and tests.  ``magnitude_flat`` is the running error scale of
+A, from which Newton reads the rounding floor of its residual.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def diff2(w: np.ndarray, dx: float) -> np.ndarray:
     return (_shift(w, 1) - 2.0 * w + _shift(w, -1)) / dx**2
 
 
+def _diff2_abs(w: np.ndarray, dx: float) -> np.ndarray:
+    """diff2 with every coefficient replaced by its absolute value."""
+    return (_shift(w, 1) + 2.0 * w + _shift(w, -1)) / dx**2
+
+
 def _diff2_bands(dx: float) -> np.ndarray:
     """The entries of D2 at the offsets (-1, 0, 1)."""
     return np.array([1.0, -2.0, 1.0]) / dx**2
@@ -180,6 +186,18 @@ class Problem:
     def deriv_flat(self, x: np.ndarray, wx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def magnitude_flat(self, x: np.ndarray) -> np.ndarray:
+        """Running error scale of ``apply_flat`` at x, per cell.
+
+        The same stencil evaluated on the absolute values of every
+        intermediate term, with each difference turned into a sum, so that
+        eps * magnitude_flat(x) bounds the rounding of A[x] to first order
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        section 3.3) where |A[x]| itself shows only what is left after the
+        stencil cancels.
+        """
+        raise NotImplementedError
+
     def jacobian_flat(self, x: np.ndarray) -> np.ndarray:
         """Jacobian bands, shape (species, species, len(offsets), n).
 
@@ -241,6 +259,10 @@ class PorousMedium(Problem):
         self._check_domain(x)
         return -diff2(self.beta * x ** (self.beta - 1.0) * wx, self.grid.dx)
 
+    def magnitude_flat(self, x):
+        self._check_domain(x)
+        return _diff2_abs(np.abs(x**self.beta), self.grid.dx)
+
     def jacobian_flat(self, x):
         self._check_domain(x)
         mobility = self.beta * x ** (self.beta - 1.0)
@@ -277,6 +299,11 @@ class ScalarDiffusion(Problem):
             self.a(mid)
         ) * (wp - wx)
         return -(dg - _shift(dg, -1)) / self.grid.dx**2
+
+    def magnitude_flat(self, x):
+        xp = _shift(x, 1)
+        g = np.abs(self.a(0.5 * (x + xp))) * (np.abs(x) + np.abs(xp))
+        return (g + _shift(g, -1)) / self.grid.dx**2
 
     def jacobian_flat(self, x):
         n = self.grid.n
@@ -331,6 +358,15 @@ class LinearSystem(Problem):
     def deriv_flat(self, x, wx):
         return self.apply_flat(wx)
 
+    def magnitude_flat(self, x):
+        n = self.grid.n
+        u1, u2 = np.abs(x[:n]), np.abs(x[n:])
+        dx = self.grid.dx
+        return np.concatenate([
+            self.rho1 * _diff2_abs(u1, dx) + self.mu * (u2 + u1),
+            self.rho2 * _diff2_abs(u2, dx) + self.mu * (u1 + u2),
+        ])
+
     def jacobian_flat(self, x):
         return self._bands
 
@@ -362,6 +398,13 @@ class Dlss(Problem):
         dx = self.grid.dx
         inner = wx * diff2(np.log(x), dx) + x * diff2(wx / x, dx)
         return diff2(inner, dx)
+
+    def magnitude_flat(self, x):
+        # a relative rounding of x moves log x by an absolute eps, so the
+        # log term counts |log x| + 1
+        _require_positive(x, "the fourth-order log-diffusion operator")
+        dx = self.grid.dx
+        return _diff2_abs(x * _diff2_abs(np.abs(np.log(x)) + 1.0, dx), dx)
 
     def jacobian_flat(self, x):
         # D2 @ core with the tridiagonal core diag(D2 log x) + diag(x) D2

@@ -24,15 +24,19 @@ for one state-sized W in either direction.
 
 Each Newton iteration builds the matrix I + tau sum_i (B[:, i] C[i]) (x)
 J(g_i) in the cyclic band form of the problem's Jacobian
-(``Problem.jacobian_flat``), scatters it into a sparse matrix whose
-pattern is cached per grid size, block count and stencil, and factors it
-with SuperLU in natural order.  The unknowns are ordered cell by cell, so
-the fill stays in the band and the cyclic border: O(n) work and storage
-per iteration for every family.  scipy's sparse modules load with the
-first solve that factors.
+(``Problem.jacobian_flat``), scatters it into LAPACK band storage laid
+out per grid size, block count and stencil (``_layout``), and factors it
+with LAPACK's banded LU (``dgbtrf``, partial pivoting, fill inside the
+band).  Folding the cells (0, n-1, 1, n-2, ...) makes the cyclic band a
+plain band of half-width at most blocks*(2*reach + 1) - 1: O(n) work and
+storage per iteration for every family.  scipy's LAPACK wrappers load
+with the first solve that factors.
 
-No damping or line search is used; non-convergence is surfaced as
-StepError, never masked.
+Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
+residual, 8 eps max(|W| + tau |B| mag(g)) with mag the running error scale
+of A (``Problem.magnitude_flat``): the stencil terms cancel in A far below
+mag, so a fixed tol can lie below what the arithmetic resolves.  No damping
+or line search is used; non-convergence is surfaced as StepError.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .operators import DomainError, Problem, StateField, band_coordinates
 from .tableau import ButcherTableau, Scheme
 
 
+_FLOOR = 8.0 * np.finfo(float).eps  # residual rounding floor per unit of scale
+
+
 class StepError(RuntimeError):
     """Newton failed to reach the residual tolerance."""
 
@@ -58,6 +65,10 @@ class StepError(RuntimeError):
 
 @dataclass
 class NewtonConfig:
+    """Newton stops when the max-norm of the stage residual, in state units,
+    is at most ``tol``, or when it sits at the residual's rounding floor
+    (see ``_newton``); ``max_iter`` iterations above both fail."""
+
     tol: float = 1e-12
     max_iter: int = 50
 
@@ -83,38 +94,41 @@ class Trajectory:
         return len(self.states)
 
 
-def _newton(residual, factor, y0: np.ndarray, cfg: NewtonConfig):
+def _newton(residual, factor, scale, y0: np.ndarray, cfg: NewtonConfig):
     """Plain Newton iteration; returns (solution, iterations_used).
 
     ``factor(y)`` factors the Newton matrix at y and returns a function
     that solves with it; it raises RuntimeError when the matrix is singular.
+    ``scale(y)`` is the running error scale of the residual, which also
+    passes at its rounding floor 8 eps max(scale(y)); the floor is read only
+    after an iteration that cut the residual by less than half and at the
+    last iterate, so a quadratically converging solve never pays for it.
     """
     y = y0.copy()
     res = residual(y)
     norm = float(np.max(np.abs(res))) if res.size else 0.0
-    for it in range(cfg.max_iter):
+    slow = False
+    for it in range(cfg.max_iter + 1):
         if norm <= cfg.tol:
             return y, it
+        if slow or it == cfg.max_iter:
+            floor = _FLOOR * float(np.max(scale(y)))
+            if norm <= floor:
+                return y, it
+        if it == cfg.max_iter:
+            break
         try:
             solve = factor(y)
         except RuntimeError as err:
-            raise StepError(
-                f"singular Newton matrix at iteration {it} "
-                f"(residual {norm:.3e}): {err}",
-                residual=norm,
-                iterations=it,
-            ) from err
+            raise StepError(f"singular Newton matrix at iteration {it} "
+                            f"(residual {norm:.3e}): {err}", norm, it) from err
         y -= solve(res)
         res = residual(y)
-        norm = float(np.max(np.abs(res)))
-    if norm <= cfg.tol:
-        return y, cfg.max_iter
-    raise StepError(
-        f"Newton stalled at residual {norm:.3e} after {cfg.max_iter} iterations "
-        f"(tol {cfg.tol:.1e})",
-        residual=norm,
-        iterations=cfg.max_iter,
-    )
+        new = float(np.max(np.abs(res)))
+        norm, slow = new, new > 0.5 * norm
+    raise StepError(f"Newton stalled at residual {norm:.3e} after {cfg.max_iter} "
+                    f"iterations (tol {cfg.tol:.1e}, rounding floor {floor:.1e})",
+                    norm, cfg.max_iter)
 
 
 def _proportional(row, base):
@@ -169,37 +183,28 @@ def _relation(tableau: ButcherTableau, backward: bool) -> _Relation:
                      coupling=B.T[list(moving), :, None] * C[list(moving), None, :])
 
 
-@dataclass(frozen=True)
-class _Pattern:
-    """CSC layout of a cyclic band array (``operators.band_coordinates``).
-
-    The matrix orders the unknowns cell by cell (row i*blocks + k for cell
-    i of block k), so with several blocks the LU fill in natural order
-    stays within a band of width blocks*reach plus the cyclic border; in
-    block order the Schur complement of the first block fills densely.
-    Band entry e goes to ``data[scatter[e]]``; entries that name the same
-    position on small grids share a slot and add.  ``diag`` holds the
-    slots of the diagonal.
-    """
-
-    indices: np.ndarray
-    indptr: np.ndarray
-    scatter: np.ndarray
-    diag: np.ndarray
-
-
 @cache
-def _pattern(n: int, blocks: int, offsets: tuple[int, ...]) -> _Pattern:
-    size = blocks * n
-    rows, cols = ((index % n) * blocks + index // n
+def _layout(n: int, blocks: int, offsets: tuple[int, ...]):
+    """LAPACK band storage of a cyclic band array: (kl, ku, scatter, order, rank).
+
+    Cell i goes to position 2i if i < ceil(n/2), else 2(n-1-i)+1, so cyclic
+    neighbours sit at most two positions apart; unknown k of the cell at
+    position p is row p*blocks + k.  The cyclic band becomes a plain band
+    with kl, ku <= blocks*(2*reach + 1) - 1.  Entry e of the band array
+    (``operators.band_coordinates``) adds into slot ``scatter[e]`` of the
+    Fortran-ordered (2kl+ku+1, blocks*n) storage, so entries that name one
+    position on small grids add.  Row j holds unknown ``order[j]``, and
+    unknown i sits in row ``rank[i]``.
+    """
+    cell = np.arange(n)
+    pos = np.where(cell < (n + 1) // 2, 2 * cell, 2 * (n - 1 - cell) + 1)
+    rows, cols = (pos[index % n] * blocks + index // n
                   for index in band_coordinates(blocks, offsets, n))
-    keys, scatter = np.unique((cols * size + rows).ravel(), return_inverse=True)
-    return _Pattern(
-        indices=(keys % size).astype(np.int32),
-        indptr=np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32),
-        scatter=scatter,
-        diag=np.searchsorted(keys, np.arange(size) * (size + 1)),
-    )
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    unknown = np.arange(blocks * n)
+    rank = pos[unknown % n] * blocks + unknown // n
+    scatter = (cols * (2 * kl + ku + 1) + kl + ku + rows - cols).ravel()
+    return kl, ku, scatter, np.argsort(rank), rank
 
 
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
@@ -226,14 +231,16 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
         last["ag"] = ag
         return (w.reshape(r, m) + tau * rel.B @ ag).reshape(-1)
 
-    if r:  # closed-form relations (r = 0) never factor
-        from scipy.sparse import csc_array
-        from scipy.sparse.linalg import splu
+    def scale(w):
+        y = rel.C @ w.reshape(r, m)
+        mag = np.array([problem.magnitude_flat(x + y[i]) for i in range(s)])
+        return np.abs(w) + tau * (np.abs(rel.B) @ mag).reshape(-1)
 
-        n, blocks = problem.grid.n, r * problem.species
-        pattern = _pattern(n, blocks, problem.offsets)
-        matrix = csc_array((np.zeros(pattern.indices.size), pattern.indices,
-                            pattern.indptr), shape=(r * m, r * m))
+    if r:  # closed-form relations (r = 0) never factor
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+        kl, ku, scatter, order, rank = _layout(
+            problem.grid.n, r * problem.species, problem.offsets)
         coupling = tau * rel.coupling[:, :, None, :, None, None, None]
 
     def factor(w):
@@ -242,16 +249,18 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
         y = rel.C @ w.reshape(r, m)
         jac = np.stack([problem.jacobian_flat(x + y[i]) for i in rel.moving])
         bands = (coupling * jac[:, None, :, None]).sum(axis=0)
-        matrix.data[:] = np.bincount(pattern.scatter, weights=bands.ravel(),
-                                     minlength=matrix.data.size)
-        matrix.data[pattern.diag] += 1.0
-        lu = splu(matrix, permc_spec="NATURAL")
-        return lambda rhs: lu.solve(
-            rhs.reshape(blocks, n).T.ravel()).reshape(n, blocks).T.ravel()
+        ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
+                         * (2 * kl + ku + 1)).reshape(order.size, -1).T
+        ab[kl + ku] += 1.0
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError(f"zero pivot in row {info - 1} of the band LU")
+
+        return lambda rhs: dgbtrs(lu, kl, ku, rhs[order], piv)[0][rank]
 
     if w_init is None:
         w_init = ((-tau * rel.start)[:, None] * a_x).reshape(-1)
-    w, iters = _newton(residual, factor, w_init, cfg)
+    w, iters = _newton(residual, factor, scale, w_init, cfg)
     b = scheme.tableau.b
     other = x + (tau if backward else -tau) * (b[:, None] * last["ag"]).sum(axis=0)
     return other, iters, w
@@ -308,23 +317,13 @@ def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: flo
         try:
             x, it, _ = _step(problem, scheme, x, tau, cfg)
         except StepError as err:
-            raise StepError(
-                f"{where}: {err}", residual=err.residual,
-                iterations=err.iterations,
-            ) from err
+            raise StepError(f"{where}: {err}", err.residual, err.iterations) from err
         except DomainError as err:
             raise DomainError(f"{where}: {err}") from err
         if not np.all(np.isfinite(x)):
-            raise StepError(
-                f"step {k + 1} produced non-finite values (overflow or "
-                f"blow-up at t={(k + 1) * tau:.6g})",
-                residual=float("inf"),
-                iterations=it,
-            )
+            raise StepError(f"step {k + 1} produced non-finite values (overflow or "
+                            f"blow-up at t={(k + 1) * tau:.6g})", float("inf"), it)
         states.append(StateField.from_flat(x, problem.species))
         iters.append(it)
-    times = np.arange(n_steps + 1) * tau
-    return Trajectory(
-        times=times, states=states, scheme=scheme, problem=problem, tau=tau,
-        newton_iters=iters,
-    )
+    return Trajectory(times=np.arange(n_steps + 1) * tau, states=states,
+                      scheme=scheme, problem=problem, tau=tau, newton_iters=iters)

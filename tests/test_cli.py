@@ -229,7 +229,8 @@ def test_main_simulate_and_gprofile(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "entropy.csv").exists()
-    assert (out / "run_meta.txt").exists()
+    meta = (out / "run_meta.txt").read_text()
+    assert "\nscipy_version = " in meta and "\nscipy_lapack = " in meta
     out2 = tmp_path / "prof"
     assert main(["gprofile", "--config", str(cfg_path), "--base-times",
                  "3e-4", "--tau-max", "1e-4", "--m", "4", "--schemes",
@@ -247,16 +248,22 @@ def test_main_region_command(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # every command pays the package import; scipy's sparse solvers load on
-    # first use instead, and no path loads scipy's quadrature at all
+    # every command pays the package import; scipy's LAPACK wrappers load
+    # with the first implicit step, and no path loads scipy's sparse
+    # modules or its quadrature at all
     show = ("print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') "
             "if m in sys.modules))")
     conditions = ("from rkentropy.cli import cmd_check_conditions as c; "
                   "c('pme_power', 1.0, 2.0, 0.5, 2.0, 16, 1, 1.0); "
                   "c('heat_log', 1.0, 1.0, 0.5, 2.0, 16, 3, 0.0); ")
+    step = ("import numpy as np; from rkentropy import Grid1D, PorousMedium, "
+            "StateField, forward_step, get_scheme; g = Grid1D(16); "
+            "forward_step(PorousMedium(g, 2.0), get_scheme('trapezoidal'), "
+            "StateField.scalar(1.0 + 0.3 * np.cos(g.x())), 1e-4); ")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for probe in ("import sys, rkentropy; " + show,
-                  "import sys, rkentropy; " + conditions + show):
+                  "import sys, rkentropy; " + conditions + show,
+                  "import sys; " + step + show):
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              check=True, capture_output=True, text=True,
                              timeout=60)

@@ -231,3 +231,27 @@ def test_jacobian_bands(n, seed):
             core = np.diag(diff2(np.log(x), grid.dx)) + x[:, None] * d2m * (1.0 / x)[None, :]
             want = d2m @ core
             assert np.max(np.abs(jac - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+def _no_apply(self, x):
+    raise AssertionError("magnitude_flat must not evaluate apply_flat")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+def test_magnitude_bounds_the_rounding_of_apply(n, seed):
+    # |A[x]| <= mag(x), and rounding every cell of x moves A[x] by at most
+    # 8 eps mag(x), the scale of Newton's rounding floor; mag shares no
+    # call with A, so the operator call counts of a solve do not move
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    for problem, u in _problems(Grid1D(n, 1.0), rng):
+        x = u.flat
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(problem), "apply_flat", _no_apply)
+            mag = problem.magnitude_flat(x)
+        assert mag.shape == x.shape
+        assert np.all(np.abs(problem.apply_flat(x)) <= mag)
+        rounded = x * (1.0 + eps * rng.uniform(-1.0, 1.0, x.size))
+        change = np.abs(problem.apply_flat(rounded) - problem.apply_flat(x))
+        assert np.all(change <= 8.0 * eps * mag), type(problem).__name__

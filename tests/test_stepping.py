@@ -2,20 +2,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkentropy import tableau
+from rkentropy import stepping, tableau
 from rkentropy.operators import (
     Dlss,
     DomainError,
     Grid1D,
     LinearSystem,
     PorousMedium,
+    ScalarDiffusion,
     StateField,
 )
 from rkentropy.stepping import (
     NewtonConfig,
     StepError,
-    _pattern,
+    _layout,
     _step,
     backward_solve,
     forward_step,
@@ -336,16 +339,189 @@ def test_fast_diffusion_run_raises_domain_error_not_a_warning():
 
 @pytest.mark.parametrize("blocks, offsets", [(1, (-1, 0, 1)), (2, (-1, 0, 1)),
                                              (4, (-1, 0, 1)),
-                                             (2, (-2, -1, 0, 1, 2))])
+                                             (2, (-2, -1, 0, 1, 2)),
+                                             (1, (-2, -1, 0, 1, 2))])
 def test_newton_matrix_is_a_narrow_cyclic_band(blocks, offsets):
-    # an LU in natural order fills only within the cyclic band, so the
-    # unknowns must be ordered cell by cell: O(n) fill for any block count
-    n = 32
-    size = blocks * n
-    pattern = _pattern(n, blocks, offsets)
-    cols = np.repeat(np.arange(size), np.diff(pattern.indptr))
-    dist = np.abs(pattern.indices - cols)
+    # folding the cells turns the cyclic band into a plain band whose
+    # half-widths do not grow with n: O(n) storage and LU work
     reach = max(map(abs, offsets))
-    assert np.max(np.minimum(dist, size - dist)) < blocks * (reach + 1)
-    assert pattern.indices.size == blocks**2 * len(offsets) * n
-    assert np.array_equal(pattern.indices[pattern.diag], np.arange(size))
+    bound = blocks * (2 * reach + 1) - 1
+    for n in range(4, 41):
+        kl, ku, scatter, order, rank = _layout(n, blocks, offsets)
+        assert max(kl, ku) <= bound, n
+        assert np.array_equal(order[rank], np.arange(blocks * n))
+        ldab = 2 * kl + ku + 1
+        assert scatter.size == blocks**2 * len(offsets) * n
+        assert np.all(scatter < ldab * blocks * n)
+        # every entry lands in the rows LAPACK reads (the top kl hold fill)
+        assert np.all(scatter % ldab >= kl)
+    assert kl == ku == bound  # e.g. 2 for PME, 4 for Dlss
+
+
+def _factor_at(problem, scheme, u, tau, backward=False):
+    """The Newton solve function of ``_step`` at its initial iterate."""
+    captured = {}
+
+    def spy(residual, factor, scale, y0, cfg):
+        residual(y0)
+        captured["solve"] = factor(y0)
+        captured["w"] = y0
+        return y0, 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepping, "_newton", spy)
+        _step(problem, scheme, u.flat, tau, NewtonConfig(), backward=backward)
+    return captured["solve"], captured["w"]
+
+
+def _dense_newton_matrix(problem, scheme, u, tau, w, backward=False):
+    """I + tau sum_i (B[:, i] C[i]) (x) J(g_i), from the dense Jacobian."""
+    rel = stepping._relation(scheme.tableau, backward)
+    r, m = rel.C.shape[1], u.flat.size
+    y = rel.C @ w.reshape(r, m)
+    dense = np.eye(r * m)
+    for i in rel.moving:
+        g = StateField.from_flat(u.flat + y[i], problem.species)
+        dense += tau * np.kron(np.outer(rel.B[:, i], rel.C[i]), problem.jacobian(g))
+    return dense
+
+
+def _gauss2():
+    r = np.sqrt(3.0) / 6.0
+    return register("gauss2", ButcherTableau(
+        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
+        c=[0.5 - r, 0.5 + r]))
+
+
+@pytest.mark.parametrize("case", ["pme", "dlss4", "dlss32", "linear", "gauss4"])
+def test_band_solve_equals_the_dense_solve(case, scratch_registry):
+    # tau makes tau*J of order one; at n = 4 the Dlss offsets -2 and +2
+    # name the same cell
+    rng = np.random.default_rng(5)
+    n = {"dlss4": 4, "pme": 16}.get(case, 32)
+    grid = Grid1D(n, 1.0)
+    scheme, tau = get_scheme("trapezoidal"), 1e-3
+    if case in ("linear", "gauss4"):
+        problem = LinearSystem(grid, 1.0, 2.0, 0.7)
+        u = StateField.pair(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n))
+        if case == "gauss4":
+            scheme = _gauss2()  # two kept stage rows x two species
+    else:
+        problem = PorousMedium(grid, 2.0) if case == "pme" else Dlss(grid)
+        u = StateField.scalar(rng.uniform(0.8, 1.2, n))
+        tau = 1e-7 if case == "dlss32" else 1e-3
+    for backward in (False, True):
+        solve, w = _factor_at(problem, scheme, u, tau, backward)
+        dense = _dense_newton_matrix(problem, scheme, u, tau, w, backward)
+        rhs = rng.standard_normal(dense.shape[0])
+        want = np.linalg.solve(dense, rhs)
+        got = solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), backward
+
+
+def _newton_history(problem, scheme, u, tau, cfg):
+    """Residual norms of the forward solve, and its iteration count."""
+    norms = []
+    real = stepping._newton
+
+    def residual_spy(residual, factor, scale, y0, cfg):
+        def recorded(w):
+            res = residual(w)
+            norms.append(float(np.max(np.abs(res))))
+            return res
+        return real(recorded, factor, scale, y0, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepping, "_newton", residual_spy)
+        _, iters, _ = _step(problem, scheme, u.flat, tau, cfg)
+    return norms, iters
+
+
+@pytest.mark.parametrize("name", ["implicit_euler", "trapezoidal", "simpson"])
+def test_dlss_stall_stops_at_the_rounding_floor(name):
+    # n = 256, tau = 1e-6: 1/dx^4 = 4.3e9, so the residual cannot go below
+    # about 1e-11 > tol; Newton stops there instead of iterating 50 times
+    grid = Grid1D(256, 1.0)
+    problem = Dlss(grid)
+    u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
+    cfg = NewtonConfig(tol=1e-12)
+    norms, iters = _newton_history(problem, get_scheme(name), u, 1e-6, cfg)
+    assert iters <= 5
+    assert norms[-1] > cfg.tol
+    assert norms[-1] > 0.5 * norms[-2]  # the floor is read after a stall only
+
+
+def test_pme_stall_stops_at_the_rounding_floor():
+    grid = Grid1D(4096, 1.0)
+    problem = PorousMedium(grid, 2.0)
+    u = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * grid.x()))
+    cfg = NewtonConfig(tol=1e-12)
+    norms, iters = _newton_history(problem, get_scheme("trapezoidal"), u,
+                                   1e-4, cfg)
+    assert iters <= 4
+    assert norms[-1] > cfg.tol
+
+
+def test_stall_above_the_floor_names_it(pme32):
+    # tol and the floor are both out of reach in two iterations
+    problem, u = pme32
+    with pytest.raises(StepError, match=r"rounding floor \d\.\de-\d+\)"):
+        forward_step(problem, get_scheme("implicit_euler"), u, 0.5,
+                     NewtonConfig(tol=1e-15, max_iter=2))
+
+
+def test_quadratic_convergence_never_reads_the_floor(pme32, monkeypatch):
+    problem, u = pme32
+    calls = []
+    monkeypatch.setattr(PorousMedium, "magnitude_flat",
+                        lambda self, x: calls.append(1) or np.ones_like(x))
+    for name in ALL_SCHEMES:
+        for backward in (False, True):
+            _step(problem, get_scheme(name), u.flat, 1e-4, NewtonConfig(),
+                  backward=backward)
+    assert not calls
+
+
+FAMILIES = ["pme", "scalar", "linear", "dlss"]
+
+
+def _family_case(family, n, seed):
+    """A problem, a smooth random state and a step with tau |J| about 0.2."""
+    grid = Grid1D(n, 1.0)
+    rng = np.random.default_rng(seed)
+    u = _smooth_random_field(grid, rng)
+    dx2 = grid.dx**2
+    if family == "pme":
+        return PorousMedium(grid, 2.0), u, 0.02 * dx2
+    if family == "scalar":
+        problem = ScalarDiffusion(grid, a=lambda v: 1.0 + v**2,
+                                  da=lambda v: 2.0 * v)
+        return problem, u, 0.02 * dx2
+    if family == "linear":
+        other = _smooth_random_field(grid, rng)
+        return (LinearSystem(grid, 1.0, 2.0, 0.7), StateField.pair(u.flat, other.flat),
+                0.02 * dx2)
+    return Dlss(grid), u, 0.005 * dx2**2
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(8, 48), seed=st.integers(0, 2**32 - 1))
+def test_every_step_conserves_mass(family, name, n, seed):
+    problem, u, tau = _family_case(family, n, seed)
+    out = forward_step(problem, get_scheme(name), u, tau)
+    mass0 = u.values.sum(axis=1)
+    drift = np.abs(out.values.sum(axis=1) - mass0)
+    assert np.all(drift <= 1e-13 * mass0), drift
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(8, 48), seed=st.integers(0, 2**32 - 1))
+def test_backward_solve_undoes_a_forward_step(family, name, n, seed):
+    problem, u, tau = _family_case(family, n, seed)
+    cfg = NewtonConfig(tol=1e-12)
+    scheme = get_scheme(name)
+    v = backward_solve(problem, scheme, forward_step(problem, scheme, u, tau, cfg),
+                       tau, cfg)
+    assert np.max(np.abs(v.flat - u.flat)) <= 100.0 * cfg.tol
