@@ -282,8 +282,11 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
 
 def cmd_region(family: str, alpha_range, beta_range, alpha_steps: int,
                beta_steps: int, d: int, c_rk: float, out_path) -> Path:
-    mask = emit_mask(family, alpha_range, beta_range, alpha_steps, beta_steps,
-                     d=d, c_rk=c_rk)
+    try:
+        mask = emit_mask(family, alpha_range, beta_range, alpha_steps,
+                         beta_steps, d=d, c_rk=c_rk)
+    except ValueError as err:  # an out-of-range grid, d or c_rk
+        raise ConfigError(str(err)) from err
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(mask.to_csv())
@@ -321,9 +324,14 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
         handles = _pme_handles(alpha, beta)
     else:
         raise ConfigError(f"unknown preset {preset!r}; use heat_log or pme_power")
-    u_grid = np.linspace(u_min, u_max, points)
-    rows = scalar_conditions(handles["mu"], handles["dmu"], handles["d2mu"],
-                             handles["hpp"], u_grid, d=d, c_rk=c_rk)
+    if not np.all(np.isfinite([u_min, u_max])):
+        raise ConfigError("u_min and u_max must be finite")
+    try:
+        u_grid = np.linspace(u_min, u_max, points)
+        rows = scalar_conditions(handles["mu"], handles["dmu"], handles["d2mu"],
+                                 handles["hpp"], u_grid, d=d, c_rk=c_rk)
+    except ValueError as err:  # a negative point count, a bad u grid or d
+        raise ConfigError(str(err)) from err
     lines = ["u,b,b_alt,cond2_residual,cond2_residual_alt,cond3_value,"
              "cond1_ok,cond2_ok,cond3_ok"]
     for r in rows:

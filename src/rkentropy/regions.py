@@ -6,19 +6,16 @@ integration-by-parts multipliers making them pointwise nonnegative.  This
 module decides those questions numerically:
 
 * closed-form strips in one space dimension,
-* region membership for d >= 2 via a scan over the multiplier parameter
-  (lambda, c2) with exact low-degree polynomial fits replacing symbolic
-  quantifier elimination,
-* the first-order-entropy region via a (c2, c3) scan and a quadratic-form
-  nonnegativity lemma,
+* region membership for d >= 2 and the first-order-entropy region in
+  closed form: exact quadratic fits locate one witness per point,
 * the scalar-diffusion condition triple as a numeric per-state checker,
 * the fourth-order (log-diffusion) multiplier chain in exact rational
   arithmetic.
 
-Every accepted point returns a witness, and ``certify_r0`` / ``certify_r1``
-decide it exactly: at a fixed multiplier the polynomial is a quadratic form
-in monomials of the derivative variables, and one rational LDL^T of its
-Gram matrix (``fractions.Fraction``, into which floats convert exactly)
+A point is a member iff ``certify_r0`` / ``certify_r1`` accept its
+witness: at a fixed multiplier the polynomial is a quadratic form in
+monomials of the derivative variables, and one rational LDL^T of its Gram
+matrix (``fractions.Fraction``, into which floats convert exactly)
 decides positive semidefiniteness with no tolerance.
 """
 
@@ -31,8 +28,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-
-DISC_TOL = 1e-12  # acceptance slack on discriminants / vertex values (scaled)
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,11 @@ class RegionMask:
         lines = ["alpha,beta,member,witness_c1,witness_c2,witness_c3"]
         for i, a in enumerate(self.alphas):
             for j, b in enumerate(self.betas):
-                if self.member[i, j]:
-                    w = self.witnesses.get((i, j))
-                    c1 = repr(float(w.c1)) if w else ""
-                    c2 = repr(float(w.c2)) if w else ""
-                    c3 = repr(float(w.c3)) if w and w.c3 is not None else ""
-                    lines.append(f"{float(a)!r},{float(b)!r},1,{c1},{c2},{c3}")
-                else:
-                    lines.append(f"{float(a)!r},{float(b)!r},0,,,")
+                w = self.witnesses.get((i, j))  # only members have one
+                cols = (w.c1, w.c2, w.c3) if w else (None, None, None)
+                text = ",".join("" if x is None else repr(float(x)) for x in cols)
+                lines.append(f"{float(a)!r},{float(b)!r},"
+                             f"{int(self.member[i, j])},{text}")
         return "\n".join(lines) + "\n"
 
 
@@ -133,8 +125,7 @@ def r0_poly_coeffs(alpha, beta, d, c_rk, c1, c2):
         Q(eta) = b1 eta_L^2 + b2 eta_L eta_G^2 + b3 eta_G^4
                  + b4 eta_S eta_G^2 + b5 eta_R^2 + b6 eta_S^2
 
-    for multiplier choice (c1, c2).  All arguments broadcast, so c1/c2 may
-    be arrays for a vectorized scan.
+    for multiplier choice (c1, c2).
     """
     b1 = (c_rk + 1) + (1 - 1 / d) * c1
     b2 = ((c_rk + 2) * (beta - alpha)
@@ -157,34 +148,71 @@ def _r0_r_value(alpha, beta, d, c_rk, c1, c2):
     return 4 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
 
 
-def r0_membership(q: RegionQuery, n_lambda: int = 1999
-                  ) -> tuple[bool, Witness | None]:
-    """Membership for d >= 2 by scanning the multiplier parameter lambda.
+def _quadratic(f, mid=0, h=1):
+    """Coefficients (a, b, c) of a x^2 + b x + c through f at mid - h, mid
+    and mid + h: exact for a quadratic f in exact arithmetic."""
+    f_m, f_0, f_p = f(mid - h), f(mid), f(mid + h)
+    a = ((f_p + f_m) / 2 - f_0) / (h * h)
+    b = (f_p - f_m) / (2 * h) - 2 * a * mid
+    return a, b, f_0 - (a * mid + b) * mid
 
-    c1 = -lambda (c_rk + 1) / (1 - 1/d) for lambda in (0, 1); for each
-    lambda the remainder R is quadratic in c2 (recovered exactly from
-    three evaluations) with leading coefficient
-    -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2 < 0, so it is satisfiable iff its
-    discriminant is nonnegative.  Returns the first witnessing (lambda,
-    c2 at the vertex).
+
+def _best_point(inner, lo: float, hi: float):
+    """Multipliers (t, s) with inner(t, s) >= 0 up to rounding, or None.
+
+    inner opens downward in s, so s is its vertex, >= 0 iff the
+    discriminant in s is.  That vanishes at each finite end of (lo, hi);
+    divided by the distances to them it is a quadratic p(t), of one sign
+    between consecutive ends and real roots.  t is the best of p's vertex
+    and those pieces' midpoints, except ones rounding onto an end or on a
+    half-line (where p opens downward in every use).
+    """
+    def fit(t):
+        return _quadratic(lambda s: inner(t, s))
+
+    def reduced(t):
+        a, b, c = fit(t)
+        ends = (t - lo) * (hi - t) if hi < math.inf else t - lo
+        return (b * b - 4.0 * a * c) / ends
+
+    span = hi - lo if hi < math.inf else 4.0
+    a, b, c = _quadratic(reduced, lo + span / 2, span / 4)
+    # the stable root pair r / a, c / r, also for a = 0; without real roots
+    # p has one sign throughout, so the two spurious cuts do no harm
+    r = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    roots = [x / y for x, y in ((r, a), (c, r)) if y]
+    cuts = sorted(x for x in (lo, hi, *roots) if lo <= x <= hi)
+    points = [(x + y) / 2.0 for x, y in zip(cuts, cuts[1:])]
+    points += [-b / (2.0 * a)] if a else []
+    inside = [((a * x + b) * x + c, x) for x in points if lo < x < hi]
+    value, t = max(inside, default=(-math.inf, None))
+    if not value >= 0.0:  # also NaN, from overflowing coefficients
+        return None
+    a, b, _ = fit(t)
+    return t, -b / (2.0 * a)
+
+
+def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
+    """Membership for d >= 2: a member iff ``certify_r0`` accepts the witness.
+
+    Implicit Euler (c_rk = 0) takes c1 = c2 = 0, where Q is the square
+    (eta_L + (beta - alpha) eta_G^2)^2.  Otherwise c1 = -lambda (c_rk + 1)
+    / (1 - 1/d), lambda in (0, 1): R opens downward in c2 (coefficient
+    -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2), and its discriminant in c2 is
+    K lambda (lambda - 1) q(lambda) with K > 0 and q quadratic.
     """
     if q.d < 2:
         raise ValueError("r0_membership needs d >= 2; use r0_1d for d = 1")
-    lams = np.arange(1, n_lambda + 1) / (n_lambda + 1)
-    c1s = -lams * (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)
-    r_m = _r0_r_value(q.alpha, q.beta, q.d, q.c_rk, c1s, -1.0)
-    r_0 = _r0_r_value(q.alpha, q.beta, q.d, q.c_rk, c1s, 0.0)
-    r_p = _r0_r_value(q.alpha, q.beta, q.d, q.c_rk, c1s, 1.0)
-    quad_a = 0.5 * (r_p + r_m) - r_0
-    quad_b = 0.5 * (r_p - r_m)
-    disc = quad_b**2 - 4.0 * quad_a * r_0
-    scale = np.maximum(1.0, np.maximum(quad_b**2, np.abs(4.0 * quad_a * r_0)))
-    hits = np.flatnonzero(disc >= -DISC_TOL * scale)
-    if hits.size == 0:
+    if q.c_rk == 0.0:
+        return True, Witness(c1=0.0, c2=0.0, lam=0.0)
+
+    k = (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)  # c1 = -k lambda
+    best = _best_point(lambda lam, c2: _r0_r_value(
+        q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2), 0.0, 1.0)
+    if best is None:
         return False, None
-    k = int(hits[0])
-    c2 = -quad_b[k] / (2.0 * quad_a[k])  # vertex: quad_a < 0 for every lambda
-    return True, Witness(c1=float(c1s[k]), c2=float(c2), lam=float(lams[k]))
+    w = Witness(c1=-k * best[0], c2=best[1], lam=best[0])
+    return (True, w) if certify_r0(q, w) >= 0.0 else (False, None)
 
 
 def certify_r0(q: RegionQuery, w: Witness) -> float:
@@ -251,8 +279,7 @@ def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1):
         P(xi) = b1 xi1^6 + b2 xi1^4 xi2 + b3 xi1^3 xi3 + b4 xi1^2 xi2^2
                 + b5 xi1 xi2 xi3 + b6 xi2^3 + b7 xi3^2
 
-    with the cubic term eliminated by fixing c1 = -(2 - alpha).  Arguments
-    broadcast for vectorized scans.
+    with the cubic term eliminated by fixing c1 = -(2 - alpha).
     """
     a1, a2, a3, a4, a5, a6, a7 = _r1_a_coeffs(alpha, beta, c_rk)
     c1 = -a6
@@ -266,49 +293,31 @@ def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1):
     return b1, b2, b3, b4, b5, b6, b7
 
 
-def _r1_lemma_expr(alpha, beta, c2, c3, c_rk=1.0):
+def _r1_lemma_expr(alpha, beta, c2, c3, c_rk=1):
     """Four times the determinant of the Gram matrix of P (``certify_r1``):
     E = b1 (4 b4 b7 - b5^2) - b2^2 b7 - b3^2 b4 + b2 b3 b5."""
     b1, b2, b3, b4, b5, _, b7 = r1_poly_coeffs(alpha, beta, c2, c3, c_rk)
-    return b1 * (4.0 * b4 * b7 - b5**2) - b2**2 * b7 - b3**2 * b4 + b2 * b3 * b5
+    return b1 * (4 * b4 * b7 - b5**2) - b2**2 * b7 - b3**2 * b4 + b2 * b3 * b5
 
 
-def r1_membership(alpha: float, beta: float, n_c2: int = 4001,
-                  c2_span: float = 100.0) -> tuple[bool, Witness | None]:
-    """First-order-entropy admissibility for order >= 2 schemes (1D).
+def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
+    """First-order region (order >= 2, 1D): a member iff ``certify_r1``
+    accepts the witness.
 
     Gate: the first-derivative dissipation direction needs
     -2 <= alpha - 2 beta <= 1; outside it the point is rejected outright.
-    Then c2 is scanned on (c2*, c2* + c2_span]; for each c2 with definite
-    quadratic part, the lemma expression E is quadratic in c3 with
-    negative leading coefficient, so its vertex (exact 3-point fit)
-    decides satisfiability.
+    For c2 > c2* the quadratic part is definite, E opens downward in c3
+    (coefficient -100), and its peak over c3 is -3 (c2 - c2*) g(c2) / 25
+    with g quadratic.
     """
-    c_rk = 1.0
     if not (-2.0 <= alpha - 2.0 * beta <= 1.0):
         return False, None
-    c2_star = r1_c2_lower_bound(alpha, beta, c_rk)
-    c2s = c2_star + c2_span * np.arange(1, n_c2 + 1) / n_c2
-    _, _, b3, b4, b5, _, b7 = r1_poly_coeffs(alpha, beta, c2s, 0.0, c_rk)
-    disc0 = 4.0 * b4 * b7 - b5**2
-    e_m = _r1_lemma_expr(alpha, beta, c2s, -1.0, c_rk)
-    e_0 = _r1_lemma_expr(alpha, beta, c2s, 0.0, c_rk)
-    e_p = _r1_lemma_expr(alpha, beta, c2s, 1.0, c_rk)
-    quad_a = 0.5 * (e_p + e_m) - e_0  # equals -50 (c_rk + 1) identically
-    quad_b = 0.5 * (e_p - e_m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = -quad_b / (2.0 * quad_a)
-        value = e_0 - quad_b**2 / (4.0 * quad_a)
-    scale = np.maximum(
-        1.0, np.maximum(np.abs(e_m), np.maximum(np.abs(e_0), np.abs(e_p)))
-    )
-    hits = np.flatnonzero((disc0 > 0.0) & (value >= -DISC_TOL * scale))
-    if hits.size:
-        k = int(hits[0])
-        a6 = _r1_a_coeffs(alpha, beta, c_rk)[5]
-        return True, Witness(c1=float(-a6), c2=float(c2s[k]),
-                             c3=float(vertex[k]))
-    return False, None
+    best = _best_point(lambda c2, c3: _r1_lemma_expr(alpha, beta, c2, c3),
+                       r1_c2_lower_bound(alpha, beta, 1.0), math.inf)
+    if best is None:
+        return False, None
+    w = Witness(c1=-_r1_a_coeffs(alpha, beta, 1.0)[5], c2=best[0], c3=best[1])
+    return (True, w) if certify_r1(alpha, beta, w) >= 0.0 else (False, None)
 
 
 def certify_r1(alpha: float, beta: float, w: Witness) -> float:
@@ -438,8 +447,11 @@ def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
     mu, dmu and hpp must accept an array of abscissae.
     """
     u_grid = np.asarray(u_grid, dtype=float)
-    if u_grid.size < 1 or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0):
-        raise ValueError("u_grid must be strictly positive and ascending")
+    if d < 1:
+        raise ValueError("dimension d must be at least 1")
+    if (u_grid.size < 1 or not np.all(np.isfinite(u_grid))
+            or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0)):
+        raise ValueError("u_grid must be finite, > 0 and strictly ascending")
 
     rows = []
     acc = 0.0
@@ -590,10 +602,14 @@ def emit_mask(family: str, alpha_range: tuple[float, float],
               beta_steps: int, d: int = 1, c_rk: float = 1.0) -> RegionMask:
     """Evaluate a membership operation over a rectangular grid.
 
-    ``family`` is "pme0" (zeroth-order region, closed form for d = 1 and
-    the lambda scan for d >= 2) or "pme1" (first-order region, c_rk
-    fixed to 1).  Deterministic for fixed inputs.
+    ``family`` is "pme0" (zeroth-order region: closed-form strips for d = 1,
+    ``r0_membership`` for d >= 2) or "pme1" (first-order region, defined
+    for d = 1 and c_rk = 1 only).  Deterministic for fixed inputs.
     """
+    if family not in ("pme0", "pme1"):
+        raise ValueError(f"unknown region family {family!r}")
+    if family == "pme1" and (d != 1 or c_rk != 1.0):
+        raise ValueError("family pme1 is the region of d = 1 and c_rk = 1")
     if alpha_steps < 1 or beta_steps < 1:
         raise ValueError("step counts must be at least 1")
     alphas = np.linspace(alpha_range[0], alpha_range[1], alpha_steps)
@@ -602,21 +618,14 @@ def emit_mask(family: str, alpha_range: tuple[float, float],
     witnesses: dict[tuple[int, int], Witness] = {}
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
-            if family == "pme0":
-                q = RegionQuery(alpha=float(a), beta=float(b), d=d, c_rk=c_rk)
-                if d == 1:
-                    member[i, j] = r0_1d(q)
-                else:
-                    ok, w = r0_membership(q)
-                    member[i, j] = ok
-                    if ok and w is not None:
-                        witnesses[(i, j)] = w
-            elif family == "pme1":
-                ok, w = r1_membership(float(a), float(b))
-                member[i, j] = ok
-                if ok and w is not None:
-                    witnesses[(i, j)] = w
+            q = RegionQuery(float(a), float(b), d, c_rk)
+            if family == "pme1":
+                member[i, j], w = r1_membership(q.alpha, q.beta)
+            elif d == 1:
+                member[i, j], w = r0_1d(q), None
             else:
-                raise ValueError(f"unknown region family {family!r}")
+                member[i, j], w = r0_membership(q)
+            if w is not None:
+                witnesses[(i, j)] = w
     return RegionMask(alphas=alphas, betas=betas, member=member,
                       witnesses=witnesses)

@@ -1,9 +1,12 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkentropy.cli import (
     ConfigError,
@@ -17,7 +20,9 @@ from rkentropy.cli import (
     make_initial,
     parse_config,
 )
+from rkentropy.entropy import GProfile
 from rkentropy.operators import Grid1D
+from rkentropy.regions import RegionMask, Witness
 
 MINIMAL = """\
 # reproduction run
@@ -141,6 +146,53 @@ def test_simulate_csv_floats_round_trip(tmp_path):
             assert repr(float(tok)) == tok or tok.isdigit()
 
 
+def _same_float(text, x):
+    y = float(text)
+    if math.isnan(x):
+        return math.isnan(y)
+    return y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4))
+def test_region_and_profile_csv_floats_round_trip(data, n, k):
+    # every float a CSV writer emits parses back to the same value: NaN
+    # as NaN, -0.0 with its sign, infinities and subnormals exactly
+    floats = st.lists(st.floats(), min_size=n, max_size=n)
+    taus, g, d2g, q = (np.array(data.draw(floats)) for _ in range(4))
+    lines = GProfile(taus=taus, g=g, d2g=d2g, q=q).to_csv().splitlines()
+    assert lines[0] == "tau,G,d2G,Q" and len(lines) == n + 1
+    for line, row in zip(lines[1:], zip(taus, g, d2g, q)):
+        assert all(map(_same_float, line.split(","), row))
+
+    alphas = np.array(data.draw(st.lists(st.floats(), min_size=k,
+                                         max_size=k)))
+    betas = np.array(data.draw(floats))
+    member = np.zeros((k, n), dtype=bool)
+    witnesses = {}
+    for i in range(k):
+        for j in range(n):
+            member[i, j] = data.draw(st.booleans())
+            if member[i, j]:
+                witnesses[(i, j)] = Witness(
+                    *data.draw(st.tuples(st.floats(), st.floats())),
+                    c3=data.draw(st.none() | st.floats()))
+    mask = RegionMask(alphas=alphas, betas=betas, member=member,
+                      witnesses=witnesses)
+    lines = mask.to_csv().splitlines()
+    assert len(lines) == k * n + 1
+    for (i, j), line in zip(np.ndindex(k, n), lines[1:]):
+        a, b, flag, c1, c2, c3 = line.split(",")
+        assert _same_float(a, alphas[i]) and _same_float(b, betas[j])
+        assert flag == str(int(member[i, j]))
+        w = witnesses.get((i, j))
+        if w is None:
+            assert c1 == c2 == c3 == ""
+            continue
+        assert _same_float(c1, w.c1) and _same_float(c2, w.c2)
+        assert c3 == "" if w.c3 is None else _same_float(c3, w.c3)
+
+
 def test_simulate_snapshots(tmp_path):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4")
     text = text.replace("n = 64", "n = 16") + "snapshot_times = 0,3e-4\n"
@@ -205,6 +257,26 @@ def test_main_exit_codes(tmp_path, capsys):
                  str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:config:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--family", "pme0", "--d", "0"],
+    ["region", "--family", "pme0", "--d", "2", "--c-rk", "0.5"],
+    ["region", "--family", "pme0", "--alpha-steps", "0"],
+    ["region", "--family", "pme0", "--alpha-min", "-1"],
+    ["region", "--family", "pme1", "--beta-min", "-1"],
+    ["region", "--family", "pme1", "--d", "3", "--c-rk", "2"],
+    ["check-conditions", "--u-min", "0"],
+    ["check-conditions", "--d", "0"],
+    ["check-conditions", "--points", "-1"],
+    ["check-conditions", "--u-max", "inf"],
+])
+def test_main_rejects_out_of_range_arguments(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_main_reports_overflowing_run(tmp_path, capsys):

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from rkentropy.regions import (
     RegionQuery,
+    Witness,
+    _best_point,
     _integrate,
+    _quadratic,
     _r0_r_value,
     _r1_a_coeffs,
+    _r1_lemma_expr,
     certify_r0,
     certify_r1,
     dlss_b12,
@@ -83,7 +87,10 @@ def test_r0_membership_unit_point_all_cases():
         for c_rk in (0.0, 1.0, 2.0):
             ok, w = r0_membership(RegionQuery(1.0, 1.0, d, c_rk))
             assert ok and w is not None
-            assert w.c1 <= 0.0 and 0.0 < w.lam < 1.0
+            if c_rk == 0.0:
+                assert w == Witness(c1=0.0, c2=0.0, lam=0.0)
+            else:
+                assert w.c1 <= 0.0 and 0.0 < w.lam < 1.0
             assert certify_r0(RegionQuery(1.0, 1.0, d, c_rk), w) >= -1e-9
 
 
@@ -202,7 +209,7 @@ def test_r1_witness_eliminates_cubic_term():
 
 def test_r1_c2_lower_bound_is_the_root_of_disc0():
     # disc0 = 4 b4 b7 - b5^2 vanishes exactly at c2* and rises with slope
-    # 12 a7 > 0, so the scan, which starts above c2*, never sees it vanish
+    # 12 a7 > 0, so the quadratic part is definite on all of c2 > c2*
     for a, b in ((1, 1), (Fraction(7, 4), Fraction(1, 3)),
                  (Fraction(1, 2), Fraction(5, 2)), (3, Fraction(9, 8))):
         a, b = Fraction(a), Fraction(b)
@@ -218,7 +225,7 @@ def test_r1_c2_lower_bound_is_the_root_of_disc0():
 
 def test_r0_remainder_opens_downward():
     # the c2^2 coefficient of R is -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2 < 0 for
-    # every lambda in (0, 1), so the scan's vertex is always a maximum
+    # every lambda in (0, 1), so the vertex in c2 is always a maximum
     a, b = Fraction(13, 10), Fraction(7, 10)
     for d in (2, 3, 10):
         d = Fraction(d)
@@ -231,6 +238,89 @@ def test_r0_remainder_opens_downward():
                 b1, _, _, _, _, b6 = r0_poly_coeffs(a, b, d, c_rk, c1, 0)
                 lead = -b6 * (2 / d + 1) ** 2 - 4 * b1 * (d - 1) ** 2
                 assert (r_p + r_m) / 2 - r_0 == lead < 0
+
+
+def test_r0_discriminant_vanishes_at_the_interval_ends():
+    # disc(lambda) = K lambda (lambda - 1) q(lambda) with q quadratic, so
+    # disc / (lambda (1 - lambda)) has zero third differences: the
+    # three-node fit in r0_membership recovers it exactly
+    for a, b in ((Fraction(13, 10), Fraction(7, 10)), (Fraction(1, 2),
+                                                       Fraction(9, 4))):
+        for d in (2, 3, 10):
+            d = Fraction(d)
+            for c_rk in (1, 2):
+                def disc(lam):
+                    c1 = -lam * (c_rk + 1) / (1 - 1 / d)
+                    qa, qb, qc = _quadratic(
+                        lambda c2: _r0_r_value(a, b, d, c_rk, c1, c2))
+                    return qb * qb - 4 * qa * qc
+
+                assert disc(Fraction(0)) == 0 and disc(Fraction(1)) == 0
+                p = [disc(lam) / (lam * (1 - lam))
+                     for lam in (Fraction(k, 5) for k in range(1, 5))]
+                assert p[3] - 3 * p[2] + 3 * p[1] - p[0] == 0
+
+
+def test_r1_peak_over_c3_vanishes_at_c2_star():
+    # E has c3^2 coefficient -100, and its peak over c3 is
+    # F(c2) = -3 (c2 - c2*) g(c2) / 25 with g quadratic
+    for a, b in ((1, 1), (Fraction(7, 4), Fraction(1, 3)),
+                 (Fraction(3, 2), Fraction(6, 5))):
+        a, b = Fraction(a), Fraction(b)
+        c2_star = r1_c2_lower_bound(a, b)
+
+        def peak(c2):
+            qa, qb, qc = _quadratic(lambda c3: _r1_lemma_expr(a, b, c2, c3))
+            assert qa == -100
+            return qc - qb * qb / (4 * qa)
+
+        assert peak(c2_star) == 0
+        f = [peak(c2_star + k) / k for k in range(1, 5)]
+        assert f[3] - 3 * f[2] + 3 * f[1] - f[0] == 0
+        assert (f[2] - 2 * f[1] + f[0]) / 2 == -3  # the c2^2 coefficient
+
+
+def test_r1_accepts_a_witness_just_above_c2_star():
+    # the witness needs c2 - c2* ~ 0.0103: a c2 grid of step 100/4001 on
+    # (c2*, c2* + 100] has no feasible node here
+    a, b = 1.5818239901211149, 1.1931352500525725
+    ok, w = r1_membership(a, b)
+    assert ok
+    assert 0.0 < w.c2 - r1_c2_lower_bound(a, b) < 100 / 4001
+    assert certify_r1(a, b, w) > 0.0
+    assert sample_r1(a, b, w) == pytest.approx(0.0198, abs=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.05, 6.0), b=st.floats(0.05, 6.0), d=st.integers(2, 10))
+def test_implicit_euler_witness_is_a_perfect_square(a, b, d):
+    # c1 = c2 = 0 leaves Q = (eta_L + (beta - alpha) eta_G^2)^2: the Gram
+    # matrix is singular, so the certificate is exactly 0
+    q = RegionQuery(a, b, d, 0.0)
+    ok, w = r0_membership(q)
+    assert ok and w == Witness(c1=0.0, c2=0.0, lam=0.0)
+    assert certify_r0(q, w) == 0.0
+    assert sample_r0(q, w) >= -1e-9
+
+
+def test_best_point_finds_narrow_and_one_sided_windows():
+    # inner(t, s) = ends(t) q(t) - s^2, where ends(t) is the product of the
+    # distances to the finite ends, so the reduced quadratic is 4 q(t)
+    def search(q, lo=0.0, hi=1.0):
+        def ends(t):
+            return (t - lo) * (hi - t) if hi < np.inf else t - lo
+        return _best_point(lambda t, s: ends(t) * q(t) - s * s, lo, hi)
+
+    t, s = search(lambda t: -(t - 0.9) * (t - 0.95))  # vertex inside
+    assert t == pytest.approx(0.925) and s == 0.0
+    t, _ = search(lambda t: -(t - 0.95) * (t - 1.2))  # vertex beyond hi
+    assert t == pytest.approx(0.975)
+    t, _ = search(lambda t: t - 0.99)  # linear
+    assert t == pytest.approx(0.995)
+    assert search(lambda t: -1.0 - t * t) is None  # no real root
+    assert search(lambda t: -(t - 0.5) ** 2 - 1e-3) is None
+    t, _ = search(lambda t: -(t - 3.0) * (t + 1.0), 2.0, np.inf)
+    assert 2.0 < t < 3.0
 
 
 # -- exact certificates against the sampling oracle ------------------------------
@@ -283,7 +373,7 @@ def test_exact_certificate_accepts_a_singular_gram_matrix():
     # so the third pivot is 0 (its rest of row, towards the b5 block, is 0
     # too); any other c2 fails
     q = RegionQuery(0.5, 2.25, 2, 1.0)
-    w = r0_membership(q)[1]
+    w = Witness(c1=-0.5, c2=0.5, lam=0.125)
     assert (w.c1, w.c2) == (-0.5, 0.5)
     assert certify_r0(q, w) == 0.0
     for c2 in (0.5 - 2.0**-40, 0.5 + 2.0**-40):
@@ -525,6 +615,17 @@ def test_emit_mask_validation():
         emit_mask("nope", (0.5, 1.0), (0.5, 1.0), 2, 2)
     with pytest.raises(ValueError):
         emit_mask("pme0", (0.5, 1.0), (0.5, 1.0), 0, 2)
+
+
+def test_emit_mask_rejects_pme1_outside_its_definition():
+    # the first-order region is defined for d = 1 and c_rk = 1 only, and
+    # its exponents must be positive like every region query's
+    with pytest.raises(ValueError, match="pme1"):
+        emit_mask("pme1", (0.5, 1.0), (0.5, 1.0), 2, 2, d=3, c_rk=2.0)
+    with pytest.raises(ValueError, match="pme1"):
+        emit_mask("pme1", (0.5, 1.0), (0.5, 1.0), 2, 2, d=1, c_rk=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        emit_mask("pme1", (-1.0, 1.0), (0.5, 1.0), 2, 2)
 
 
 # -- query validation --------------------------------------------------------------
