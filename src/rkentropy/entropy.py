@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DomainError, Grid1D, PorousMedium, Problem, StateField, diff1
+from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField,
+                        _require_positive, diff1)
 from .stepping import NewtonConfig, StepError, Trajectory, _step
 from .tableau import Scheme
 
@@ -122,12 +123,7 @@ class FirstOrder:
 
 def _check_positive(e, u: StateField):
     if getattr(e, "needs_positive", False):
-        bad = np.flatnonzero(u.flat <= 0.0)
-        if bad.size:
-            raise DomainError(
-                f"entropy requires strictly positive values; flat cell "
-                f"{int(bad[0])} has u={u.flat[bad[0]]:.6g}"
-            )
+        _require_positive(u.flat, "entropy")
 
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:
@@ -228,30 +224,22 @@ class GProfile:
         return buf.getvalue()
 
 
-def q_denominator(e, problem: Problem, u: StateField, variant: str = "standard") -> float:
-    """Porous-medium normalization || u^p (D1 u)^4 ||_L1 for the quotient Q.
-
-    ``variant`` selects the exponent p: "standard" uses alpha + 2 beta - 2,
-    "gradient_estimate" uses 2 beta + alpha - 5 (the exponent appearing in
-    the lower bound the quotient is meant to track).  Returns NaN for
-    problems without a power nonlinearity.
+def q_denominator(e, problem: Problem, u: StateField) -> float:
+    """Porous-medium normalization || u^p (D1 u)^4 ||_L1 for the quotient Q,
+    with p = alpha + 2 beta - 2.  Returns NaN for problems without a power
+    nonlinearity.
     """
     if not isinstance(problem, PorousMedium) or not hasattr(e, "alpha"):
         return float("nan")
-    if variant == "standard":
-        p = e.alpha + 2.0 * problem.beta - 2.0
-    elif variant == "gradient_estimate":
-        p = 2.0 * problem.beta + e.alpha - 5.0
-    else:
-        raise ValueError(f"unknown quotient variant {variant!r}")
+    p = e.alpha + 2.0 * problem.beta - 2.0
     uu = u.values[0]
     dx = problem.grid.dx
     return float(np.sum(uu**p * diff1(uu, dx) ** 4) * dx)
 
 
 def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float,
-              m: int, cfg: NewtonConfig | None = None, base_time: float = 0.0,
-              q_variant: str = "standard") -> GProfile:
+              m: int, cfg: NewtonConfig | None = None,
+              base_time: float = 0.0) -> GProfile:
     """Sweep tau_j = j * tau_max / m, j = 0..m, backward-solving at each.
 
     g[0] = 0 exactly (v(0) = u).  Each solve continues from the previous
@@ -288,7 +276,7 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     last = (failed if failed is not None else m + 1) - 1
     for j in range(1, last):
         d2g[j] = (g[j + 1] - 2.0 * g[j] + g[j - 1]) / h**2
-    den = q_denominator(e, problem, u, q_variant)
+    den = q_denominator(e, problem, u)
     q = d2g / den if np.isfinite(den) and den != 0.0 else np.full(m + 1, np.nan)
     return GProfile(taus=taus, g=g, d2g=d2g, q=q, base_time=base_time,
                     failed_index=failed)

@@ -137,7 +137,8 @@ def band_coordinates(blocks: int, offsets: tuple[int, ...], n: int):
 
 
 def diff2_matrix(n: int, dx: float) -> np.ndarray:
-    """Dense cyclic matrix D2 with diff2(w) == D2 @ w."""
+    """Dense cyclic matrix D2 with diff2(w) == D2 @ w: the dense reference
+    that tests compare the Jacobian bands against; stepping never uses it."""
     eye = np.eye(n)
     up = np.roll(eye, 1, axis=1)  # picks w_{i+1}
     dn = np.roll(eye, -1, axis=1)  # picks w_{i-1}
@@ -170,7 +171,9 @@ class Problem:
     def jacobian(self, u: StateField) -> np.ndarray:
         """Exact Jacobian of apply at u, dense (species*n) x (species*n).
 
-        Assembled from the bands of ``jacobian_flat``.
+        Assembled from the bands of ``jacobian_flat``.  This is the dense
+        reference implementation that tests compare the bands against;
+        stepping never uses it.
         """
         self._check_state(u)
         size = self.species * self.grid.n

@@ -207,8 +207,11 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
         return True, Witness(c1=0.0, c2=0.0, lam=0.0)
 
     k = (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)  # c1 = -k lambda
-    best = _best_point(lambda lam, c2: _r0_r_value(
-        q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2), 0.0, 1.0)
+    try:
+        best = _best_point(lambda lam, c2: _r0_r_value(
+            q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2), 0.0, 1.0)
+    except OverflowError:  # float ** overflowed: no witness
+        best = None
     if best is None:
         return False, None
     w = Witness(c1=-k * best[0], c2=best[1], lam=best[0])
@@ -312,8 +315,11 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
     """
     if not (-2.0 <= alpha - 2.0 * beta <= 1.0):
         return False, None
-    best = _best_point(lambda c2, c3: _r1_lemma_expr(alpha, beta, c2, c3),
-                       r1_c2_lower_bound(alpha, beta, 1.0), math.inf)
+    try:
+        best = _best_point(lambda c2, c3: _r1_lemma_expr(alpha, beta, c2, c3),
+                           r1_c2_lower_bound(alpha, beta, 1.0), math.inf)
+    except OverflowError:  # float ** overflowed: no witness
+        best = None
     if best is None:
         return False, None
     w = Witness(c1=-_r1_a_coeffs(alpha, beta, 1.0)[5], c2=best[0], c3=best[1])

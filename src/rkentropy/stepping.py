@@ -22,8 +22,10 @@ have M with no nonzero row and are closed-form; trapezoidal and composite
 Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
 for one state-sized W in either direction.
 
-Each Newton iteration builds the matrix I + tau sum_i (B[:, i] C[i]) (x)
-J(g_i) in the cyclic band form of the problem's Jacobian
+``_step`` runs one plain Newton loop: each iterate forms the stage values
+g = x + C W once, evaluates A at the moving stages, and updates W with the
+matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).  ``_newton_solver`` builds
+that matrix in the cyclic band form of the problem's Jacobian
 (``Problem.jacobian_flat``), scatters it into LAPACK band storage laid
 out per grid size, block count and stencil (``_layout``), and factors it
 with LAPACK's banded LU (``dgbtrf``, partial pivoting, fill inside the
@@ -67,7 +69,7 @@ class StepError(RuntimeError):
 class NewtonConfig:
     """Newton stops when the max-norm of the stage residual, in state units,
     is at most ``tol``, or when it sits at the residual's rounding floor
-    (see ``_newton``); ``max_iter`` iterations above both fail."""
+    (see ``_step``); ``max_iter`` iterations above both fail."""
 
     tol: float = 1e-12
     max_iter: int = 50
@@ -92,43 +94,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
-
-
-def _newton(residual, factor, scale, y0: np.ndarray, cfg: NewtonConfig):
-    """Plain Newton iteration; returns (solution, iterations_used).
-
-    ``factor(y)`` factors the Newton matrix at y and returns a function
-    that solves with it; it raises RuntimeError when the matrix is singular.
-    ``scale(y)`` is the running error scale of the residual, which also
-    passes at its rounding floor 8 eps max(scale(y)); the floor is read only
-    after an iteration that cut the residual by less than half and at the
-    last iterate, so a quadratically converging solve never pays for it.
-    """
-    y = y0.copy()
-    res = residual(y)
-    norm = float(np.max(np.abs(res))) if res.size else 0.0
-    slow = False
-    for it in range(cfg.max_iter + 1):
-        if norm <= cfg.tol:
-            return y, it
-        if slow or it == cfg.max_iter:
-            floor = _FLOOR * float(np.max(scale(y)))
-            if norm <= floor:
-                return y, it
-        if it == cfg.max_iter:
-            break
-        try:
-            solve = factor(y)
-        except RuntimeError as err:
-            raise StepError(f"singular Newton matrix at iteration {it} "
-                            f"(residual {norm:.3e}): {err}", norm, it) from err
-        y -= solve(res)
-        res = residual(y)
-        new = float(np.max(np.abs(res)))
-        norm, slow = new, new > 0.5 * norm
-    raise StepError(f"Newton stalled at residual {norm:.3e} after {cfg.max_iter} "
-                    f"iterations (tol {cfg.tol:.1e}, rounding floor {floor:.1e})",
-                    norm, cfg.max_iter)
 
 
 def _proportional(row, base):
@@ -207,63 +172,73 @@ def _layout(n: int, blocks: int, offsets: tuple[int, ...]):
     return kl, ku, scatter, np.argsort(rank), rank
 
 
+def _newton_solver(problem: Problem, rel: _Relation, g: np.ndarray, tau: float):
+    """LU of I + tau sum_q coupling[q] (x) J(g_i) at the stage values g, as
+    the function that solves with it; LinAlgError on a zero pivot."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    kl, ku, scatter, order, rank = _layout(
+        problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
+    # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks
+    coupling = tau * rel.coupling[:, :, None, :, None, None, None]
+    jac = np.stack([problem.jacobian_flat(g[i]) for i in rel.moving])
+    bands = (coupling * jac[:, None, :, None]).sum(axis=0)
+    ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
+                     * (2 * kl + ku + 1)).reshape(order.size, -1).T
+    ab[kl + ku] += 1.0
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zero pivot in row {info - 1} of the band LU")
+    return lambda rhs: dgbtrs(lu, kl, ku, rhs[order], piv)[0][rank]
+
+
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
           cfg: NewtonConfig, backward: bool = False,
           w_init: np.ndarray | None = None):
-    """Solve the stage relation from the known endpoint x.
+    """Solve the stage relation from the known endpoint x by plain Newton.
 
     Forward, x = u_old and the result is u_new; backward, x = u_new and
     the result is u_old.  ``w_init`` overrides the tau -> 0 initial
     iterate with a W from a neighbouring solve, which lets sweeps continue
     along a solution branch instead of restarting.  Returns (the other
-    endpoint, Newton iterations, W).
+    endpoint, the residual max-norm of each Newton iterate, W).
+
+    Newton stops when the residual is at most ``cfg.tol`` or at its
+    rounding floor 8 eps max(|W| + tau |B| mag(g)).  The floor is read only
+    after an iteration that cut the residual by less than half and at the
+    last iterate, so a quadratically converging solve never pays for it.
     """
     rel = _relation(scheme.tableau, backward)
     s, r = rel.C.shape
-    m = x.size
     a_x = problem.apply_flat(x)
-    last = {}  # A[g] at the latest iterate, which _newton returns
-
-    def residual(w):
-        y = rel.C @ w.reshape(r, m)
-        ag = np.array([problem.apply_flat(x + y[i]) if i in rel.moving else a_x
+    w = (-tau * rel.start)[:, None] * a_x if w_init is None else w_init
+    norms: list[float] = []
+    for it in range(cfg.max_iter + 1):
+        g = x + rel.C @ w
+        ag = np.array([problem.apply_flat(g[i]) if i in rel.moving else a_x
                        for i in range(s)])
-        last["ag"] = ag
-        return (w.reshape(r, m) + tau * rel.B @ ag).reshape(-1)
-
-    def scale(w):
-        y = rel.C @ w.reshape(r, m)
-        mag = np.array([problem.magnitude_flat(x + y[i]) for i in range(s)])
-        return np.abs(w) + tau * (np.abs(rel.B) @ mag).reshape(-1)
-
-    if r:  # closed-form relations (r = 0) never factor
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-        kl, ku, scatter, order, rank = _layout(
-            problem.grid.n, r * problem.species, problem.offsets)
-        coupling = tau * rel.coupling[:, :, None, :, None, None, None]
-
-    def factor(w):
-        # band form of I + tau sum_q coupling[q] (x) J(g_i): block (k, s)
-        # x (l, t) of the (r*species)^2 cyclic band blocks
-        y = rel.C @ w.reshape(r, m)
-        jac = np.stack([problem.jacobian_flat(x + y[i]) for i in rel.moving])
-        bands = (coupling * jac[:, None, :, None]).sum(axis=0)
-        ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
-                         * (2 * kl + ku + 1)).reshape(order.size, -1).T
-        ab[kl + ku] += 1.0
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise RuntimeError(f"zero pivot in row {info - 1} of the band LU")
-
-        return lambda rhs: dgbtrs(lu, kl, ku, rhs[order], piv)[0][rank]
-
-    if w_init is None:
-        w_init = ((-tau * rel.start)[:, None] * a_x).reshape(-1)
-    w, iters = _newton(residual, factor, scale, w_init, cfg)
+        res = w + tau * rel.B @ ag
+        norms.append(float(np.max(np.abs(res))) if res.size else 0.0)
+        if norms[-1] <= cfg.tol:
+            break
+        if it == cfg.max_iter or (it and norms[-1] > 0.5 * norms[-2]):
+            mag = np.array([problem.magnitude_flat(gi) for gi in g])
+            floor = _FLOOR * float(np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag)))
+            if norms[-1] <= floor:
+                break
+        if it == cfg.max_iter:
+            raise StepError(f"Newton stalled at residual {norms[-1]:.3e} after "
+                            f"{cfg.max_iter} iterations (tol {cfg.tol:.1e}, "
+                            f"rounding floor {floor:.1e})", norms[-1], cfg.max_iter)
+        try:
+            solve = _newton_solver(problem, rel, g, tau)
+        except np.linalg.LinAlgError as err:
+            raise StepError(f"singular Newton matrix at iteration {it} "
+                            f"(residual {norms[-1]:.3e}): {err}", norms[-1], it) from err
+        w = w - solve(res.reshape(-1)).reshape(r, -1)
     b = scheme.tableau.b
-    other = x + (tau if backward else -tau) * (b[:, None] * last["ag"]).sum(axis=0)
-    return other, iters, w
+    other = x + (tau if backward else -tau) * (b[:, None] * ag).sum(axis=0)
+    return other, norms, w
 
 
 def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: float,
@@ -315,15 +290,15 @@ def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: flo
     for k in range(n_steps):
         where = f"step {k + 1} (t={k * tau:.6g} -> {(k + 1) * tau:.6g}) failed"
         try:
-            x, it, _ = _step(problem, scheme, x, tau, cfg)
+            x, norms, _ = _step(problem, scheme, x, tau, cfg)
         except StepError as err:
             raise StepError(f"{where}: {err}", err.residual, err.iterations) from err
         except DomainError as err:
             raise DomainError(f"{where}: {err}") from err
+        iters.append(len(norms) - 1)
         if not np.all(np.isfinite(x)):
             raise StepError(f"step {k + 1} produced non-finite values (overflow or "
-                            f"blow-up at t={(k + 1) * tau:.6g})", float("inf"), it)
+                            f"blow-up at t={(k + 1) * tau:.6g})", float("inf"), iters[-1])
         states.append(StateField.from_flat(x, problem.species))
-        iters.append(it)
     return Trajectory(times=np.arange(n_steps + 1) * tau, states=states,
                       scheme=scheme, problem=problem, tau=tau, newton_iters=iters)

@@ -319,6 +319,22 @@ def test_main_region_command(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "pme0", "--d", "2", "--alpha-max", "1e300"],
+    ["--family", "pme1", "--alpha-min", "2e200", "--alpha-max", "2e200",
+     "--beta-min", "1e200", "--beta-max", "1e200", "--alpha-steps", "1",
+     "--beta-steps", "1"],
+])
+def test_main_region_overflow_is_a_non_member(tmp_path, argv):
+    # the float witness search overflows at these exponents: no witness,
+    # so the cell is a non-member and the command still succeeds
+    out = tmp_path / "r.csv"
+    assert main(["region", *argv, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    huge = [row for row in rows if float(row[0]) > 1e100]
+    assert huge and all(row[2:] == ["0", "", "", ""] for row in huge)
+
+
 def test_import_leaves_scipy_unloaded():
     # every command pays the package import; scipy's LAPACK wrappers load
     # with the first implicit step, and no path loads scipy's sparse

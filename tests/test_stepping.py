@@ -19,6 +19,7 @@ from rkentropy.stepping import (
     NewtonConfig,
     StepError,
     _layout,
+    _newton_solver,
     _step,
     backward_solve,
     forward_step,
@@ -358,30 +359,19 @@ def test_newton_matrix_is_a_narrow_cyclic_band(blocks, offsets):
     assert kl == ku == bound  # e.g. 2 for PME, 4 for Dlss
 
 
-def _factor_at(problem, scheme, u, tau, backward=False):
-    """The Newton solve function of ``_step`` at its initial iterate."""
-    captured = {}
-
-    def spy(residual, factor, scale, y0, cfg):
-        residual(y0)
-        captured["solve"] = factor(y0)
-        captured["w"] = y0
-        return y0, 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepping, "_newton", spy)
-        _step(problem, scheme, u.flat, tau, NewtonConfig(), backward=backward)
-    return captured["solve"], captured["w"]
+def _initial_stages(problem, rel, u, tau):
+    """Stage values g = x + C W at the tau -> 0 initial iterate of ``_step``."""
+    w = (-tau * rel.start)[:, None] * problem.apply_flat(u.flat)
+    return u.flat + rel.C @ w
 
 
-def _dense_newton_matrix(problem, scheme, u, tau, w, backward=False):
+def _dense_newton_matrix(problem, rel, g, tau):
     """I + tau sum_i (B[:, i] C[i]) (x) J(g_i), from the dense Jacobian."""
-    rel = stepping._relation(scheme.tableau, backward)
-    r, m = rel.C.shape[1], u.flat.size
-    y = rel.C @ w.reshape(r, m)
+    r, m = rel.C.shape[1], g.shape[1]
     dense = np.eye(r * m)
     for i in rel.moving:
-        g = StateField.from_flat(u.flat + y[i], problem.species)
-        dense += tau * np.kron(np.outer(rel.B[:, i], rel.C[i]), problem.jacobian(g))
+        gi = StateField.from_flat(g[i], problem.species)
+        dense += tau * np.kron(np.outer(rel.B[:, i], rel.C[i]), problem.jacobian(gi))
     return dense
 
 
@@ -410,29 +400,14 @@ def test_band_solve_equals_the_dense_solve(case, scratch_registry):
         u = StateField.scalar(rng.uniform(0.8, 1.2, n))
         tau = 1e-7 if case == "dlss32" else 1e-3
     for backward in (False, True):
-        solve, w = _factor_at(problem, scheme, u, tau, backward)
-        dense = _dense_newton_matrix(problem, scheme, u, tau, w, backward)
+        rel = stepping._relation(scheme.tableau, backward)
+        g = _initial_stages(problem, rel, u, tau)
+        solve = _newton_solver(problem, rel, g, tau)
+        dense = _dense_newton_matrix(problem, rel, g, tau)
         rhs = rng.standard_normal(dense.shape[0])
         want = np.linalg.solve(dense, rhs)
         got = solve(rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), backward
-
-
-def _newton_history(problem, scheme, u, tau, cfg):
-    """Residual norms of the forward solve, and its iteration count."""
-    norms = []
-    real = stepping._newton
-
-    def residual_spy(residual, factor, scale, y0, cfg):
-        def recorded(w):
-            res = residual(w)
-            norms.append(float(np.max(np.abs(res))))
-            return res
-        return real(recorded, factor, scale, y0, cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepping, "_newton", residual_spy)
-        _, iters, _ = _step(problem, scheme, u.flat, tau, cfg)
-    return norms, iters
 
 
 @pytest.mark.parametrize("name", ["implicit_euler", "trapezoidal", "simpson"])
@@ -443,8 +418,8 @@ def test_dlss_stall_stops_at_the_rounding_floor(name):
     problem = Dlss(grid)
     u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
     cfg = NewtonConfig(tol=1e-12)
-    norms, iters = _newton_history(problem, get_scheme(name), u, 1e-6, cfg)
-    assert iters <= 5
+    _, norms, _ = _step(problem, get_scheme(name), u.flat, 1e-6, cfg)
+    assert len(norms) - 1 <= 5
     assert norms[-1] > cfg.tol
     assert norms[-1] > 0.5 * norms[-2]  # the floor is read after a stall only
 
@@ -454,9 +429,8 @@ def test_pme_stall_stops_at_the_rounding_floor():
     problem = PorousMedium(grid, 2.0)
     u = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * grid.x()))
     cfg = NewtonConfig(tol=1e-12)
-    norms, iters = _newton_history(problem, get_scheme("trapezoidal"), u,
-                                   1e-4, cfg)
-    assert iters <= 4
+    _, norms, _ = _step(problem, get_scheme("trapezoidal"), u.flat, 1e-4, cfg)
+    assert len(norms) - 1 <= 4
     assert norms[-1] > cfg.tol
 
 
@@ -478,6 +452,42 @@ def test_quadratic_convergence_never_reads_the_floor(pme32, monkeypatch):
             _step(problem, get_scheme(name), u.flat, 1e-4, NewtonConfig(),
                   backward=backward)
     assert not calls
+
+
+class _CountingPME(PorousMedium):
+    """Porous medium that counts its operator kernel calls."""
+
+    def __init__(self, grid, beta):
+        super().__init__(grid, beta)
+        self.calls = {"apply": 0, "jacobian": 0, "magnitude": 0}
+
+    def apply_flat(self, x):
+        self.calls["apply"] += 1
+        return super().apply_flat(x)
+
+    def jacobian_flat(self, x):
+        self.calls["jacobian"] += 1
+        return super().jacobian_flat(x)
+
+    def magnitude_flat(self, x):
+        self.calls["magnitude"] += 1
+        return super().magnitude_flat(x)
+
+
+def test_newton_work_per_solve(pme32):
+    # A at the known endpoint once, then A at each moving stage once per
+    # iterate and J there once per iteration; the stages are never recomputed
+    grid, u = pme32[0].grid, pme32[1]
+    scheme = get_scheme("trapezoidal")
+    for backward in (False, True):
+        problem = _CountingPME(grid, 2.0)
+        _, norms, _ = _step(problem, scheme, u.flat, 1e-3, NewtonConfig(),
+                            backward=backward)
+        iters = len(norms) - 1
+        moving = len(stepping._relation(scheme.tableau, backward).moving)
+        assert iters >= 2 and moving == 1, backward
+        assert problem.calls == {"apply": 1 + (iters + 1) * moving,
+                                 "jacobian": iters * moving, "magnitude": 0}
 
 
 FAMILIES = ["pme", "scalar", "linear", "dlss"]
