@@ -12,7 +12,9 @@ species, so ``jacobian_flat`` returns one band of n entries per species
 pair and offset, O(n) storage.  The stepping Newton matrices keep this
 structure (see ``stepping``); ``jacobian`` assembles the dense matrix for
 inspection and tests.  ``magnitude_flat`` is the running error scale of
-A, from which Newton reads the rounding floor of its residual.
+A, from which Newton reads the rounding floor of its residual.  Where a
+family has a domain (Dlss; PorousMedium with beta < 1), every kernel checks
+it first (``_check_domain``, one reduction that a NaN cell fails too).
 """
 
 from __future__ import annotations
@@ -113,11 +115,6 @@ def _diff2_abs(w: np.ndarray, dx: float) -> np.ndarray:
     return (_shift(w, 1) + 2.0 * w + _shift(w, -1)) / dx**2
 
 
-def _diff2_bands(dx: float) -> np.ndarray:
-    """The entries of D2 at the offsets (-1, 0, 1)."""
-    return np.array([1.0, -2.0, 1.0]) / dx**2
-
-
 def _cells_at(offsets: tuple[int, ...], n: int) -> np.ndarray:
     """Cell (i + offsets[j]) mod n at [j, i]."""
     return (np.arange(n) + np.asarray(offsets)[:, None]) % n
@@ -153,6 +150,9 @@ class Problem:
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
+        # D2 at the offsets (-1, 0, 1), and cell (i + k) mod n at [k + 1, i]
+        self._d2 = np.array([1.0, -2.0, 1.0]) / grid.dx**2
+        self._neighbours = _cells_at((-1, 0, 1), grid.n)
 
     # -- StateField API -------------------------------------------------
     def apply(self, u: StateField) -> StateField:
@@ -215,6 +215,10 @@ class Problem:
                 f"state shape ({u.species}, {u.n}) does not match problem "
                 f"({self.species}, {self.grid.n})"
             )
+        self._check_domain(u.flat)
+
+    def _check_domain(self, x: np.ndarray):
+        """DomainError for a state the kernels do not accept."""
 
     def _check_shape(self, w: StateField):
         if w.species != self.species or w.n != self.grid.n:
@@ -222,12 +226,10 @@ class Problem:
 
 
 def _require_positive(x: np.ndarray, what: str):
-    bad = np.flatnonzero(x <= 0.0)
-    if bad.size:
-        raise DomainError(
-            f"{what} requires strictly positive values; "
-            f"cell {int(bad[0])} has u={x[bad[0]]:.6g}"
-        )
+    if not np.minimum.reduce(x) > 0.0:  # one reduction; a NaN cell fails it too
+        bad = int(np.argmin(x > 0.0))
+        raise DomainError(f"{what} requires strictly positive values; "
+                          f"cell {bad} has u={x[bad]:.6g}")
 
 
 class PorousMedium(Problem):
@@ -243,12 +245,6 @@ class PorousMedium(Problem):
             raise ValueError(f"beta must be positive, got {beta}")
         super().__init__(grid)
         self.beta = float(beta)
-        self._d2 = _diff2_bands(grid.dx)
-        self._neighbours = _cells_at(self.offsets, grid.n)
-
-    def _check_state(self, u: StateField):
-        super()._check_state(u)
-        self._check_domain(u.flat)
 
     def _check_domain(self, x):
         if self.beta < 1.0:
@@ -340,7 +336,7 @@ class LinearSystem(Problem):
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
         self.mu = float(mu)
-        d2 = _diff2_bands(grid.dx)
+        d2 = self._d2
         eye = np.array([0.0, 1.0, 0.0])
         bands = np.array([[-self.rho1 * d2 + self.mu * eye, -self.mu * eye],
                           [-self.mu * eye, -self.rho2 * d2 + self.mu * eye]])
@@ -377,27 +373,30 @@ class LinearSystem(Problem):
 class Dlss(Problem):
     """Fourth-order quantum diffusion operator A[u] = D2(u * D2(log u)).
 
-    The state must be strictly positive; positivity is a precondition,
-    not enforced by regularization, so the entropy identities tested
-    against this operator stay exact.
+    Every kernel rejects a state with a cell that is not strictly positive
+    (NaN included) with a DomainError; positivity is a precondition, not
+    enforced by regularization, so the entropy identities tested against
+    this operator stay exact.
     """
 
     offsets = (-2, -1, 0, 1, 2)
 
     def __init__(self, grid: Grid1D):
         super().__init__(grid)
-        self._d2 = _diff2_bands(grid.dx)
+        # d2[p] at [p + 1, q + 1, i], and the flat index of core_q[(i + p) mod n]
+        self._weights = np.repeat(self._d2, 3 * grid.n).reshape(3, 3, grid.n)
+        self._pairs = np.arange(3)[:, None] * grid.n + self._neighbours[:, None]
 
-    def _check_state(self, u: StateField):
-        super()._check_state(u)
-        _require_positive(u.flat, "the fourth-order log-diffusion operator")
+    def _check_domain(self, x):
+        _require_positive(x, "the fourth-order log-diffusion operator")
 
     def apply_flat(self, x):
-        _require_positive(x, "the fourth-order log-diffusion operator")
+        self._check_domain(x)
         dx = self.grid.dx
         return diff2(x * diff2(np.log(x), dx), dx)
 
     def deriv_flat(self, x, wx):
+        self._check_domain(x)
         dx = self.grid.dx
         inner = wx * diff2(np.log(x), dx) + x * diff2(wx / x, dx)
         return diff2(inner, dx)
@@ -405,21 +404,25 @@ class Dlss(Problem):
     def magnitude_flat(self, x):
         # a relative rounding of x moves log x by an absolute eps, so the
         # log term counts |log x| + 1
-        _require_positive(x, "the fourth-order log-diffusion operator")
+        self._check_domain(x)
         dx = self.grid.dx
         return _diff2_abs(x * _diff2_abs(np.abs(np.log(x)) + 1.0, dx), dx)
 
     def jacobian_flat(self, x):
         # D2 @ core with the tridiagonal core diag(D2 log x) + diag(x) D2
         # diag(1/x): row i of the product picks core row i+p with weight
-        # D2[i, i+p], so band p+q collects d2[p] * core_q[i+p]
-        d2 = self._d2
-        inv = 1.0 / x
-        core = [x * d2[0] * _shift(inv, -1),
-                diff2(np.log(x), self.grid.dx) + x * d2[1] * inv,
-                x * d2[2] * _shift(inv, 1)]
-        bands = np.zeros((1, 1, 5, self.grid.n))
-        for p, dp in zip((-1, 0, 1), d2):
-            for q, core_q in zip((-1, 0, 1), core):
-                bands[0, 0, p + q + 2] += dp * _shift(core_q, p)
-        return bands
+        # D2[i, i+p], so band p+q collects d2[p] * core_q[i+p].  One gather
+        # shifts the core bands by every p; each band adds in the order of p
+        self._check_domain(x)
+        log_x = np.log(x)
+        near = log_x[self._neighbours]
+        core = x * self._weights[:, 0]
+        core *= (1.0 / x)[self._neighbours]
+        core[1] += (near[2] - 2.0 * log_x + near[0]) / self.grid.dx**2
+        terms = core.take(self._pairs)
+        terms *= self._weights
+        bands = np.zeros((5, self.grid.n))
+        for p, term in enumerate(terms):
+            band = bands[p:p + 3]
+            band += term
+        return bands[None, None]

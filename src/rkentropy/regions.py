@@ -189,7 +189,7 @@ def _best_point(inner, lo: float, hi: float):
     if not value >= 0.0:  # also NaN, from overflowing coefficients
         return None
     a, b, _ = fit(t)
-    return t, -b / (2.0 * a)
+    return (t, -b / (2.0 * a)) if a else None  # a rounded to 0: no vertex
 
 
 def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:

@@ -23,22 +23,23 @@ Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
 for one state-sized W in either direction.
 
 ``_step`` runs one plain Newton loop: each iterate forms the stage values
-g = x + C W once, evaluates A at the moving stages, and updates W with the
-matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).  ``_newton_solver`` builds
-that matrix in the cyclic band form of the problem's Jacobian
-(``Problem.jacobian_flat``), scatters it into LAPACK band storage laid
-out per grid size, block count and stencil (``_layout``), and factors it
-with LAPACK's banded LU (``dgbtrf``, partial pivoting, fill inside the
-band).  Folding the cells (0, n-1, 1, n-2, ...) makes the cyclic band a
-plain band of half-width at most blocks*(2*reach + 1) - 1: O(n) work and
-storage per iteration for every family.  scipy's LAPACK wrappers load
-with the first solve that factors.
+g = x + C W once, evaluates A at the moving stages (fixed ones keep A[x]),
+and updates W with the matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).
+``_newton_solver`` sums that matrix stage by stage in the cyclic band form
+of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
+LAPACK band storage laid out per grid size, block count and stencil
+(``_layout``), and factors it with LAPACK's banded LU (``dgbtrf``, partial
+pivoting, fill inside the band).  Folding the cells (0, n-1, 1, n-2, ...)
+makes the cyclic band a plain band of half-width at most
+blocks*(2*reach + 1) - 1: O(n) work and storage per iteration for every
+family.  scipy's LAPACK wrappers load with the first solve that factors.
 
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
 residual, 8 eps max(|W| + tau |B| mag(g)) with mag the running error scale
 of A (``Problem.magnitude_flat``): the stencil terms cancel in A far below
 mag, so a fixed tol can lie below what the arithmetic resolves.  No damping
-or line search is used; non-convergence is surfaced as StepError.
+or line search is used; a non-finite residual, or max_iter iterations above
+both, is a StepError.
 """
 
 from __future__ import annotations
@@ -181,8 +182,9 @@ def _newton_solver(problem: Problem, rel: _Relation, g: np.ndarray, tau: float):
         problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
     # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks
     coupling = tau * rel.coupling[:, :, None, :, None, None, None]
-    jac = np.stack([problem.jacobian_flat(g[i]) for i in rel.moving])
-    bands = (coupling * jac[:, None, :, None]).sum(axis=0)
+    bands = coupling[0] * problem.jacobian_flat(g[rel.moving[0]])[:, None]
+    for c, i in zip(coupling[1:], rel.moving[1:]):
+        bands += c * problem.jacobian_flat(g[i])[:, None]
     ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
                      * (2 * kl + ku + 1)).reshape(order.size, -1).T
     ab[kl + ku] += 1.0
@@ -204,23 +206,31 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     endpoint, the residual max-norm of each Newton iterate, W).
 
     Newton stops when the residual is at most ``cfg.tol`` or at its
-    rounding floor 8 eps max(|W| + tau |B| mag(g)).  The floor is read only
-    after an iteration that cut the residual by less than half and at the
-    last iterate, so a quadratically converging solve never pays for it.
+    rounding floor 8 eps max(|W| + tau |B| mag(g)), and fails at the first
+    non-finite residual.  The floor is read only after an iteration that cut
+    the residual by less than half and at the last iterate, so a
+    quadratically converging solve never pays for it.
     """
     rel = _relation(scheme.tableau, backward)
     s, r = rel.C.shape
+    tau_b = tau * rel.B
     a_x = problem.apply_flat(x)
+    ag = np.tile(a_x, (s, 1))  # A[g_i]; the rows of fixed stages stay A[x]
     w = (-tau * rel.start)[:, None] * a_x if w_init is None else w_init
     norms: list[float] = []
     for it in range(cfg.max_iter + 1):
-        g = x + rel.C @ w
-        ag = np.array([problem.apply_flat(g[i]) if i in rel.moving else a_x
-                       for i in range(s)])
-        res = w + tau * rel.B @ ag
+        g = rel.C @ w
+        g += x
+        for i in rel.moving:
+            ag[i] = problem.apply_flat(g[i])
+        res = tau_b @ ag
+        res += w
         norms.append(float(np.max(np.abs(res))) if res.size else 0.0)
         if norms[-1] <= cfg.tol:
             break
+        if not np.isfinite(norms[-1]):
+            raise StepError(f"residual {norms[-1]} at Newton iteration {it}",
+                            norms[-1], it)
         if it == cfg.max_iter or (it and norms[-1] > 0.5 * norms[-2]):
             mag = np.array([problem.magnitude_flat(gi) for gi in g])
             floor = _FLOOR * float(np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag)))

@@ -335,6 +335,16 @@ def test_main_region_overflow_is_a_non_member(tmp_path, argv):
     assert huge and all(row[2:] == ["0", "", "", ""] for row in huge)
 
 
+def test_main_region_flat_fit_is_a_non_member(tmp_path):
+    # at these exponents the fitted c2 coefficient of R rounds to 0, so the
+    # fit has no vertex: no witness, and the cell is a non-member
+    out = tmp_path / "r.csv"
+    assert main(["region", "--family", "pme0", "--d", "2", "--alpha-min", "1e-300",
+                 "--alpha-max", "1e-300", "--beta-min", "1e50", "--beta-max", "1e50",
+                 "--alpha-steps", "1", "--beta-steps", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["1e-300,1e+50,0,,,"]
+
+
 def test_import_leaves_scipy_unloaded():
     # every command pays the package import; scipy's LAPACK wrappers load
     # with the first implicit step, and no path loads scipy's sparse

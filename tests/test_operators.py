@@ -205,6 +205,17 @@ def test_pme_fast_diffusion_kernels_reject_nonpositive_cells(grid32):
             kernel()
 
 
+def test_kernels_reject_a_nan_cell(grid32):
+    # NaN is not > 0: the positivity checks raise instead of returning nan
+    x = np.ones(grid32.n)
+    x[5] = np.nan
+    dlss, pme = Dlss(grid32), PorousMedium(grid32, 0.5)
+    for kernel in (dlss.apply_flat, dlss.jacobian_flat, dlss.magnitude_flat,
+                   pme.apply_flat, pme.jacobian_flat, pme.magnitude_flat):
+        with pytest.raises(DomainError, match="cell 5 has u=nan"):
+            kernel(x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 48), seed=st.integers(0, 2**32 - 1))
 def test_jacobian_bands(n, seed):

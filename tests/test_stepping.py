@@ -327,6 +327,18 @@ def test_singular_newton_matrix_is_a_step_error():
         backward_solve(problem, get_scheme("explicit_euler"), u, 1.0 / 32.0)
 
 
+def test_non_finite_residual_stops_newton_at_once():
+    # u^2 = 1e300 at one cell: the stencil overflows to nan in the first
+    # residual, and Newton stops there instead of iterating max_iter times
+    u = np.ones(16)
+    u[3] = 1e150
+    with np.errstate(all="ignore"), pytest.raises(
+            StepError, match="residual nan at Newton iteration 0") as exc:
+        forward_step(PorousMedium(Grid1D(16, 1.0), 2.0), get_scheme("trapezoidal"),
+                     StateField.scalar(u), 1e-3)
+    assert exc.value.iterations == 0
+
+
 def test_fast_diffusion_run_raises_domain_error_not_a_warning():
     grid = Grid1D(32, 1.0)
     problem = PorousMedium(grid, 0.5)
@@ -382,25 +394,28 @@ def _gauss2():
         c=[0.5 - r, 0.5 + r]))
 
 
-@pytest.mark.parametrize("case", ["pme", "dlss4", "dlss32", "linear", "gauss4"])
+@pytest.mark.parametrize("case", ["pme", "simpson", "dlss4", "dlss32", "linear",
+                                  "gauss4"])
 def test_band_solve_equals_the_dense_solve(case, scratch_registry):
     # tau makes tau*J of order one; at n = 4 the Dlss offsets -2 and +2
-    # name the same cell
+    # name the same cell; Simpson has one kept row and two moving stages in
+    # either direction, so its band sum adds two stage Jacobians
     rng = np.random.default_rng(5)
-    n = {"dlss4": 4, "pme": 16}.get(case, 32)
+    n = {"dlss4": 4, "pme": 16, "simpson": 16}.get(case, 32)
     grid = Grid1D(n, 1.0)
-    scheme, tau = get_scheme("trapezoidal"), 1e-3
+    scheme, tau = get_scheme("simpson" if case == "simpson" else "trapezoidal"), 1e-3
     if case in ("linear", "gauss4"):
         problem = LinearSystem(grid, 1.0, 2.0, 0.7)
         u = StateField.pair(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n))
         if case == "gauss4":
             scheme = _gauss2()  # two kept stage rows x two species
     else:
-        problem = PorousMedium(grid, 2.0) if case == "pme" else Dlss(grid)
+        problem = PorousMedium(grid, 2.0) if case in ("pme", "simpson") else Dlss(grid)
         u = StateField.scalar(rng.uniform(0.8, 1.2, n))
         tau = 1e-7 if case == "dlss32" else 1e-3
     for backward in (False, True):
         rel = stepping._relation(scheme.tableau, backward)
+        assert case != "simpson" or (rel.C.shape[1], len(rel.moving)) == (1, 2)
         g = _initial_stages(problem, rel, u, tau)
         solve = _newton_solver(problem, rel, g, tau)
         dense = _dense_newton_matrix(problem, rel, g, tau)
