@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import __version__
 from . import entropy as ent
 from .operators import Dlss, DomainError, Grid1D, LinearSystem, PorousMedium, \
     Problem, StateField
@@ -30,6 +32,19 @@ from .tableau import get_scheme
 
 class ConfigError(ValueError):
     """Bad key, unparsable value, or violated constraint in a config."""
+
+
+@contextmanager
+def _rejections():
+    """Report a value that the library rejects (its ValueError) as a
+    ConfigError.  A DomainError is about the computed state, not the
+    config, and keeps its own category."""
+    try:
+        yield
+    except (ConfigError, DomainError):
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 _PROBLEMS = ("pme", "linear_system", "dlss")
@@ -97,6 +112,8 @@ def _validate(cfg: RunConfig):
             raise ConfigError("x_r must lie in (0, 1/2)")
     if cfg.ic == "file" and not cfg.ic_file:
         raise ConfigError("ic=file needs ic_file=<path>")
+    if not np.all(np.isfinite(cfg.snapshot_times)):
+        raise ConfigError(f"snapshot_times must be finite, got {cfg.snapshot_times}")
 
 
 def parse_config(path) -> RunConfig:
@@ -190,11 +207,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _package_version() -> str:
-    from . import __version__
-    return __version__
-
-
 def _scipy_meta() -> list[str]:
     """scipy's version and the LAPACK it was built against, which factors
     every Newton matrix and can be another build than numpy's BLAS."""
@@ -209,24 +221,25 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     """Run the configured trajectory; write entropy.csv and snapshots."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(cfg)
     scheme = get_scheme(cfg.scheme)
-    e = build_entropy(cfg)
-    u0 = make_initial(cfg, problem.grid)
     ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
-    traj = run(problem, scheme, u0, cfg.tau, cfg.t_end, ncfg)
-    dx = problem.grid.dx
-    lines = ["t,H,mass,min,max,iters"]
-    for k, state in enumerate(traj.states):
-        iters = traj.newton_iters[k - 1] if k > 0 else 0
-        lines.append(",".join([
-            _fmt(traj.times[k]),
-            _fmt(ent.evaluate(e, state, problem.grid)),
-            _fmt(float(state.flat.sum()) * dx),
-            _fmt(float(state.flat.min())),
-            _fmt(float(state.flat.max())),
-            str(iters),
-        ]))
+    with _rejections():
+        problem = build_problem(cfg)
+        e = build_entropy(cfg)
+        u0 = make_initial(cfg, problem.grid)
+        traj = run(problem, scheme, u0, cfg.tau, cfg.t_end, ncfg)
+        dx = problem.grid.dx
+        lines = ["t,H,mass,min,max,iters"]
+        for k, state in enumerate(traj.states):
+            iters = traj.newton_iters[k - 1] if k > 0 else 0
+            lines.append(",".join([
+                _fmt(traj.times[k]),
+                _fmt(ent.evaluate(e, state, problem.grid)),
+                _fmt(float(state.flat.sum()) * dx),
+                _fmt(float(state.flat.min())),
+                _fmt(float(state.flat.max())),
+                str(iters),
+            ]))
     path = out / "entropy.csv"
     path.write_text("\n".join(lines) + "\n")
     for t_snap in cfg.snapshot_times:
@@ -240,7 +253,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
                                 for j in range(traj.states[k].species)]))
         (out / f"snapshot_t{t_snap:g}.csv").write_text("\n".join(rows) + "\n")
     meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
-    meta.append(f"rkentropy_version = {_package_version()}")
+    meta.append(f"rkentropy_version = {__version__}")
     meta.append(f"numpy_version = {np.__version__}")
     meta += _scipy_meta()
     (out / "run_meta.txt").write_text("\n".join(meta) + "\n")
@@ -251,57 +264,42 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
                  schemes, out_dir) -> list[Path]:
     """Freeze states at the base times and emit one profile CSV per
     (scheme, base time) pair."""
-    if not tau_max > 0:
-        raise ConfigError("tau_max must be positive")
-    if m < 3:
-        raise ConfigError("m must be at least 3")
     base_times = sorted(base_times)
-    if not base_times:
-        raise ConfigError("need at least one base time")
+    if not base_times or not schemes:
+        raise ConfigError("need at least one base time and one scheme")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(cfg)
-    e = build_entropy(cfg)
-    u0 = make_initial(cfg, problem.grid)
     ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     paths = []
-    for name in schemes:
-        scheme = get_scheme(name)
-        traj = run(problem, scheme, u0, cfg.tau, base_times[-1], ncfg)
-        for t_base in base_times:
-            k = int(round(t_base / cfg.tau))
-            if not 0 <= k < len(traj.states):
-                raise ConfigError(f"base time {t_base} outside the trajectory")
-            prof = ent.profile_g(e, problem, scheme, traj.states[k], tau_max, m,
-                                 ncfg, base_time=traj.times[k])
-            path = out / f"gprofile_{name}_t{t_base:g}.csv"
-            path.write_text(prof.to_csv())
-            paths.append(path)
+    with _rejections():  # run checks the last base time, profile_g tau_max and m
+        problem = build_problem(cfg)
+        e = build_entropy(cfg)
+        u0 = make_initial(cfg, problem.grid)
+        for name in schemes:
+            scheme = get_scheme(name)
+            traj = run(problem, scheme, u0, cfg.tau, base_times[-1], ncfg)
+            for t_base in base_times:
+                k = np.rint(t_base / cfg.tau)  # NaN for a NaN base time
+                if not 0 <= k < len(traj.states):
+                    raise ConfigError(f"base time {t_base} outside the trajectory")
+                k = int(k)
+                prof = ent.profile_g(e, problem, scheme, traj.states[k], tau_max,
+                                     m, ncfg, base_time=traj.times[k])
+                path = out / f"gprofile_{name}_t{t_base:g}.csv"
+                path.write_text(prof.to_csv())
+                paths.append(path)
     return paths
 
 
 def cmd_region(family: str, alpha_range, beta_range, alpha_steps: int,
                beta_steps: int, d: int, c_rk: float, out_path) -> Path:
-    try:
+    with _rejections():  # an out-of-range grid, d or c_rk
         mask = emit_mask(family, alpha_range, beta_range, alpha_steps,
                          beta_steps, d=d, c_rk=c_rk)
-    except ValueError as err:  # an out-of-range grid, d or c_rk
-        raise ConfigError(str(err)) from err
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(mask.to_csv())
     return path
-
-
-_PRESETS = {
-    # heat equation with logarithmic entropy: a = 1, h'' = 1/u, mobility u
-    "heat_log": {
-        "mu": lambda u: u,
-        "dmu": lambda u: np.ones_like(np.asarray(u, float)) if np.ndim(u) else 1.0,
-        "d2mu": lambda u: np.zeros_like(np.asarray(u, float)) if np.ndim(u) else 0.0,
-        "hpp": lambda u: 1.0 / u,
-    },
-}
 
 
 def _pme_handles(alpha: float, beta: float):
@@ -319,19 +317,18 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
                          u_max: float, points: int, d: int, c_rk: float,
                          out_path=None) -> list[str]:
     if preset == "heat_log":
-        handles = _PRESETS["heat_log"]
-    elif preset == "pme_power":
-        handles = _pme_handles(alpha, beta)
-    else:
+        # heat equation (a = 1) with logarithmic entropy: mobility u
+        # (beta = 1) and h'' = 1/u (alpha = 0)
+        alpha, beta = 0.0, 1.0
+    elif preset != "pme_power":
         raise ConfigError(f"unknown preset {preset!r}; use heat_log or pme_power")
+    handles = _pme_handles(alpha, beta)
     if not np.all(np.isfinite([u_min, u_max])):
         raise ConfigError("u_min and u_max must be finite")
-    try:
+    with _rejections():  # a negative point count, a bad u grid or d
         u_grid = np.linspace(u_min, u_max, points)
         rows = scalar_conditions(handles["mu"], handles["dmu"], handles["d2mu"],
                                  handles["hpp"], u_grid, d=d, c_rk=c_rk)
-    except ValueError as err:  # a negative point count, a bad u grid or d
-        raise ConfigError(str(err)) from err
     lines = ["u,b,b_alt,cond2_residual,cond2_residual_alt,cond3_value,"
              "cond1_ok,cond2_ok,cond3_ok"]
     for r in rows:
@@ -429,7 +426,8 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.command == "gprofile":
             cfg = parse_config(args.config)
-            base_times = [float(tok) for tok in args.base_times.split(",") if tok]
+            with _rejections():
+                base_times = [float(tok) for tok in args.base_times.split(",") if tok]
             schemes = (["explicit_euler", "implicit_euler", "trapezoidal",
                         "simpson"] if args.schemes == "all"
                        else [tok for tok in args.schemes.split(",") if tok])

@@ -250,8 +250,8 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     (DomainError), truncates the sweep at that node and records it in
     ``failed_index``; everything computed so far is kept.
     """
-    if not tau_max > 0:
-        raise ValueError("tau_max must be positive")
+    if not 0 < tau_max < np.inf:
+        raise ValueError("tau_max must be positive and finite")
     if m < 3:
         raise ValueError("need at least m = 3 sweep intervals")
     cfg = cfg or NewtonConfig()

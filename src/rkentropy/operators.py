@@ -5,11 +5,12 @@ the negated right-hand side.  All stencils are second-order central
 differences on a uniform periodic grid; the diffusion families are written
 so that sum_i A[u]_i telescopes to zero (discrete mass conservation).
 
-Each problem provides the operator A, its exact directional derivative
-DA[u](w), and the exact Jacobian in cyclic band form: cell i of species s
-depends only on the cells (i + k) mod n, k in ``offsets``, of each
-species, so ``jacobian_flat`` returns one band of n entries per species
-pair and offset, O(n) storage.  The stepping Newton matrices keep this
+Each family provides the operator A, its exact Jacobian in cyclic band
+form and its error scale: cell i of species s depends only on the cells
+(i + k) mod n, k in ``offsets``, of each species, so ``jacobian_flat``
+returns one band of n entries per species pair and offset, O(n) storage.
+The directional derivative DA[u](w) is the product of these bands with w,
+written once in ``Problem``.  The stepping Newton matrices keep the band
 structure (see ``stepping``); ``jacobian`` assembles the dense matrix for
 inspection and tests.  ``magnitude_flat`` is the running error scale of
 A, from which Newton reads the rounding floor of its residual.  Where a
@@ -120,6 +121,18 @@ def _cells_at(offsets: tuple[int, ...], n: int) -> np.ndarray:
     return (np.arange(n) + np.asarray(offsets)[:, None]) % n
 
 
+def _band_matvec(bands: np.ndarray, offsets: tuple[int, ...], w: np.ndarray
+                 ) -> np.ndarray:
+    """Product of cyclic bands (layout of ``Problem.jacobian_flat``) with
+    the flat vector w: entry s*n + i is the sum over t and j of
+    bands[s, t, j, i] * w[t*n + (i + offsets[j]) mod n]."""
+    blocks, n = bands.shape[0], bands.shape[-1]
+    near = w.reshape(blocks, n)[:, _cells_at(offsets, n)]
+    # species before offsets: LinearSystem's -mu u_other meets its rounded centre
+    # band first, which keeps some (not all) equal constant states exactly steady
+    return (bands * near).sum(axis=1).sum(axis=1).reshape(-1)
+
+
 def band_coordinates(blocks: int, offsets: tuple[int, ...], n: int):
     """Dense (row, column) of each entry of a cyclic band array.
 
@@ -187,7 +200,8 @@ class Problem:
         raise NotImplementedError
 
     def deriv_flat(self, x: np.ndarray, wx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """DA[x](wx): the product of the Jacobian bands at x with wx."""
+        return _band_matvec(self.jacobian_flat(x), self.offsets, wx)
 
     def magnitude_flat(self, x: np.ndarray) -> np.ndarray:
         """Running error scale of ``apply_flat`` at x, per cell.
@@ -254,10 +268,6 @@ class PorousMedium(Problem):
         self._check_domain(x)
         return -diff2(x**self.beta, self.grid.dx)
 
-    def deriv_flat(self, x, wx):
-        self._check_domain(x)
-        return -diff2(self.beta * x ** (self.beta - 1.0) * wx, self.grid.dx)
-
     def magnitude_flat(self, x):
         self._check_domain(x)
         return _diff2_abs(np.abs(x**self.beta), self.grid.dx)
@@ -281,23 +291,11 @@ class ScalarDiffusion(Problem):
         self.a = a
         self.da = da
 
-    def _fluxes(self, x):
+    def apply_flat(self, x):
         # flux numerator g_i = a((x_i + x_{i+1})/2) * (x_{i+1} - x_i), interface i+1/2
         xp = _shift(x, 1)
-        mid = 0.5 * (x + xp)
-        return np.asarray(self.a(mid)) * (xp - x), mid, xp
-
-    def apply_flat(self, x):
-        g, _, _ = self._fluxes(x)
+        g = np.asarray(self.a(0.5 * (x + xp))) * (xp - x)
         return -(g - _shift(g, -1)) / self.grid.dx**2
-
-    def deriv_flat(self, x, wx):
-        _, mid, xp = self._fluxes(x)
-        wp = _shift(wx, 1)
-        dg = np.asarray(self.da(mid)) * 0.5 * (wx + wp) * (xp - x) + np.asarray(
-            self.a(mid)
-        ) * (wp - wx)
-        return -(dg - _shift(dg, -1)) / self.grid.dx**2
 
     def magnitude_flat(self, x):
         xp = _shift(x, 1)
@@ -324,7 +322,9 @@ class LinearSystem(Problem):
 
     du1/dt = rho1 * Lap(u1) + mu * (u2 - u1), and symmetrically for u2,
     so A[u]_j = -rho_j * D2(u_j) - mu * (u_other - u_j).  The operator is
-    linear: DA[u](w) = A[w], and its Jacobian bands are constant.
+    linear, so it is just its constant Jacobian bands: A[u] is their
+    product with u, DA[u](w) = A[w], and the error scale is the product of
+    their absolute values with |u|.
     """
 
     species = 2
@@ -344,27 +344,10 @@ class LinearSystem(Problem):
         self._bands.flags.writeable = False
 
     def apply_flat(self, x):
-        n = self.grid.n
-        u1, u2 = x[:n], x[n:]
-        dx = self.grid.dx
-        return np.concatenate(
-            [
-                -self.rho1 * diff2(u1, dx) - self.mu * (u2 - u1),
-                -self.rho2 * diff2(u2, dx) - self.mu * (u1 - u2),
-            ]
-        )
-
-    def deriv_flat(self, x, wx):
-        return self.apply_flat(wx)
+        return _band_matvec(self._bands, self.offsets, x)
 
     def magnitude_flat(self, x):
-        n = self.grid.n
-        u1, u2 = np.abs(x[:n]), np.abs(x[n:])
-        dx = self.grid.dx
-        return np.concatenate([
-            self.rho1 * _diff2_abs(u1, dx) + self.mu * (u2 + u1),
-            self.rho2 * _diff2_abs(u2, dx) + self.mu * (u1 + u2),
-        ])
+        return _band_matvec(np.abs(self._bands), self.offsets, np.abs(x))
 
     def jacobian_flat(self, x):
         return self._bands
@@ -394,12 +377,6 @@ class Dlss(Problem):
         self._check_domain(x)
         dx = self.grid.dx
         return diff2(x * diff2(np.log(x), dx), dx)
-
-    def deriv_flat(self, x, wx):
-        self._check_domain(x)
-        dx = self.grid.dx
-        inner = wx * diff2(np.log(x), dx) + x * diff2(wx / x, dx)
-        return diff2(inner, dx)
 
     def magnitude_flat(self, x):
         # a relative rounding of x moves log x by an absolute eps, so the

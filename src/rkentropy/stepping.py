@@ -287,10 +287,10 @@ def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: flo
     domain (DomainError) is re-raised with the same type, its message
     prefixed by the step index and time.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if t_end < tau:
-        raise ValueError("t_end must be at least one step")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
+    if not tau <= t_end < np.inf:
+        raise ValueError("t_end must be finite and at least one step")
     cfg = cfg or NewtonConfig()
     problem._check_state(u0)
     n_steps = int(np.ceil(t_end / tau - 1e-12))

@@ -294,6 +294,39 @@ def test_main_reports_overflowing_run(tmp_path, capsys):
     assert err.startswith("error:step:")
 
 
+@pytest.mark.parametrize("edits, argv, category", [
+    ({}, ["gprofile", "--base-times", "nan"], "config"),
+    ({}, ["gprofile", "--base-times", "inf"], "config"),
+    ({}, ["gprofile", "--base-times", "-0.5"], "config"),
+    ({}, ["gprofile", "--base-times", "0"], "config"),
+    ({}, ["gprofile", "--base-times", "nan,3e-4"], "config"),  # NaN not last
+    ({}, ["gprofile", "--base-times", "abc"], "config"),
+    ({}, ["gprofile", "--schemes", ",,"], "config"),
+    ({"tau = 1e-4": "tau = inf"}, ["simulate"], "config"),
+    ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = nan"}, ["simulate"],
+     "config"),
+    ({"ic = barenblatt": "ic = cosine\nmean = nan"}, ["simulate"], "config"),
+    ({"problem = pme": "problem = linear_system\nrho1 = -1",
+      "ic = barenblatt": "ic = cosine"}, ["simulate"], "config"),
+    ({"problem = pme": "problem = linear_system\nentropy = first_order",
+      "ic = barenblatt": "ic = cosine"}, ["simulate"], "config"),
+    # a state outside the operator's domain is not a config error
+    ({"problem = pme": "problem = dlss", "ic = barenblatt": "ic = cosine\nmean = 0"},
+     ["simulate"], "domain"),
+])
+def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
+    text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
+                                                                   "n = 16")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, text)
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{category}:") and err.count("\n") == 1
+    assert not list(out.glob("*.csv"))
+
+
 def test_main_simulate_and_gprofile(tmp_path):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
                                                                    "n = 16")

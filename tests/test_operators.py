@@ -35,6 +35,13 @@ def _problems(grid, rng):
     ]
 
 
+def _complex_step(p, x, w, h=1e-30):
+    """DA[x](w) from A alone, a reference independent of the bands:
+    Im(A[x + i h w]) / h has no subtractive cancellation, so h can sit far
+    below the rounding of x (Squire & Trapp, SIAM Review 40, 1998)."""
+    return p.apply_flat(x + 1j * h * w).imag / h
+
+
 def test_grid_basics():
     g = Grid1D(64, 1.0)
     assert g.dx * g.n == g.length
@@ -113,14 +120,30 @@ def test_linear_system_deriv_is_apply(grid32):
 
 
 def test_jacobian_matches_deriv_apply(grid32):
+    # deriv_apply is the product of the bands, so both are checked against
+    # the complex step; LinearSystem's A is its bands too, and
+    # test_linear_system_apply_closed_form checks it by its formula
     rng = np.random.default_rng(6)
     for p, u in _problems(grid32, rng):
         jac = p.jacobian(u)
         for _ in range(20):
             w = StateField(rng.uniform(-1.0, 1.0, u.values.shape))
-            dv = p.deriv_apply(u, w).flat
-            err = np.max(np.abs(jac @ w.flat - dv))
-            assert err <= 1e-13 * max(np.max(np.abs(dv)), 1.0), type(p).__name__
+            ref = _complex_step(p, u.flat, w.flat)
+            scale = 1e-13 * max(np.max(np.abs(ref)), 1.0)
+            name = type(p).__name__
+            assert np.max(np.abs(p.deriv_apply(u, w).flat - ref)) <= scale, name
+            assert np.max(np.abs(jac @ w.flat - ref)) <= scale, name
+
+
+def test_linear_system_apply_closed_form(grid32):
+    # A[u]_j = -rho_j D2(u_j) - mu (u_other - u_j), with mu != 0
+    rng = np.random.default_rng(10)
+    p = LinearSystem(grid32, 1.5, 2.5, 0.7)
+    u1, u2 = rng.uniform(0.5, 2.0, (2, grid32.n))
+    got = p.apply_flat(np.concatenate([u1, u2]))
+    want = np.concatenate([-1.5 * diff2(u1, grid32.dx) - 0.7 * (u2 - u1),
+                           -2.5 * diff2(u2, grid32.dx) - 0.7 * (u1 - u2)])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pme_jacobian_at_unit_state(grid32):
@@ -231,9 +254,10 @@ def test_jacobian_bands(n, seed):
         assert bands.nbytes == 8 * p.species**2 * len(p.offsets) * n, name
         jac = p.jacobian(u)
         w = rng.uniform(-1.0, 1.0, x.size)
-        dv = p.deriv_flat(x, w)
-        scale = max(np.max(np.abs(dv)), 1.0)
-        assert np.max(np.abs(jac @ w - dv)) <= 1e-13 * scale, name
+        ref = _complex_step(p, x, w)
+        scale = 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(p.deriv_flat(x, w) - ref)) <= scale, name
+        assert np.max(np.abs(jac @ w - ref)) <= scale, name
         # the dense formulas the bands replace
         if isinstance(p, PorousMedium):
             want = -d2m * (p.beta * x ** (p.beta - 1.0))[None, :]
