@@ -26,8 +26,8 @@ from .operators import Dlss, DomainError, Grid1D, LinearSystem, PorousMedium, \
     Problem, StateField
 from .regions import dlss_b12, dlss_b12_derivative, dlss_chain, emit_mask, \
     scalar_conditions
-from .stepping import NewtonConfig, StepError, run
-from .tableau import get_scheme
+from .stepping import NewtonConfig, StepError, Trajectory, run
+from .tableau import get_scheme, registry
 
 
 class ConfigError(ValueError):
@@ -47,8 +47,18 @@ def _rejections():
         raise ConfigError(str(err)) from err
 
 
-_PROBLEMS = ("pme", "linear_system", "dlss")
-_ENTROPIES = ("power", "log_sum", "experiment_power", "first_order")
+_PROBLEMS = {
+    "pme": lambda cfg, grid: PorousMedium(grid, beta=cfg.beta),
+    "linear_system": lambda cfg, grid: LinearSystem(grid, rho1=cfg.rho1,
+                                                    rho2=cfg.rho2, mu=cfg.mu),
+    "dlss": lambda cfg, grid: Dlss(grid),
+}
+_ENTROPIES = {
+    "power": lambda cfg: ent.PowerEntropy(cfg.alpha),
+    "log_sum": lambda cfg: ent.LogEntropySum(),
+    "experiment_power": lambda cfg: ent.ExperimentPower(cfg.alpha),
+    "first_order": lambda cfg: ent.FirstOrder(cfg.alpha),
+}
 _ICS = ("barenblatt", "cosine", "file")
 
 
@@ -66,8 +76,8 @@ class RunConfig:
     length: float = 1.0
     tau: float = 1e-4
     t_end: float = 0.01
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
+    newton_tol: float = NewtonConfig.tol
+    newton_max_iter: int = NewtonConfig.max_iter
     entropy: str = "experiment_power"
     alpha: float = 5.0
     ic: str = "barenblatt"
@@ -85,18 +95,11 @@ _FLOAT_KEYS = {key for key, kind in _TYPES.items() if kind is float}
 
 
 def _validate(cfg: RunConfig):
-    if cfg.problem not in _PROBLEMS:
-        raise ConfigError(
-            f"problem must be one of {', '.join(_PROBLEMS)}; got {cfg.problem!r}")
-    if cfg.entropy not in _ENTROPIES:
-        raise ConfigError(
-            f"entropy must be one of {', '.join(_ENTROPIES)}; got {cfg.entropy!r}")
-    if cfg.ic not in _ICS:
-        raise ConfigError(f"ic must be one of {', '.join(_ICS)}; got {cfg.ic!r}")
-    try:
-        get_scheme(cfg.scheme)
-    except KeyError as err:
-        raise ConfigError(str(err)) from None
+    for key, names in (("problem", _PROBLEMS), ("entropy", _ENTROPIES),
+                       ("ic", _ICS), ("scheme", registry())):
+        if getattr(cfg, key) not in names:
+            raise ConfigError(f"{key} must be one of {', '.join(names)}; "
+                              f"got {getattr(cfg, key)!r}")
     for key in ("beta", "length", "tau", "t_end", "newton_tol", "t0"):
         if not getattr(cfg, key) > 0:
             raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
@@ -112,8 +115,6 @@ def _validate(cfg: RunConfig):
             raise ConfigError("x_r must lie in (0, 1/2)")
     if cfg.ic == "file" and not cfg.ic_file:
         raise ConfigError("ic=file needs ic_file=<path>")
-    if not np.all(np.isfinite(cfg.snapshot_times)):
-        raise ConfigError(f"snapshot_times must be finite, got {cfg.snapshot_times}")
 
 
 def parse_config(path) -> RunConfig:
@@ -148,22 +149,11 @@ def parse_config(path) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    grid = Grid1D(n=cfg.n, length=cfg.length)
-    if cfg.problem == "pme":
-        return PorousMedium(grid, beta=cfg.beta)
-    if cfg.problem == "linear_system":
-        return LinearSystem(grid, rho1=cfg.rho1, rho2=cfg.rho2, mu=cfg.mu)
-    return Dlss(grid)
+    return _PROBLEMS[cfg.problem](cfg, Grid1D(n=cfg.n, length=cfg.length))
 
 
 def build_entropy(cfg: RunConfig):
-    if cfg.entropy == "power":
-        return ent.PowerEntropy(cfg.alpha)
-    if cfg.entropy == "log_sum":
-        return ent.LogEntropySum()
-    if cfg.entropy == "first_order":
-        return ent.FirstOrder(cfg.alpha)
-    return ent.ExperimentPower(cfg.alpha)
+    return _ENTROPIES[cfg.entropy](cfg)
 
 
 def barenblatt_profile(x: np.ndarray, beta: float, t0: float, x_r: float
@@ -187,9 +177,7 @@ def make_initial(cfg: RunConfig, grid: Grid1D) -> StateField:
         return StateField.scalar(barenblatt_profile(x, cfg.beta, cfg.t0, cfg.x_r))
     if cfg.ic == "cosine":
         u = cfg.mean + cfg.amplitude * np.cos(2.0 * np.pi * x / grid.length)
-        if species == 2:
-            return StateField.pair(u, u.copy())
-        return StateField.scalar(u)
+        return StateField(np.tile(u, (species, 1)))
     values = np.loadtxt(cfg.ic_file, ndmin=2)
     if values.shape[0] not in (1, 2) and values.shape[1] in (1, 2):
         values = values.T
@@ -217,17 +205,31 @@ def _scipy_meta() -> list[str]:
             f"scipy_lapack = {lapack['name']} {lapack['version']}"]
 
 
+def _inputs(cfg: RunConfig):
+    """The problem, entropy, initial state and Newton settings of a config."""
+    problem = build_problem(cfg)
+    return (problem, build_entropy(cfg), make_initial(cfg, problem.grid),
+            NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter))
+
+
+def _state_index(traj: Trajectory, t: float, what: str) -> int:
+    """Index of the trajectory state nearest to time t, which must lie on
+    the trajectory."""
+    k = np.rint(t / traj.tau)  # NaN for a NaN time
+    if not 0 <= k < len(traj):
+        raise ConfigError(f"{what} {t} outside the trajectory")
+    return int(k)
+
+
 def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     """Run the configured trajectory; write entropy.csv and snapshots."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scheme = get_scheme(cfg.scheme)
-    ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     with _rejections():
-        problem = build_problem(cfg)
-        e = build_entropy(cfg)
-        u0 = make_initial(cfg, problem.grid)
-        traj = run(problem, scheme, u0, cfg.tau, cfg.t_end, ncfg)
+        problem, e, u0, ncfg = _inputs(cfg)
+        traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
+        snapshots = [(t, traj.states[_state_index(traj, t, "snapshot time")])
+                     for t in cfg.snapshot_times]
         dx = problem.grid.dx
         lines = ["t,H,mass,min,max,iters"]
         for k, state in enumerate(traj.states):
@@ -242,15 +244,12 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
             ]))
     path = out / "entropy.csv"
     path.write_text("\n".join(lines) + "\n")
-    for t_snap in cfg.snapshot_times:
-        k = int(round(t_snap / cfg.tau))
-        k = min(max(k, 0), len(traj.states) - 1)
-        rows = ["x" + "".join(f",u{j + 1}" for j in range(traj.states[k].species))]
-        x = problem.grid.x()
+    x = problem.grid.x()
+    for t_snap, state in snapshots:
+        rows = ["x" + "".join(f",u{j + 1}" for j in range(state.species))]
         for i in range(problem.grid.n):
-            rows.append(",".join(
-                [_fmt(x[i])] + [_fmt(traj.states[k].values[j, i])
-                                for j in range(traj.states[k].species)]))
+            rows.append(",".join([_fmt(x[i])] + [_fmt(state.values[j, i])
+                                                 for j in range(state.species)]))
         (out / f"snapshot_t{t_snap:g}.csv").write_text("\n".join(rows) + "\n")
     meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
     meta.append(f"rkentropy_version = {__version__}")
@@ -269,20 +268,14 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
         raise ConfigError("need at least one base time and one scheme")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     paths = []
     with _rejections():  # run checks the last base time, profile_g tau_max and m
-        problem = build_problem(cfg)
-        e = build_entropy(cfg)
-        u0 = make_initial(cfg, problem.grid)
+        problem, e, u0, ncfg = _inputs(cfg)
         for name in schemes:
             scheme = get_scheme(name)
             traj = run(problem, scheme, u0, cfg.tau, base_times[-1], ncfg)
             for t_base in base_times:
-                k = np.rint(t_base / cfg.tau)  # NaN for a NaN base time
-                if not 0 <= k < len(traj.states):
-                    raise ConfigError(f"base time {t_base} outside the trajectory")
-                k = int(k)
+                k = _state_index(traj, t_base, "base time")
                 prof = ent.profile_g(e, problem, scheme, traj.states[k], tau_max,
                                      m, ncfg, base_time=traj.times[k])
                 path = out / f"gprofile_{name}_t{t_base:g}.csv"
@@ -403,8 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="scalar-diffusion condition triple over a u grid")
     chk.add_argument("--preset", choices=("heat_log", "pme_power"),
                      default="heat_log")
-    chk.add_argument("--alpha", type=float, default=1.0)
-    chk.add_argument("--beta", type=float, default=2.0)
+    chk.add_argument("--alpha", type=float, help="pme_power only (default 1)")
+    chk.add_argument("--beta", type=float, help="pme_power only (default 2)")
     chk.add_argument("--u-min", type=float, default=0.5)
     chk.add_argument("--u-max", type=float, default=2.0)
     chk.add_argument("--points", type=int, default=16)
@@ -415,6 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("dlss-constants",
                    help="verify the exact fourth-order chain identities")
     return parser
+
+
+_CATEGORIES = {ConfigError: "config", KeyError: "lookup", DomainError: "domain",
+               StepError: "step", OSError: "io"}
 
 
 def main(argv=None) -> int:
@@ -428,8 +425,7 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config)
             with _rejections():
                 base_times = [float(tok) for tok in args.base_times.split(",") if tok]
-            schemes = (["explicit_euler", "implicit_euler", "trapezoidal",
-                        "simpson"] if args.schemes == "all"
+            schemes = (list(registry()) if args.schemes == "all"
                        else [tok for tok in args.schemes.split(",") if tok])
             paths = cmd_gprofile(cfg, base_times, args.tau_max, args.m, schemes,
                                  args.out)
@@ -442,8 +438,11 @@ def main(argv=None) -> int:
                 args.beta_steps, args.d, args.c_rk, args.out)
             print(f"wrote {path}")
         elif args.command == "check-conditions":
+            if args.preset == "heat_log" and (args.alpha, args.beta) != (None, None):
+                raise ConfigError("--alpha and --beta go with --preset pme_power")
             lines = cmd_check_conditions(
-                args.preset, args.alpha, args.beta, args.u_min, args.u_max,
+                args.preset, 1.0 if args.alpha is None else args.alpha,
+                2.0 if args.beta is None else args.beta, args.u_min, args.u_max,
                 args.points, args.d, args.c_rk, args.out)
             print("\n".join(lines))
         elif args.command == "dlss-constants":
@@ -453,20 +452,9 @@ def main(argv=None) -> int:
                 print("error:check: a fourth-order chain identity failed",
                       file=sys.stderr)
                 return 1
-    except ConfigError as err:
-        print(f"error:config: {err}", file=sys.stderr)
-        return 2
-    except KeyError as err:
-        print(f"error:lookup: {err}", file=sys.stderr)
-        return 2
-    except DomainError as err:
-        print(f"error:domain: {err}", file=sys.stderr)
-        return 2
-    except StepError as err:
-        print(f"error:step: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error:io: {err}", file=sys.stderr)
+    except tuple(_CATEGORIES) as err:
+        category = next(c for kind, c in _CATEGORIES.items() if isinstance(err, kind))
+        print(f"error:{category}: {err}", file=sys.stderr)
         return 2
     return 0
 

@@ -61,20 +61,12 @@ class PowerEntropy:
         return self.alpha == 0.0
 
 
-class LogEntropySum:
-    """Species-summed logarithmic entropy sum_j u_j (log u_j - 1)."""
+class LogEntropySum(PowerEntropy):
+    """Species-summed logarithmic entropy sum_j u_j (log u_j - 1): the
+    alpha = 0 member of PowerEntropy (u ** -1.0 is numpy's reciprocal)."""
 
-    kind = "zeroth"
-    needs_positive = True
-
-    def h(self, u):
-        return u * (np.log(u) - 1.0)
-
-    def hp(self, u):
-        return np.log(u)
-
-    def hpp(self, u):
-        return 1.0 / u
+    def __init__(self):
+        super().__init__(0.0)
 
 
 class ExperimentPower:
@@ -272,10 +264,8 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
             failed = j
             break
     h = taus[1] - taus[0]
-    d2g = np.full(m + 1, np.nan)
-    last = (failed if failed is not None else m + 1) - 1
-    for j in range(1, last):
-        d2g[j] = (g[j + 1] - 2.0 * g[j] + g[j - 1]) / h**2
+    d2g = np.full(m + 1, np.nan)  # NaN g past a failed solve keeps its d2g NaN
+    d2g[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
     den = q_denominator(e, problem, u)
     q = d2g / den if np.isfinite(den) and den != 0.0 else np.full(m + 1, np.nan)
     return GProfile(taus=taus, g=g, d2g=d2g, q=q, base_time=base_time,

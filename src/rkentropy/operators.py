@@ -53,12 +53,8 @@ class Grid1D:
 class StateField:
     """Per-cell solution values, one row per species (shape species x n)."""
 
-    def __init__(self, values, species: int | None = None):
+    def __init__(self, values):
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        if species is not None and values.shape[0] != species:
-            raise ValueError(
-                f"expected {species} species, got array with {values.shape[0]} rows"
-            )
         if values.shape[0] not in (1, 2):
             raise ValueError(f"species count must be 1 or 2, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
@@ -176,10 +172,9 @@ class Problem:
     def deriv_apply(self, u: StateField, w: StateField) -> StateField:
         """Exact Jacobian-vector product DA[u](w)."""
         self._check_state(u)
-        self._check_shape(w)
-        return StateField.from_flat(
-            self.deriv_flat(u.flat, w.flat), self.species
-        )
+        if w.values.shape != u.values.shape:
+            raise ValueError("direction field shape does not match problem")
+        return StateField.from_flat(self.deriv_flat(u.flat, w.flat), self.species)
 
     def jacobian(self, u: StateField) -> np.ndarray:
         """Exact Jacobian of apply at u, dense (species*n) x (species*n).
@@ -233,10 +228,6 @@ class Problem:
 
     def _check_domain(self, x: np.ndarray):
         """DomainError for a state the kernels do not accept."""
-
-    def _check_shape(self, w: StateField):
-        if w.species != self.species or w.n != self.grid.n:
-            raise ValueError("direction field shape does not match problem")
 
 
 def _require_positive(x: np.ndarray, what: str):

@@ -270,6 +270,7 @@ def test_main_exit_codes(tmp_path, capsys):
     ["check-conditions", "--d", "0"],
     ["check-conditions", "--points", "-1"],
     ["check-conditions", "--u-max", "inf"],
+    ["check-conditions", "--alpha", "3", "--beta", "2"],  # heat_log fixes both
 ])
 def test_main_rejects_out_of_range_arguments(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -313,6 +314,14 @@ def test_main_reports_overflowing_run(tmp_path, capsys):
     # a state outside the operator's domain is not a config error
     ({"problem = pme": "problem = dlss", "ic = barenblatt": "ic = cosine\nmean = 0"},
      ["simulate"], "domain"),
+    # snapshot times must lie on the trajectory, which ends at t_end = 5e-4
+    ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = 5"}, ["simulate"],
+     "config"),
+    ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = -1"}, ["simulate"],
+     "config"),
+    # the last two categories of main's error table
+    ({}, ["gprofile", "--schemes", "rk5"], "lookup"),
+    ({"ic = barenblatt": "ic = file\nic_file = no/such/ic.txt"}, ["simulate"], "io"),
 ])
 def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",

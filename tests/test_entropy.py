@@ -68,6 +68,18 @@ def test_evaluate_two_species_log_sum():
     assert evaluate(LogEntropySum(), u, grid) == pytest.approx(-2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("species", [1, 2])
+def test_log_sum_is_power_entropy_at_zero(species):
+    # the alpha = 0 power entropy is the log entropy bit for bit: u ** -1.0
+    # takes numpy's reciprocal path, so hpp is exactly 1/u
+    e = LogEntropySum()
+    assert isinstance(e, PowerEntropy) and e.alpha == 0.0 and e.needs_positive
+    u = 10.0 ** np.random.default_rng(species).uniform(-300, 300, (species, 257))
+    np.testing.assert_array_equal(e.h(u), u * (np.log(u) - 1.0))
+    np.testing.assert_array_equal(e.hp(u), np.log(u))
+    np.testing.assert_array_equal(e.hpp(u), 1.0 / u)
+
+
 def test_evaluate_rejects_nonpositive_for_log_kinds():
     grid = Grid1D(16, 1.0)
     u = StateField.scalar(np.linspace(-0.5, 1.0, 16))
