@@ -26,7 +26,7 @@ from .operators import Dlss, DomainError, Grid1D, LinearSystem, PorousMedium, \
     Problem, StateField
 from .regions import dlss_b12, dlss_b12_derivative, dlss_chain, emit_mask, \
     scalar_conditions
-from .stepping import NewtonConfig, StepError, Trajectory, run
+from .stepping import NewtonConfig, StepError, run, step_count
 from .tableau import get_scheme, registry
 
 
@@ -101,8 +101,8 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"{key} must be one of {', '.join(names)}; "
                               f"got {getattr(cfg, key)!r}")
     for key in ("beta", "length", "tau", "t_end", "newton_tol", "t0"):
-        if not getattr(cfg, key) > 0:
-            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
+        if not 0 < (value := getattr(cfg, key)) < np.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {value}")
     if cfg.n < 4:
         raise ConfigError(f"n must be at least 4, got {cfg.n}")
     if cfg.newton_max_iter < 1:
@@ -212,11 +212,11 @@ def _inputs(cfg: RunConfig):
             NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter))
 
 
-def _state_index(traj: Trajectory, t: float, what: str) -> int:
-    """Index of the trajectory state nearest to time t, which must lie on
-    the trajectory."""
-    k = np.rint(t / traj.tau)  # NaN for a NaN time
-    if not 0 <= k < len(traj):
+def _state_index(t: float, tau: float, what: str, last=np.inf) -> int:
+    """Index k of the step time k*tau nearest to t, which must lie on a
+    trajectory of ``last`` steps."""
+    k = np.rint(t / tau)  # NaN for a NaN time
+    if not (0 <= k < np.inf and k <= last):
         raise ConfigError(f"{what} {t} outside the trajectory")
     return int(k)
 
@@ -226,10 +226,12 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _rejections():
+        last = step_count(cfg.tau, cfg.t_end)
+        ks = [_state_index(t, cfg.tau, "snapshot time", last)
+              for t in cfg.snapshot_times]
         problem, e, u0, ncfg = _inputs(cfg)
         traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
-        snapshots = [(t, traj.states[_state_index(traj, t, "snapshot time")])
-                     for t in cfg.snapshot_times]
+        snapshots = [(t, traj.states[k]) for t, k in zip(cfg.snapshot_times, ks)]
         dx = problem.grid.dx
         lines = ["t,H,mass,min,max,iters"]
         for k, state in enumerate(traj.states):
@@ -269,15 +271,16 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    with _rejections():  # run checks the last base time, profile_g tau_max and m
+    ks = [_state_index(t, cfg.tau, "base time") for t in base_times]
+    with _rejections():  # profile_g checks tau_max and m
         problem, e, u0, ncfg = _inputs(cfg)
         for name in schemes:
             scheme = get_scheme(name)
-            traj = run(problem, scheme, u0, cfg.tau, base_times[-1], ncfg)
-            for t_base in base_times:
-                k = _state_index(traj, t_base, "base time")
-                prof = ent.profile_g(e, problem, scheme, traj.states[k], tau_max,
-                                     m, ncfg, base_time=traj.times[k])
+            states = (run(problem, scheme, u0, cfg.tau, max(ks) * cfg.tau,
+                          ncfg).states if max(ks) else [u0])
+            for t_base, k in zip(base_times, ks):
+                prof = ent.profile_g(e, problem, scheme, states[k], tau_max,
+                                     m, ncfg, base_time=k * cfg.tau)
                 path = out / f"gprofile_{name}_t{t_base:g}.csv"
                 path.write_text(prof.to_csv())
                 paths.append(path)

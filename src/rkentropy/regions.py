@@ -16,7 +16,8 @@ A point is a member iff ``certify_r0`` / ``certify_r1`` accept its
 witness: at a fixed multiplier the polynomial is a quadratic form in
 monomials of the derivative variables, and one rational LDL^T of its Gram
 matrix (``fractions.Fraction``, into which floats convert exactly)
-decides positive semidefiniteness with no tolerance.
+decides positive semidefiniteness with no tolerance.  The float witness
+search maximizes the determinant of the same matrix.
 """
 
 from __future__ import annotations
@@ -138,14 +139,18 @@ def r0_poly_coeffs(alpha, beta, d, c_rk, c1, c2):
     return b1, b2, b3, b4, b5, b6
 
 
-def _r0_r_value(alpha, beta, d, c_rk, c1, c2):
-    """R(c2) = 4 b1 b6 b3 - b6 b2^2 - b1 b4^2, quadratic in c2.
-
-    With b1, b6 > 0 this has the sign of the completed-square remainder of
-    Q, so Q is pointwise nonnegative iff R(c2) >= 0 for some c2.
-    """
+def _r0_gram(alpha, beta, d, c_rk, c1, c2):
+    """Gram matrix of Q in the monomials (eta_L, eta_G^2, eta_S, eta_R)."""
     b1, b2, b3, b4, b5, b6 = r0_poly_coeffs(alpha, beta, d, c_rk, c1, c2)
-    return 4 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
+    return [[b1, b2 / 2, 0, 0], [b2 / 2, b3, b4 / 2, 0],
+            [0, b4 / 2, b6, 0], [0, 0, 0, b5]]
+
+
+def _det4(g):
+    """Four times the determinant of the leading 3x3 block of ``g``."""
+    return (4 * g[0][0] * g[2][2] * g[1][1] - 4 * g[2][2] * g[0][1] ** 2
+            - 4 * g[0][0] * g[1][2] ** 2 - 4 * g[1][1] * g[0][2] ** 2
+            + 8 * g[0][1] * g[0][2] * g[1][2])
 
 
 def _quadratic(f, mid=0, h=1):
@@ -197,9 +202,11 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
 
     Implicit Euler (c_rk = 0) takes c1 = c2 = 0, where Q is the square
     (eta_L + (beta - alpha) eta_G^2)^2.  Otherwise c1 = -lambda (c_rk + 1)
-    / (1 - 1/d), lambda in (0, 1): R opens downward in c2 (coefficient
-    -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2), and its discriminant in c2 is
-    K lambda (lambda - 1) q(lambda) with K > 0 and q quadratic.
+    / (1 - 1/d), lambda in (0, 1), and the search maximizes R = 4 b1 b6 b3 -
+    b6 b2^2 - b1 b4^2 = ``_det4`` of the Gram matrix, which with b1, b6 > 0
+    has the sign of Q's completed-square remainder.  R opens downward in c2
+    (coefficient -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2), and its discriminant in
+    c2 is K lambda (lambda - 1) q(lambda) with K > 0 and q quadratic.
     """
     if q.d < 2:
         raise ValueError("r0_membership needs d >= 2; use r0_1d for d = 1")
@@ -208,8 +215,8 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
 
     k = (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)  # c1 = -k lambda
     try:
-        best = _best_point(lambda lam, c2: _r0_r_value(
-            q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2), 0.0, 1.0)
+        best = _best_point(lambda lam, c2: _det4(_r0_gram(
+            q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2)), 0.0, 1.0)
     except OverflowError:  # float ** overflowed: no witness
         best = None
     if best is None:
@@ -219,72 +226,46 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
 
 
 def certify_r0(q: RegionQuery, w: Witness) -> float:
-    """Exact certificate that Q(eta) >= 0 everywhere at the witness.
-
-    Q is a quadratic form in (eta_L, eta_G^2, eta_S, eta_R) with Gram
-    matrix [[b1, b2/2, 0], [b2/2, b3, b4/2], [0, b4/2, b6]] (+) [b5], its
-    coefficients computed in Fraction from the exact values of the inputs.
-    Returns the smallest LDL^T pivot over the largest |entry| (>= 0) when
-    the matrix is positive semidefinite, and -1.0 when it is not.
-    """
-    alpha, beta, c_rk, c1, c2 = map(Fraction, (q.alpha, q.beta, q.c_rk,
-                                               w.c1, w.c2))
-    b1, b2, b3, b4, b5, b6 = r0_poly_coeffs(alpha, beta, Fraction(q.d), c_rk,
-                                            c1, c2)
-    return _psd_margin([[b1, b2 / 2, 0, 0], [b2 / 2, b3, b4 / 2, 0],
-                        [0, b4 / 2, b6, 0], [0, 0, 0, b5]])
+    """Exact certificate that Q(eta) >= 0 everywhere at the witness: the
+    ``_psd_margin`` (>= 0, or -1.0 if not positive semidefinite) of Q's
+    Gram matrix, built in Fraction from the exact values of the inputs."""
+    return _psd_margin(_r0_gram(*map(Fraction, (q.alpha, q.beta, q.d, q.c_rk,
+                                                w.c1, w.c2))))
 
 
 # ---------------------------------------------------------------------------
 # first-order region (order >= 2 schemes, one space dimension)
 # ---------------------------------------------------------------------------
 
-def _r1_a_coeffs(alpha, beta, c_rk=1):
-    a1 = (beta - 1) * (
-        2 * c_rk * alpha**2 * beta - 3 * c_rk * alpha**2
-        + 2 * alpha * beta**2 - 2 * (5 * c_rk + 3) * alpha * beta
-        + (15 * c_rk + 4) * alpha + 2 * beta**3 - 14 * beta**2
-        + 4 * (3 * c_rk + 7) * beta - 2 * (9 * c_rk + 8)
-    )
-    a2 = (beta - 1) * (
-        4 * c_rk * alpha**2 + (8 * c_rk + 7) * alpha * beta
-        - (32 * c_rk + 9) * alpha + 12 * beta**2
-        - 2 * (8 * c_rk + 25) * beta + 6 * (8 * c_rk + 7)
-    )
-    a3 = (c_rk * alpha**2 + 2 * alpha * beta - (5 * c_rk + 2) * alpha
-          + 4 * (c_rk + 1) * beta**2 - 2 * (5 * c_rk + 8) * beta
-          + 12 * (c_rk + 1))
-    a4 = 2 * (beta - 1) * (
-        2 * (4 * c_rk + 1) * alpha + 9 * beta - (16 * c_rk + 13)
-    )
-    a5 = (2 * (2 * c_rk + 1) * alpha + 4 * (2 * c_rk + 3) * beta
-          - 16 * (c_rk + 1))
+def _r1_a_coeffs(alpha, beta):
+    a1 = (beta - 1) * (2 * alpha**2 * beta - 3 * alpha**2 + 2 * alpha * beta**2
+                       - 16 * alpha * beta + 19 * alpha + 2 * beta**3
+                       - 14 * beta**2 + 40 * beta - 34)
+    a2 = (beta - 1) * (4 * alpha**2 + 15 * alpha * beta - 41 * alpha
+                       + 12 * beta**2 - 66 * beta + 90)
+    a3 = alpha**2 + 2 * alpha * beta - 7 * alpha + 8 * beta**2 - 26 * beta + 24
+    a4 = 2 * (beta - 1) * (10 * alpha + 9 * beta - 29)
+    a5 = 6 * alpha + 20 * beta - 32
     a6 = 2 - alpha
-    a7 = 2 * (c_rk + 1)
+    a7 = 4
     return a1, a2, a3, a4, a5, a6, a7
 
 
-def r1_c2_lower_bound(alpha: float, beta: float, c_rk: float = 1) -> float:
+def r1_c2_lower_bound(alpha: float, beta: float) -> float:
     """Threshold c2* above which the (x, y) quadratic part can be definite."""
-    return (
-        (c_rk + 1) * (2 * c_rk + 1) * alpha**2
-        - (2 * c_rk + 2) * (4 * c_rk - 3) * alpha * beta
-        - (9 * c_rk + 9) * alpha
-        + 2 * c_rk * (4 * c_rk + 3) * beta**2
-        - (8 * c_rk + 12) * beta
-        + (12 * c_rk + 14)
-    ) / (3 * (c_rk + 1))
+    return (6 * alpha**2 - 4 * alpha * beta - 18 * alpha + 14 * beta**2
+            - 20 * beta + 26) / 6
 
 
-def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1):
+def r1_poly_coeffs(alpha, beta, c2, c3):
     """Coefficients (b1..b7) of the first-order derivative polynomial
 
         P(xi) = b1 xi1^6 + b2 xi1^4 xi2 + b3 xi1^3 xi3 + b4 xi1^2 xi2^2
                 + b5 xi1 xi2 xi3 + b6 xi2^3 + b7 xi3^2
 
-    with the cubic term eliminated by fixing c1 = -(2 - alpha).
+    at c_rk = 1, with the cubic term eliminated by fixing c1 = -(2 - alpha).
     """
-    a1, a2, a3, a4, a5, a6, a7 = _r1_a_coeffs(alpha, beta, c_rk)
+    a1, a2, a3, a4, a5, a6, a7 = _r1_a_coeffs(alpha, beta)
     c1 = -a6
     b1 = a1 + (alpha + 2 * beta - 7) * c3
     b2 = a2 + (alpha + 2 * beta - 6) * c2 + 5 * c3
@@ -296,11 +277,10 @@ def r1_poly_coeffs(alpha, beta, c2, c3, c_rk=1):
     return b1, b2, b3, b4, b5, b6, b7
 
 
-def _r1_lemma_expr(alpha, beta, c2, c3, c_rk=1):
-    """Four times the determinant of the Gram matrix of P (``certify_r1``):
-    E = b1 (4 b4 b7 - b5^2) - b2^2 b7 - b3^2 b4 + b2 b3 b5."""
-    b1, b2, b3, b4, b5, _, b7 = r1_poly_coeffs(alpha, beta, c2, c3, c_rk)
-    return b1 * (4 * b4 * b7 - b5**2) - b2**2 * b7 - b3**2 * b4 + b2 * b3 * b5
+def _r1_gram(alpha, beta, c2, c3):
+    """Gram matrix of P (b6 = 0) in the monomials (xi1^3, xi1 xi2, xi3)."""
+    b1, b2, b3, b4, b5, _, b7 = r1_poly_coeffs(alpha, beta, c2, c3)
+    return [[b1, b2 / 2, b3 / 2], [b2 / 2, b4, b5 / 2], [b3 / 2, b5 / 2, b7]]
 
 
 def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
@@ -309,36 +289,27 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
 
     Gate: the first-derivative dissipation direction needs
     -2 <= alpha - 2 beta <= 1; outside it the point is rejected outright.
-    For c2 > c2* the quadratic part is definite, E opens downward in c3
-    (coefficient -100), and its peak over c3 is -3 (c2 - c2*) g(c2) / 25
-    with g quadratic.
+    The search maximizes E = ``_det4`` of the Gram matrix.  For c2 > c2*
+    the quadratic part is definite, E opens downward in c3 (coefficient
+    -100), and its peak over c3 is -3 (c2 - c2*) g(c2) / 25, g quadratic.
     """
     if not (-2.0 <= alpha - 2.0 * beta <= 1.0):
         return False, None
     try:
-        best = _best_point(lambda c2, c3: _r1_lemma_expr(alpha, beta, c2, c3),
-                           r1_c2_lower_bound(alpha, beta, 1.0), math.inf)
+        best = _best_point(lambda c2, c3: _det4(_r1_gram(alpha, beta, c2, c3)),
+                           r1_c2_lower_bound(alpha, beta), math.inf)
     except OverflowError:  # float ** overflowed: no witness
         best = None
     if best is None:
         return False, None
-    w = Witness(c1=-_r1_a_coeffs(alpha, beta, 1.0)[5], c2=best[0], c3=best[1])
+    w = Witness(c1=-(2.0 - alpha), c2=best[0], c3=best[1])
     return (True, w) if certify_r1(alpha, beta, w) >= 0.0 else (False, None)
 
 
 def certify_r1(alpha: float, beta: float, w: Witness) -> float:
-    """Exact certificate that P(xi) >= 0 everywhere at the witness.
-
-    With b6 = 0, P is a quadratic form in (xi1^3, xi1 xi2, xi3) with Gram
-    matrix [[b1, b2/2, b3/2], [b2/2, b4, b5/2], [b3/2, b5/2, b7]]; decided
-    and scored like ``certify_r0`` (-1.0 also when b6 != 0).
-    """
-    alpha, beta, c2, c3 = map(Fraction, (alpha, beta, w.c2, w.c3))
-    b1, b2, b3, b4, b5, b6, b7 = r1_poly_coeffs(alpha, beta, c2, c3)
-    if b6 != 0:
-        return -1.0
-    return _psd_margin([[b1, b2 / 2, b3 / 2], [b2 / 2, b4, b5 / 2],
-                        [b3 / 2, b5 / 2, b7]])
+    """Exact certificate that P(xi) >= 0 everywhere at the witness, scored
+    like ``certify_r0``."""
+    return _psd_margin(_r1_gram(*map(Fraction, (alpha, beta, w.c2, w.c3))))
 
 
 # ---------------------------------------------------------------------------

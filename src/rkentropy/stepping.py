@@ -279,21 +279,27 @@ def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
     return StateField.from_flat(v, problem.species)
 
 
+def step_count(tau: float, t_end: float) -> int:
+    """Steps of size tau that ``run`` takes to reach t_end: ceil(t_end/tau),
+    less 1e-12 so that a quotient rounded just above an integer adds none."""
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
+    if not tau <= t_end < np.inf:
+        raise ValueError("t_end must be finite and at least one step")
+    return int(np.ceil(t_end / tau - 1e-12))
+
+
 def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: float,
         cfg: NewtonConfig | None = None) -> Trajectory:
-    """Advance ceil(t_end/tau) uniform steps from t = 0, keeping every state.
+    """Advance step_count(tau, t_end) steps from t = 0, keeping every state.
 
     A failed Newton solve (StepError) or an iterate outside the problem's
     domain (DomainError) is re-raised with the same type, its message
     prefixed by the step index and time.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError("tau must be positive and finite")
-    if not tau <= t_end < np.inf:
-        raise ValueError("t_end must be finite and at least one step")
+    n_steps = step_count(tau, t_end)
     cfg = cfg or NewtonConfig()
     problem._check_state(u0)
-    n_steps = int(np.ceil(t_end / tau - 1e-12))
     states = [u0.copy()]
     iters: list[int] = []
     x = u0.flat

@@ -54,6 +54,6 @@ def sample_r0(q, w, n_samples: int = 10_000, seed: int = 20240601) -> float:
 def sample_r1(alpha, beta, w, n_samples: int = 10_000,
               seed: int = 20240602) -> float:
     """Worst normalized value of P(xi) at the witness over random samples."""
-    coeffs = r1_poly_coeffs(alpha, beta, w.c2, w.c3, 1.0)
+    coeffs = r1_poly_coeffs(alpha, beta, w.c2, w.c3)
     values, scales = eval_p_poly(_mixed_points(n_samples, 3, seed), coeffs)
     return float(np.min(values / scales))

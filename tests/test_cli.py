@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkentropy import cli
 from rkentropy.cli import (
     ConfigError,
     barenblatt_profile,
@@ -23,6 +24,7 @@ from rkentropy.cli import (
 from rkentropy.entropy import GProfile
 from rkentropy.operators import Grid1D
 from rkentropy.regions import RegionMask, Witness
+from rkentropy.stepping import step_count
 
 MINIMAL = """\
 # reproduction run
@@ -299,7 +301,7 @@ def test_main_reports_overflowing_run(tmp_path, capsys):
     ({}, ["gprofile", "--base-times", "nan"], "config"),
     ({}, ["gprofile", "--base-times", "inf"], "config"),
     ({}, ["gprofile", "--base-times", "-0.5"], "config"),
-    ({}, ["gprofile", "--base-times", "0"], "config"),
+    ({}, ["gprofile", "--base-times=-1,1e-3"], "config"),  # valid one listed
     ({}, ["gprofile", "--base-times", "nan,3e-4"], "config"),  # NaN not last
     ({}, ["gprofile", "--base-times", "abc"], "config"),
     ({}, ["gprofile", "--schemes", ",,"], "config"),
@@ -351,6 +353,55 @@ def test_main_simulate_and_gprofile(tmp_path):
                  "implicit_euler,trapezoidal", "--out", str(out2)]) == 0
     assert (out2 / "gprofile_implicit_euler_t0.0003.csv").exists()
     assert (out2 / "gprofile_trapezoidal_t0.0003.csv").exists()
+
+
+def _count_runs(monkeypatch):
+    """Record the (tau, t_end) of every trajectory the CLI runs."""
+    calls, real = [], cli.run
+
+    def counted(problem, scheme, u0, tau, t_end, *rest):
+        calls.append((tau, t_end))
+        return real(problem, scheme, u0, tau, t_end, *rest)
+
+    monkeypatch.setattr(cli, "run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("edits, argv", [
+    ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = 5"}, ["simulate"]),
+    ({}, ["gprofile", "--base-times=-1,3e-4"]),
+])
+def test_times_are_checked_before_any_step(tmp_path, capsys, monkeypatch,
+                                           edits, argv):
+    calls = _count_runs(monkeypatch)
+    text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
+                                                                   "n = 16")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, text)
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and err.count("\n") == 1
+    assert calls == [] and not list(out.glob("*.csv"))
+
+
+def test_gprofile_steps_only_to_the_last_base_time(tmp_path, monkeypatch):
+    # base time 0 needs no step; 0 and 3e-4 need three steps of 1e-4, and
+    # the profile at 0 is the same either way
+    calls = _count_runs(monkeypatch)
+    text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
+                                                                   "n = 16")
+    cfg_path = write_config(tmp_path, text)
+    csv = {}
+    for times in ("0", "0,3e-4"):
+        out = tmp_path / times
+        assert main(["gprofile", "--config", str(cfg_path), "--base-times",
+                     times, "--tau-max", "1e-4", "--m", "4", "--schemes",
+                     "implicit_euler", "--out", str(out)]) == 0
+        csv[times] = (out / "gprofile_implicit_euler_t0.csv").read_text()
+    assert csv["0"] == csv["0,3e-4"]
+    assert [step_count(*call) for call in calls] == [3]
 
 
 def test_main_region_command(tmp_path):

@@ -10,11 +10,12 @@ from rkentropy.regions import (
     RegionQuery,
     Witness,
     _best_point,
+    _det4,
     _integrate,
     _quadratic,
-    _r0_r_value,
+    _r0_gram,
     _r1_a_coeffs,
-    _r1_lemma_expr,
+    _r1_gram,
     certify_r0,
     certify_r1,
     dlss_b12,
@@ -233,7 +234,7 @@ def test_r0_remainder_opens_downward():
             for lam in (Fraction(1, 2000), Fraction(1, 2),
                         Fraction(1999, 2000)):
                 c1 = -lam * (c_rk + 1) / (1 - 1 / d)
-                r_m, r_0, r_p = (_r0_r_value(a, b, d, c_rk, c1, c2)
+                r_m, r_0, r_p = (_det4(_r0_gram(a, b, d, c_rk, c1, c2))
                                  for c2 in (-1, 0, 1))
                 b1, _, _, _, _, b6 = r0_poly_coeffs(a, b, d, c_rk, c1, 0)
                 lead = -b6 * (2 / d + 1) ** 2 - 4 * b1 * (d - 1) ** 2
@@ -252,7 +253,7 @@ def test_r0_discriminant_vanishes_at_the_interval_ends():
                 def disc(lam):
                     c1 = -lam * (c_rk + 1) / (1 - 1 / d)
                     qa, qb, qc = _quadratic(
-                        lambda c2: _r0_r_value(a, b, d, c_rk, c1, c2))
+                        lambda c2: _det4(_r0_gram(a, b, d, c_rk, c1, c2)))
                     return qb * qb - 4 * qa * qc
 
                 assert disc(Fraction(0)) == 0 and disc(Fraction(1)) == 0
@@ -270,7 +271,8 @@ def test_r1_peak_over_c3_vanishes_at_c2_star():
         c2_star = r1_c2_lower_bound(a, b)
 
         def peak(c2):
-            qa, qb, qc = _quadratic(lambda c3: _r1_lemma_expr(a, b, c2, c3))
+            qa, qb, qc = _quadratic(
+                lambda c3: _det4(_r1_gram(a, b, c2, c3)))
             assert qa == -100
             return qc - qb * qb / (4 * qa)
 
@@ -390,25 +392,60 @@ def test_certify_r1_rejects_a_borrowed_witness_outside_the_gate():
 
 def test_coefficients_are_type_generic():
     # Fraction in, Fraction out (a float literal would silently demote the
-    # certificate to floats); float inputs keep their former values bit
-    # for bit
+    # certificate to floats), except the constant a7 = b7 = 4; float
+    # inputs keep their former values bit for bit
     fr = Fraction
+    r1 = r1_poly_coeffs(fr(13, 10), fr(7, 10), fr(5, 2), fr(-3, 10))
+    a = _r1_a_coeffs(fr(13, 10), fr(7, 10))
     exact = (*r0_poly_coeffs(fr(13, 10), fr(7, 10), fr(3), fr(1), fr(-9, 10),
                              fr(2, 5)),
-             *r1_poly_coeffs(fr(13, 10), fr(7, 10), fr(5, 2), fr(-3, 10), fr(1)),
-             *_r1_a_coeffs(fr(13, 10), fr(7, 10), fr(2)),
-             r1_c2_lower_bound(fr(13, 10), fr(7, 10), fr(1)))
+             *r1[:6], *a[:6], r1_c2_lower_bound(fr(13, 10), fr(7, 10)))
     assert all(type(x) is Fraction for x in exact)
+    assert type(r1[6]) is type(a[6]) is int and r1[6] == a[6] == 4
     assert r0_poly_coeffs(1.3, 0.7, 3, 1.0, -0.9, 0.4) == (
         1.4, -1.9266666666666667, 1.2400000000000002, -3.2200000000000006,
         0.9, 5.4)
-    assert r1_poly_coeffs(1.3, 0.7, 2.5, -0.3, 1.0) == (
+    assert r1_poly_coeffs(1.3, 0.7, 2.5, -0.3) == (
         2.3291999999999993, -14.787000000000003, 6.629999999999999, 14.93,
         -11.6, 0.0, 4.0)
-    assert _r1_a_coeffs(1.3, 0.7, 2.0) == (
-        1.6103999999999987, -7.809000000000002, 6.279999999999998, 9.18,
-        -15.400000000000006, 0.7, 6.0)
-    assert r1_c2_lower_bound(1.3, 0.7, 1.0) == 0.3266666666666662
+    assert _r1_a_coeffs(1.3, 0.7) == (
+        1.0391999999999997, -5.037000000000003, 4.129999999999999, 5.82,
+        -10.2, 0.7, 4.0)
+    assert r1_c2_lower_bound(1.3, 0.7) == 0.3266666666666662
+
+
+def test_r0_gram_determinant_is_the_remainder():
+    # four times the leading 3 x 3 determinant is R = 4 b1 b6 b3 - b6 b2^2
+    # - b1 b4^2, the completed-square remainder of Q
+    fr = Fraction
+    for d, c_rk, c1, c2 in ((2, 1, fr(-3, 2), fr(2, 5)),
+                            (3, 2, fr(-9, 10), fr(-7, 3)),
+                            (10, 0, fr(0), fr(11, 4))):
+        args = (fr(13, 10), fr(7, 10), fr(d), fr(c_rk), c1, c2)
+        b1, b2, b3, b4, _, b6 = r0_poly_coeffs(*args)
+        assert _det4(_r0_gram(*args)) == 4 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
+
+
+def test_r1_gram_determinant_is_the_lemma_expression():
+    # four times the determinant of P's Gram matrix is E = b1 (4 b4 b7 -
+    # b5^2) - b2^2 b7 - b3^2 b4 + b2 b3 b5
+    fr = Fraction
+    for a, b, c2, c3 in ((fr(13, 10), fr(7, 10), fr(5, 2), fr(-3, 10)),
+                         (fr(1), fr(1), fr(1, 3), fr(7)),
+                         (fr(7, 4), fr(1, 3), fr(-2), fr(5, 9))):
+        b1, b2, b3, b4, b5, _, b7 = r1_poly_coeffs(a, b, c2, c3)
+        assert _det4(_r1_gram(a, b, c2, c3)) == (
+            b1 * (4 * b4 * b7 - b5**2) - b2**2 * b7 - b3**2 * b4 + b2 * b3 * b5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=st.tuples(*[st.floats(-1e3, 1e3)] * 4), exact=st.booleans())
+def test_r1_cubic_coefficient_is_zero(args, exact):
+    # c1 = -(2 - alpha) cancels a6 = 2 - alpha in any arithmetic, so the
+    # Gram matrix of P need not carry b6
+    if exact:
+        args = tuple(map(Fraction, args))
+    assert r1_poly_coeffs(*args)[5] == 0
 
 
 # -- quadratic-form lemma --------------------------------------------------------
