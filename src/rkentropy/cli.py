@@ -212,11 +212,11 @@ def _inputs(cfg: RunConfig):
             NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter))
 
 
-def _state_index(t: float, tau: float, what: str, last=np.inf) -> int:
-    """Index k of the step time k*tau nearest to t, which must lie on a
-    trajectory of ``last`` steps."""
-    k = np.rint(t / tau)  # NaN for a NaN time
-    if not (0 <= k < np.inf and k <= last):
+def _state_index(t: float, cfg: RunConfig, what: str) -> int:
+    """Index k of the step time k*tau nearest to t, which must lie on the
+    configured trajectory of step_count(tau, t_end) steps."""
+    k = np.rint(t / cfg.tau)  # NaN for a NaN time
+    if not 0 <= k <= step_count(cfg.tau, cfg.t_end):
         raise ConfigError(f"{what} {t} outside the trajectory")
     return int(k)
 
@@ -226,9 +226,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _rejections():
-        last = step_count(cfg.tau, cfg.t_end)
-        ks = [_state_index(t, cfg.tau, "snapshot time", last)
-              for t in cfg.snapshot_times]
+        ks = [_state_index(t, cfg, "snapshot time") for t in cfg.snapshot_times]
         problem, e, u0, ncfg = _inputs(cfg)
         traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
         snapshots = [(t, traj.states[k]) for t, k in zip(cfg.snapshot_times, ks)]
@@ -271,11 +269,11 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    ks = [_state_index(t, cfg.tau, "base time") for t in base_times]
-    with _rejections():  # profile_g checks tau_max and m
+    schemes = [(name, get_scheme(name)) for name in schemes]
+    with _rejections():  # step_count checks t_end, profile_g tau_max and m
+        ks = [_state_index(t, cfg, "base time") for t in base_times]
         problem, e, u0, ncfg = _inputs(cfg)
-        for name in schemes:
-            scheme = get_scheme(name)
+        for name, scheme in schemes:
             states = (run(problem, scheme, u0, cfg.tau, max(ks) * cfg.tau,
                           ncfg).states if max(ks) else [u0])
             for t_base, k in zip(base_times, ks):

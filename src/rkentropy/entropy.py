@@ -3,12 +3,13 @@
 Two zeroth-order families (cell sums of h(u)) and one first-order family
 (cell sum of the squared gradient of f(u)) are provided, together with:
 
-* production:     the instantaneous dissipation rate -dH/dt along the
-                  semi-discrete flow,
+* production:     the instantaneous dissipation rate -dH/dt = DH[u](A[u])
+                  along the semi-discrete flow,
 * i0 / i1:        the condition integrals whose positivity certifies that
                   the entropy gap G(tau) = H[u] - H[v(tau)] is concave at
-                  tau = 0 (G''(0) = -i0, resp. -i1, exactly at the
-                  spatially discrete level),
+                  tau = 0: both are the one second variation
+                  -G''(0) = c_rk DH[u](DA[u](A[u])) + D^2H[u](A[u], A[u]),
+                  exact at the spatially discrete level,
 * profile_g:      a tau sweep of G with discrete second derivative and
                   the normalized quotient Q,
 * decay-rate fitting for the exponential large-time regime.
@@ -113,82 +114,72 @@ class FirstOrder:
         return e * (e - 1.0) * u ** (e - 2.0)
 
 
-def _check_positive(e, u: StateField):
+def _check_state(e, u: StateField):
+    if e.kind == "first" and u.species != 1:
+        raise ValueError("first-order entropies are single-species")
     if getattr(e, "needs_positive", False):
         _require_positive(u.flat, "entropy")
 
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:
     """Discrete entropy of the state (species-summed cell sum)."""
-    _check_positive(e, u)
+    _check_state(e, u)
     if e.kind == "first":
-        if u.species != 1:
-            raise ValueError("first-order entropies are single-species")
         grad = diff1(e.f(u.values[0]), grid.dx)
         return float(np.sum(grad**2) * grid.dx)
     return float(np.sum(e.h(u.values)) * grid.dx)
 
 
+def _variations(e, u: StateField, dx: float):
+    """DH[u] per cell (DH[u](w) = sum_i DH[u]_i w_i dx) and w -> D^2H[u] w.
+
+    Zeroth order: h'(u) and h''(u) w.  First order: D1 is antisymmetric on
+    the periodic grid, so DH[u](w) = 2 sum (D1 f(u)) D1(f'(u) w) dx gives
+    DH[u] = -2 f'(u) D1 D1 f(u); D^2H[u] w is its derivative along w.
+    """
+    _check_state(e, u)
+    if e.kind == "zeroth":
+        hpp = e.hpp(u.values)
+        return e.hp(u.values), lambda w: hpp * w
+    uu = u.values[0]
+    fp, fpp = e.fp(uu), e.fpp(uu)
+    curv = diff1(diff1(e.f(uu), dx), dx)
+    return -2.0 * fp * curv, lambda w: -2.0 * (
+        fpp * curv * w[0] + fp * diff1(diff1(fp * w[0], dx), dx))
+
+
 def production(e, problem: Problem, u: StateField) -> float:
-    """Dissipation rate -dH/dt = -G'(0) along du/dt = -A[u].
-
-    Zeroth order: sum_i h'(u_i) A[u]_i dx.  First order: the exact chain
-    rule for the discrete gradient functional, 2 sum_i (D1 f(u))_i *
-    (D1(f'(u) A[u]))_i dx, which is nonnegative in dissipating regimes.
-    """
-    _check_positive(e, u)
-    au = problem.apply(u).values
-    dx = problem.grid.dx
-    if e.kind == "first":
-        uu = u.values[0]
-        return float(
-            2.0 * np.sum(diff1(e.f(uu), dx) * diff1(e.fp(uu) * au[0], dx)) * dx
-        )
-    return float(np.sum(e.hp(u.values) * au) * dx)
+    """Dissipation rate -dH/dt = -G'(0) = DH[u](A[u]) along du/dt = -A[u],
+    nonnegative in dissipating regimes."""
+    dh, _ = _variations(e, u, problem.grid.dx)
+    return float(np.sum(dh * problem.apply(u).values) * problem.grid.dx)
 
 
-def i0(e, problem: Problem, u: StateField, c_rk: float) -> float:
-    """Condition integral for zeroth-order entropies:
-
-        sum_i [ c_rk h'(u_i) (DA[u](A[u]))_i + h''(u_i) (A[u]_i)^2 ] dx
-
-    (species-summed; the listed entropies all have diagonal Hessians).
-    Equals -G''(0) exactly at the spatially discrete level.
-    """
-    if e.kind != "zeroth":
-        raise ValueError("i0 takes a zeroth-order entropy")
-    _check_positive(e, u)
+def _second_variation(e, problem: Problem, u: StateField, c_rk: float) -> float:
+    """-G''(0) = c_rk DH[u](DA[u](A[u])) + D^2H[u](A[u], A[u]), exactly at
+    the spatially discrete level."""
+    dh, second = _variations(e, u, problem.grid.dx)
     au_field = problem.apply(u)
     daa = problem.deriv_apply(u, au_field).values
     au = au_field.values
-    dx = problem.grid.dx
-    return float(np.sum(c_rk * e.hp(u.values) * daa + e.hpp(u.values) * au**2) * dx)
+    return float(np.sum(c_rk * dh * daa + second(au) * au) * problem.grid.dx)
+
+
+def i0(e, problem: Problem, u: StateField, c_rk: float) -> float:
+    """Condition integral -G''(0) for zeroth-order entropies (diagonal
+    Hessians): sum_i [c_rk h'(u_i) DA[u](A[u])_i + h''(u_i) A[u]_i^2] dx."""
+    if e.kind != "zeroth":
+        raise ValueError("i0 takes a zeroth-order entropy")
+    return _second_variation(e, problem, u, c_rk)
 
 
 def i1(e, problem: Problem, u: StateField, c_rk: float) -> float:
-    """Condition integral for first-order entropies, -G''(0) exactly:
-
-        2 sum_i [ (D1(f'(u) A[u]))_i^2
-                  + (D1 f(u))_i (D1(f''(u) A[u]^2 + c_rk f'(u) DA[u](A[u])))_i ] dx
-
-    The second term is the gradient form of the Laplacian terms in the
-    continuous condition integral; with periodic central differences the
-    summation by parts that links the two forms is exact, so this is the
-    literal second tau-derivative of the discrete gradient functional.
-    """
+    """Condition integral -G''(0) for first-order entropies; summation by
+    parts makes it the gradient form of the continuous condition integral,
+    2 sum_i [(D1(f' A))^2 + D1 f D1(f'' A^2 + c_rk f' DA[u](A))]_i dx."""
     if e.kind != "first":
         raise ValueError("i1 takes a first-order entropy")
-    if u.species != 1:
-        raise ValueError("first-order entropies are single-species")
-    _check_positive(e, u)
-    dx = problem.grid.dx
-    uu = u.values[0]
-    au_field = problem.apply(u)
-    au = au_field.values[0]
-    daa = problem.deriv_apply(u, au_field).values[0]
-    square = diff1(e.fp(uu) * au, dx) ** 2
-    cross = diff1(e.f(uu), dx) * diff1(e.fpp(uu) * au**2 + c_rk * e.fp(uu) * daa, dx)
-    return float(2.0 * np.sum(square + cross) * dx)
+    return _second_variation(e, problem, u, c_rk)
 
 
 @dataclass

@@ -11,10 +11,10 @@ form and its error scale: cell i of species s depends only on the cells
 returns one band of n entries per species pair and offset, O(n) storage.
 The directional derivative DA[u](w) is the product of these bands with w,
 written once in ``Problem``.  The stepping Newton matrices keep the band
-structure (see ``stepping``); ``jacobian`` assembles the dense matrix for
-inspection and tests.  ``magnitude_flat`` is the running error scale of
-A, from which Newton reads the rounding floor of its residual.  Where a
-family has a domain (Dlss; PorousMedium with beta < 1), every kernel checks
+structure (see ``stepping``); ``jacobian``, the same product on each unit
+vector, is the dense matrix for tests.  ``magnitude_flat`` is the running error
+scale of A, from which Newton reads the rounding floor of its residual.  Where
+a family has a domain (Dlss; PorousMedium with beta < 1), every kernel checks
 it first (``_check_domain``, one reduction that a NaN cell fails too).
 """
 
@@ -129,19 +129,6 @@ def _band_matvec(bands: np.ndarray, offsets: tuple[int, ...], w: np.ndarray
     return (bands * near).sum(axis=1).sum(axis=1).reshape(-1)
 
 
-def band_coordinates(blocks: int, offsets: tuple[int, ...], n: int):
-    """Dense (row, column) of each entry of a cyclic band array.
-
-    A band array has shape (blocks, blocks, len(offsets), n); its entry
-    [s, t, j, i] sits in row s*n + i and column t*n + (i + offsets[j]) mod n.
-    On grids with n <= 2*max|offset| two offsets can name the same column;
-    such entries add.  Returns two integer arrays of the band array's shape.
-    """
-    s = np.arange(blocks)[:, None, None, None]
-    t = np.arange(blocks)[None, :, None, None]
-    return np.broadcast_arrays(s * n + np.arange(n), t * n + _cells_at(offsets, n))
-
-
 def diff2_matrix(n: int, dx: float) -> np.ndarray:
     """Dense cyclic matrix D2 with diff2(w) == D2 @ w: the dense reference
     that tests compare the Jacobian bands against; stepping never uses it."""
@@ -179,16 +166,14 @@ class Problem:
     def jacobian(self, u: StateField) -> np.ndarray:
         """Exact Jacobian of apply at u, dense (species*n) x (species*n).
 
-        Assembled from the bands of ``jacobian_flat``.  This is the dense
-        reference implementation that tests compare the bands against;
-        stepping never uses it.
+        Column k is the band product of ``jacobian_flat`` with the k-th
+        unit vector, DA[u](e_k).  This is the dense reference
+        implementation that tests compare against; stepping never uses it.
         """
         self._check_state(u)
-        size = self.species * self.grid.n
-        rows, cols = band_coordinates(self.species, self.offsets, self.grid.n)
-        dense = np.zeros((size, size))
-        np.add.at(dense, (rows, cols), self.jacobian_flat(u.flat))
-        return dense
+        bands = self.jacobian_flat(u.flat)
+        return np.column_stack([_band_matvec(bands, self.offsets, unit)
+                                for unit in np.eye(u.flat.size)])
 
     # -- flat kernels (stepping works on these) -------------------------
     def apply_flat(self, x: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ from functools import cache
 
 import numpy as np
 
-from .operators import DomainError, Problem, StateField, band_coordinates
+from .operators import DomainError, Problem, StateField, _cells_at
 from .tableau import ButcherTableau, Scheme
 
 
@@ -156,20 +156,22 @@ def _layout(n: int, blocks: int, offsets: tuple[int, ...]):
     Cell i goes to position 2i if i < ceil(n/2), else 2(n-1-i)+1, so cyclic
     neighbours sit at most two positions apart; unknown k of the cell at
     position p is row p*blocks + k.  The cyclic band becomes a plain band
-    with kl, ku <= blocks*(2*reach + 1) - 1.  Entry e of the band array
-    (``operators.band_coordinates``) adds into slot ``scatter[e]`` of the
-    Fortran-ordered (2kl+ku+1, blocks*n) storage, so entries that name one
-    position on small grids add.  Row j holds unknown ``order[j]``, and
-    unknown i sits in row ``rank[i]``.
+    with kl, ku <= blocks*(2*reach + 1) - 1.  Entry e = [s, t, j, i] of the
+    band array (``Problem.jacobian_flat``) sits in the row of unknown s of
+    cell i and the column of unknown t of cell (i + offsets[j]) mod n; it
+    adds into slot ``scatter[e]`` of the Fortran-ordered (2kl+ku+1,
+    blocks*n) storage, so entries that name one position on small grids
+    add.  Row j holds unknown ``order[j]``, and unknown i sits in row
+    ``rank[i]``.
     """
     cell = np.arange(n)
     pos = np.where(cell < (n + 1) // 2, 2 * cell, 2 * (n - 1 - cell) + 1)
-    rows, cols = (pos[index % n] * blocks + index // n
-                  for index in band_coordinates(blocks, offsets, n))
+    place = pos * blocks + np.arange(blocks)[:, None]  # row of unknown k, cell i
+    rows, cols = np.broadcast_arrays(place[:, None, None, :],
+                                     place[:, _cells_at(offsets, n)])
     kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
-    unknown = np.arange(blocks * n)
-    rank = pos[unknown % n] * blocks + unknown // n
     scatter = (cols * (2 * kl + ku + 1) + kl + ku + rows - cols).ravel()
+    rank = place.ravel()
     return kl, ku, scatter, np.argsort(rank), rank
 
 

@@ -370,6 +370,7 @@ def _count_runs(monkeypatch):
 @pytest.mark.parametrize("edits, argv", [
     ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = 5"}, ["simulate"]),
     ({}, ["gprofile", "--base-times=-1,3e-4"]),
+    ({}, ["gprofile", "--base-times", "1"]),  # past t_end = 5e-4
 ])
 def test_times_are_checked_before_any_step(tmp_path, capsys, monkeypatch,
                                            edits, argv):

@@ -186,11 +186,12 @@ def test_profile_g_starts_at_zero(pme32):
     assert prof.taus.size == 6
 
 
-def test_profile_small_tau_slope_matches_production(pme32):
+@pytest.mark.parametrize("e", [PowerEntropy(1.0), FirstOrder(1.0)],
+                         ids=["power", "first_order"])
+def test_profile_small_tau_slope_matches_production(pme32, e):
     # G(tau) = -tau * production + O(tau^2), so the leading slope error
     # halves with the grid spacing
     problem, u = pme32
-    e = PowerEntropy(1.0)
     scheme = get_scheme("trapezoidal")
     cfg = NewtonConfig(tol=1e-14)
     prod = production(e, problem, u)
@@ -211,6 +212,45 @@ def test_profile_cross_oracle_quick(pme32):
     prof = profile_g(e, problem, scheme, u, 4 * 2.5e-5, 4, NewtonConfig(tol=1e-15))
     target = i0(e, problem, u, scheme.c_rk_effective)
     assert abs(d2g_at_zero(prof) + target) <= 2e-3 * abs(target)
+
+
+@pytest.mark.parametrize("name", ["trapezoidal", "simpson", "explicit_euler"])
+def test_two_species_i0_is_the_profile_curvature(name):
+    # d2g_at_zero is O(h^2) from -G''(0), so with the right i0 its error
+    # quarters when h halves; LogEntropySum sums both species and mu != 0
+    # couples them
+    grid = Grid1D(32, 1.0)
+    x = grid.x()
+    problem = LinearSystem(grid, 1.0, 2.0, 0.7)
+    u = StateField.pair(1.0 + 0.3 * np.cos(2.0 * np.pi * x),
+                        1.0 + 0.2 * np.sin(4.0 * np.pi * x))
+    e, scheme = LogEntropySum(), get_scheme(name)
+    target = i0(e, problem, u, scheme.c_rk_effective)
+
+    def err(h):
+        prof = profile_g(e, problem, scheme, u, 4.0 * h, 4, NewtonConfig(tol=1e-15))
+        return abs(d2g_at_zero(prof) + target)
+
+    assert 3.5 <= err(2e-5) / err(1e-5) <= 4.5
+
+
+def test_h_is_evaluated_once_per_tau_node(pme32):
+    # perfbench/tracing.py's NodeClock ends a tau node at each call of h:
+    # H[u] once, then H[v(tau_j)] once per node; the derivatives never call it
+    problem, u = pme32
+    calls = []
+
+    class Counted(PowerEntropy):
+        def h(self, u):
+            calls.append(u)
+            return super().h(u)
+
+    e, m = Counted(1.0), 5
+    production(e, problem, u)
+    i0(e, problem, u, 1.0)
+    assert calls == []
+    profile_g(e, problem, get_scheme("trapezoidal"), u, 1e-4, m)
+    assert len(calls) == m + 1
 
 
 def test_profile_truncates_on_failure(pme32):
