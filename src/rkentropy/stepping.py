@@ -32,7 +32,7 @@ LAPACK band storage laid out per grid size, block count and stencil
 pivoting, fill inside the band).  Folding the cells (0, n-1, 1, n-2, ...)
 makes the cyclic band a plain band of half-width at most
 blocks*(2*reach + 1) - 1: O(n) work and storage per iteration for every
-family.  scipy's LAPACK wrappers load with the first solve that factors.
+family.  The first factorization loads scipy's _flapack, not scipy.linalg.
 
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
 residual, 8 eps max(|W| + tau |B| mag(g)) with mag the running error scale
@@ -44,6 +44,7 @@ both, is a StepError.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -175,10 +176,26 @@ def _layout(n: int, blocks: int, offsets: tuple[int, ...]):
     return kl, ku, scatter, np.argsort(rank), rank
 
 
+@cache
+def _band_lapack():
+    """(dgbtrf, dgbtrs) from scipy's _flapack extension, loaded alone: the
+    scipy.linalg package around it loads some 330 more modules."""
+    import scipy
+    from importlib import machinery, util
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {where}/_flapack.* is missing")
+    flapack = util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgbtrf, flapack.dgbtrs
+
+
 def _newton_solver(problem: Problem, rel: _Relation, g: np.ndarray, tau: float):
     """LU of I + tau sum_q coupling[q] (x) J(g_i) at the stage values g, as
     the function that solves with it; LinAlgError on a zero pivot."""
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    dgbtrf, dgbtrs = _band_lapack()
 
     kl, ku, scatter, order, rank = _layout(
         problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
@@ -193,7 +210,15 @@ def _newton_solver(problem: Problem, rel: _Relation, g: np.ndarray, tau: float):
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"zero pivot in row {info - 1} of the band LU")
-    return lambda rhs: dgbtrs(lu, kl, ku, rhs[order], piv)[0][rank]
+    if info < 0:  # an illegal argument is a bug: no StepError, which sweeps catch
+        raise RuntimeError(f"dgbtrf rejected argument {-info} (info {info})")
+
+    def solve(rhs):
+        x, status = dgbtrs(lu, kl, ku, rhs[order], piv)
+        if status:
+            raise RuntimeError(f"dgbtrs rejected argument {-status} (info {status})")
+        return x[rank]
+    return solve
 
 
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,

@@ -439,24 +439,32 @@ def test_main_region_flat_fit_is_a_non_member(tmp_path):
     assert out.read_text().splitlines()[1:] == ["1e-300,1e+50,0,,,"]
 
 
-def test_import_leaves_scipy_unloaded():
-    # every command pays the package import; scipy's LAPACK wrappers load
-    # with the first implicit step, and no path loads scipy's sparse
-    # modules or its quadrature at all
-    show = ("print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') "
-            "if m in sys.modules))")
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # every command pays the package import; the first factorization loads
+    # scipy's _flapack extension alone, so no path loads the scipy.linalg
+    # package, scipy's sparse modules or its quadrature
+    show = ("print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', "
+            "'scipy.sparse') if m in sys.modules))")
     conditions = ("from rkentropy.cli import cmd_check_conditions as c; "
                   "c('pme_power', 1.0, 2.0, 0.5, 2.0, 16, 1, 1.0); "
                   "c('heat_log', 1.0, 1.0, 0.5, 2.0, 16, 3, 0.0); ")
-    step = ("import numpy as np; from rkentropy import Grid1D, PorousMedium, "
-            "StateField, forward_step, get_scheme; g = Grid1D(16); "
-            "forward_step(PorousMedium(g, 2.0), get_scheme('trapezoidal'), "
-            "StateField.scalar(1.0 + 0.3 * np.cos(g.x())), 1e-4); ")
+    state = ("import numpy as np; from rkentropy import Grid1D, PorousMedium, "
+             "PowerEntropy, StateField, forward_step, get_scheme, profile_g; "
+             "g = Grid1D(16); p = PorousMedium(g, 2.0); "
+             "u = StateField.scalar(1.0 + 0.3 * np.cos(g.x())); ")
+    step = "forward_step(p, get_scheme('trapezoidal'), u, 1e-4); "
+    sweep = ("assert profile_g(PowerEntropy(1.0), p, get_scheme('trapezoidal'), "
+             "u, 1e-4, 4).failed_index is None; ")
+    cfg = write_config(tmp_path, MINIMAL)
+    simulate = ("from rkentropy.cli import main; assert main(['simulate', "
+                f"'--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; ")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for probe in ("import sys, rkentropy; " + show,
                   "import sys, rkentropy; " + conditions + show,
-                  "import sys; " + step + show):
+                  "import sys; " + state + step + show,
+                  "import sys; " + state + sweep + show,
+                  "import sys; " + simulate + show):
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              check=True, capture_output=True, text=True,
                              timeout=60)
-        assert out.stdout.strip() == "[]", probe
+        assert out.stdout.splitlines()[-1] == "[]", probe

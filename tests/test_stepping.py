@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkentropy import stepping, tableau
+from rkentropy.entropy import PowerEntropy, profile_g
 from rkentropy.operators import (
     Dlss,
     DomainError,
@@ -423,6 +428,85 @@ def test_band_solve_equals_the_dense_solve(case, scratch_registry):
         want = np.linalg.solve(dense, rhs)
         got = solve(rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), backward
+
+
+@pytest.mark.parametrize("routine", ["dgbtrf", "dgbtrs"])
+def test_illegal_lapack_argument_is_not_a_step_error(pme32, monkeypatch, routine):
+    # a negative LAPACK status names an illegal argument: a bug that run
+    # and profile_g pass on, not a failed solve that a sweep truncates at
+    dgbtrf, dgbtrs = stepping._band_lapack()
+
+    def factor(ab, kl, ku, overwrite_ab):
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=overwrite_ab)
+        return lu, piv, -3 if routine == "dgbtrf" else info
+
+    def solve(lu, kl, ku, rhs, piv):
+        x, info = dgbtrs(lu, kl, ku, rhs, piv)
+        return x, -3 if routine == "dgbtrs" else info
+
+    monkeypatch.setattr(stepping, "_band_lapack", lambda: (factor, solve))
+    problem, u = pme32
+    scheme = get_scheme("trapezoidal")
+    for call in (lambda: run(problem, scheme, u, 1e-4, 1e-3),
+                 lambda: profile_g(PowerEntropy(1.0), problem, scheme, u, 1e-4, 4)):
+        with pytest.raises(RuntimeError, match=rf"{routine} rejected argument 3 "
+                                               r"\(info -3\)") as exc:
+            call()
+        assert not isinstance(exc.value, StepError)
+
+
+def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
+    # one load path, with no fallback to scipy.linalg: a missing extension
+    # is an ImportError that names where it was looked for
+    import scipy
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        stepping._band_lapack.__wrapped__()
+
+
+def test_band_lapack_is_scipys_bit_for_bit():
+    # the routines loaded without the scipy.linalg package are the ones it
+    # exposes: after real solves scipy.linalg still imports, and on the
+    # PME (kl = ku = 2) and Dlss (kl = ku = 4) Newton matrices of those
+    # solves both give the same LU, pivots and solution bytes
+    probe = """
+import sys
+import numpy as np
+from rkentropy import stepping
+from rkentropy.operators import Dlss, Grid1D, PorousMedium, StateField
+from rkentropy.tableau import get_scheme
+
+dgbtrf, dgbtrs = stepping._band_lapack()
+seen = []
+
+def factor(ab, kl, ku, overwrite_ab):
+    seen.append((ab.copy(), kl, ku))
+    return dgbtrf(ab, kl, ku, overwrite_ab=overwrite_ab)
+
+stepping._band_lapack = lambda: (factor, dgbtrs)
+grid = Grid1D(16, 1.0)
+u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
+for problem, tau in ((PorousMedium(grid, 2.0), 1e-3), (Dlss(grid), 1e-6)):
+    stepping.forward_step(problem, get_scheme("trapezoidal"), u, tau)
+assert "scipy.linalg" not in sys.modules
+from scipy.linalg import lapack
+
+rng = np.random.default_rng(0)
+for ab, kl, ku in seen:
+    rhs = rng.standard_normal(ab.shape[1])
+    results = []
+    for trf, trs in ((dgbtrf, dgbtrs), (lapack.dgbtrf, lapack.dgbtrs)):
+        lu, piv, info = trf(ab.copy(), kl, ku)
+        x, status = trs(lu, kl, ku, rhs, piv)
+        results.append((lu.tobytes(), piv.tobytes(), x.tobytes(), info, status))
+    assert results[0] == results[1]
+print(sorted({(kl, ku) for _, kl, ku in seen}))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[(2, 2), (4, 4)]"
 
 
 @pytest.mark.parametrize("name", ["implicit_euler", "trapezoidal", "simpson"])
