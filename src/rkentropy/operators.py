@@ -5,22 +5,23 @@ the negated right-hand side.  All stencils are second-order central
 differences on a uniform periodic grid; the diffusion families are written
 so that sum_i A[u]_i telescopes to zero (discrete mass conservation).
 
-Each family provides the operator A, its exact Jacobian in cyclic band
-form and its error scale: cell i of species s depends only on the cells
+Each family provides two kernels, the operator A and its exact Jacobian in
+cyclic band form: cell i of species s depends only on the cells
 (i + k) mod n, k in ``offsets``, of each species, so ``jacobian_flat``
 returns one band of n entries per species pair and offset, O(n) storage.
 The directional derivative DA[u](w) is the product of these bands with w,
 written once in ``Problem``.  The stepping Newton matrices keep the band
-structure (see ``stepping``); ``jacobian``, the same product on each unit
-vector, is the dense matrix for tests.  ``magnitude_flat`` is the running error
-scale of A, from which Newton reads the rounding floor of its residual.  Where
-a family has a domain (Dlss; PorousMedium with beta < 1), every kernel checks
-it first (``_check_domain``, one reduction that a NaN cell fails too).
+structure, and Newton's rounding-error scale of A is the product of their
+absolute values with |u| (see ``stepping``); ``jacobian``, the same product
+on each unit vector, is the dense matrix for tests.  Where a family has a
+domain (Dlss; PorousMedium with beta < 1), every kernel checks it first
+(``_check_domain``, one reduction that a NaN cell fails too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -107,26 +108,25 @@ def diff2(w: np.ndarray, dx: float) -> np.ndarray:
     return (_shift(w, 1) - 2.0 * w + _shift(w, -1)) / dx**2
 
 
-def _diff2_abs(w: np.ndarray, dx: float) -> np.ndarray:
-    """diff2 with every coefficient replaced by its absolute value."""
-    return (_shift(w, 1) + 2.0 * w + _shift(w, -1)) / dx**2
-
-
+@cache
 def _cells_at(offsets: tuple[int, ...], n: int) -> np.ndarray:
-    """Cell (i + offsets[j]) mod n at [j, i]."""
-    return (np.arange(n) + np.asarray(offsets)[:, None]) % n
+    """Cell (i + offsets[j]) mod n at [j, i], built once per stencil and grid."""
+    cells = (np.arange(n) + np.asarray(offsets)[:, None]) % n
+    cells.flags.writeable = False
+    return cells
 
 
 def _band_matvec(bands: np.ndarray, offsets: tuple[int, ...], w: np.ndarray
                  ) -> np.ndarray:
     """Product of cyclic bands (layout of ``Problem.jacobian_flat``) with
     the flat vector w: entry s*n + i is the sum over t and j of
-    bands[s, t, j, i] * w[t*n + (i + offsets[j]) mod n]."""
-    blocks, n = bands.shape[0], bands.shape[-1]
-    near = w.reshape(blocks, n)[:, _cells_at(offsets, n)]
+    bands[s, t, j, i] * w[t*n + (i + offsets[j]) mod n].  Leading axes of
+    bands and w, if any, index independent products."""
+    blocks, n = bands.shape[-4], bands.shape[-1]
+    near = w.reshape(*w.shape[:-1], 1, blocks, n).take(_cells_at(offsets, n), axis=-1)
     # species before offsets: LinearSystem's -mu u_other meets its rounded centre
     # band first, which keeps some (not all) equal constant states exactly steady
-    return (bands * near).sum(axis=1).sum(axis=1).reshape(-1)
+    return (bands * near).sum(axis=-3).sum(axis=-2).reshape(w.shape)
 
 
 def diff2_matrix(n: int, dx: float) -> np.ndarray:
@@ -183,18 +183,6 @@ class Problem:
         """DA[x](wx): the product of the Jacobian bands at x with wx."""
         return _band_matvec(self.jacobian_flat(x), self.offsets, wx)
 
-    def magnitude_flat(self, x: np.ndarray) -> np.ndarray:
-        """Running error scale of ``apply_flat`` at x, per cell.
-
-        The same stencil evaluated on the absolute values of every
-        intermediate term, with each difference turned into a sum, so that
-        eps * magnitude_flat(x) bounds the rounding of A[x] to first order
-        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-        section 3.3) where |A[x]| itself shows only what is left after the
-        stencil cancels.
-        """
-        raise NotImplementedError
-
     def jacobian_flat(self, x: np.ndarray) -> np.ndarray:
         """Jacobian bands, shape (species, species, len(offsets), n).
 
@@ -244,10 +232,6 @@ class PorousMedium(Problem):
         self._check_domain(x)
         return -diff2(x**self.beta, self.grid.dx)
 
-    def magnitude_flat(self, x):
-        self._check_domain(x)
-        return _diff2_abs(np.abs(x**self.beta), self.grid.dx)
-
     def jacobian_flat(self, x):
         self._check_domain(x)
         mobility = self.beta * x ** (self.beta - 1.0)
@@ -273,11 +257,6 @@ class ScalarDiffusion(Problem):
         g = np.asarray(self.a(0.5 * (x + xp))) * (xp - x)
         return -(g - _shift(g, -1)) / self.grid.dx**2
 
-    def magnitude_flat(self, x):
-        xp = _shift(x, 1)
-        g = np.abs(self.a(0.5 * (x + xp))) * (np.abs(x) + np.abs(xp))
-        return (g + _shift(g, -1)) / self.grid.dx**2
-
     def jacobian_flat(self, x):
         n = self.grid.n
         xp = _shift(x, 1)
@@ -299,8 +278,7 @@ class LinearSystem(Problem):
     du1/dt = rho1 * Lap(u1) + mu * (u2 - u1), and symmetrically for u2,
     so A[u]_j = -rho_j * D2(u_j) - mu * (u_other - u_j).  The operator is
     linear, so it is just its constant Jacobian bands: A[u] is their
-    product with u, DA[u](w) = A[w], and the error scale is the product of
-    their absolute values with |u|.
+    product with u, and DA[u](w) = A[w].
     """
 
     species = 2
@@ -321,9 +299,6 @@ class LinearSystem(Problem):
 
     def apply_flat(self, x):
         return _band_matvec(self._bands, self.offsets, x)
-
-    def magnitude_flat(self, x):
-        return _band_matvec(np.abs(self._bands), self.offsets, np.abs(x))
 
     def jacobian_flat(self, x):
         return self._bands
@@ -353,13 +328,6 @@ class Dlss(Problem):
         self._check_domain(x)
         dx = self.grid.dx
         return diff2(x * diff2(np.log(x), dx), dx)
-
-    def magnitude_flat(self, x):
-        # a relative rounding of x moves log x by an absolute eps, so the
-        # log term counts |log x| + 1
-        self._check_domain(x)
-        dx = self.grid.dx
-        return _diff2_abs(x * _diff2_abs(np.abs(np.log(x)) + 1.0, dx), dx)
 
     def jacobian_flat(self, x):
         # D2 @ core with the tridiagonal core diag(D2 log x) + diag(x) D2

@@ -35,10 +35,10 @@ blocks*(2*reach + 1) - 1: O(n) work and storage per iteration for every
 family.  The first factorization loads scipy's _flapack, not scipy.linalg.
 
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
-residual, 8 eps max(|W| + tau |B| mag(g)) with mag the running error scale
-of A (``Problem.magnitude_flat``): the stencil terms cancel in A far below
-mag, so a fixed tol can lie below what the arithmetic resolves.  No damping
-or line search is used; a non-finite residual, or max_iter iterations above
+residual, 8 eps max(|W| + tau |B| mag(g)) with mag(g) = |J(g)| |g| + |A[g]|
+(``_magnitude``): the stencil terms cancel in A far below mag, so a fixed
+tol can lie below what the arithmetic resolves.  No damping or line search
+is used; a non-finite residual or endpoint, or max_iter iterations above
 both, is a StepError.
 """
 
@@ -51,11 +51,20 @@ from functools import cache
 
 import numpy as np
 
-from .operators import DomainError, Problem, StateField, _cells_at
+from .operators import DomainError, Problem, StateField, _band_matvec, _cells_at
 from .tableau import ButcherTableau, Scheme
 
 
 _FLOOR = 8.0 * np.finfo(float).eps  # residual rounding floor per unit of scale
+
+
+def _magnitude(problem: Problem, g: np.ndarray, ag: np.ndarray) -> np.ndarray:
+    """Rounding-error scale |J(g_i)| |g_i| + |A[g_i]| of A per cell, for each row
+    g_i of g and ag_i = A[g_i].  To first order, rounding x moves A[x] by eps
+    |J(x)| |x| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.3); |A[x]| keeps the scale above A where that falls below it."""
+    bands = np.abs(np.stack([problem.jacobian_flat(gi) for gi in g]))
+    return _band_matvec(bands, problem.offsets, np.abs(g)) + np.abs(ag)
 
 
 class StepError(RuntimeError):
@@ -233,9 +242,9 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     endpoint, the residual max-norm of each Newton iterate, W).
 
     Newton stops when the residual is at most ``cfg.tol`` or at its
-    rounding floor 8 eps max(|W| + tau |B| mag(g)), and fails at the first
-    non-finite residual.  The floor is read only after an iteration that cut
-    the residual by less than half and at the last iterate, so a
+    rounding floor 8 eps max(|W| + tau |B| mag(g)); a non-finite residual or
+    endpoint fails at once.  The floor is read only after an iteration that
+    cut the residual by less than half and at the last iterate, so a
     quadratically converging solve never pays for it.
     """
     rel = _relation(scheme.tableau, backward)
@@ -259,7 +268,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
             raise StepError(f"residual {norms[-1]} at Newton iteration {it}",
                             norms[-1], it)
         if it == cfg.max_iter or (it and norms[-1] > 0.5 * norms[-2]):
-            mag = np.array([problem.magnitude_flat(gi) for gi in g])
+            mag = _magnitude(problem, g, ag)
             floor = _FLOOR * float(np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag)))
             if norms[-1] <= floor:
                 break
@@ -275,6 +284,9 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
         w = w - solve(res.reshape(-1)).reshape(r, -1)
     b = scheme.tableau.b
     other = x + (tau if backward else -tau) * (b[:, None] * ag).sum(axis=0)
+    if not np.all(np.isfinite(other)):
+        raise StepError("the step produced non-finite values (overflow or blow-up)",
+                        float("inf"), len(norms) - 1)
     return other, norms, w
 
 
@@ -339,9 +351,6 @@ def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: flo
         except DomainError as err:
             raise DomainError(f"{where}: {err}") from err
         iters.append(len(norms) - 1)
-        if not np.all(np.isfinite(x)):
-            raise StepError(f"step {k + 1} produced non-finite values (overflow or "
-                            f"blow-up at t={(k + 1) * tau:.6g})", float("inf"), iters[-1])
         states.append(StateField.from_flat(x, problem.species))
     return Trajectory(times=np.arange(n_steps + 1) * tau, states=states,
                       scheme=scheme, problem=problem, tau=tau, newton_iters=iters)

@@ -14,6 +14,7 @@ from rkentropy.operators import (
     diff2,
     diff2_matrix,
 )
+from rkentropy.stepping import _magnitude
 
 
 @pytest.fixture
@@ -233,8 +234,8 @@ def test_kernels_reject_a_nan_cell(grid32):
     x = np.ones(grid32.n)
     x[5] = np.nan
     dlss, pme = Dlss(grid32), PorousMedium(grid32, 0.5)
-    for kernel in (dlss.apply_flat, dlss.jacobian_flat, dlss.magnitude_flat,
-                   pme.apply_flat, pme.jacobian_flat, pme.magnitude_flat):
+    for kernel in (dlss.apply_flat, dlss.jacobian_flat,
+                   pme.apply_flat, pme.jacobian_flat):
         with pytest.raises(DomainError, match="cell 5 has u=nan"):
             kernel(x)
 
@@ -269,24 +270,77 @@ def test_jacobian_bands(n, seed):
 
 
 def _no_apply(self, x):
-    raise AssertionError("magnitude_flat must not evaluate apply_flat")
+    raise AssertionError("the rounding-error scale must not evaluate apply_flat")
+
+
+def _scale(problem, x, ax):
+    """Newton's rounding-error scale at the one state x, given ax = A[x]."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(problem), "apply_flat", _no_apply)
+        return _magnitude(problem, x[None], ax[None])[0]
+
+
+def _assert_scale_bounds_rounding(problem, x, rng, draws=1):
+    # |A[x]| <= mag(x), and rounding every cell of x moves A[x] by at most
+    # 8 eps mag(x), the scale of Newton's rounding floor
+    eps = np.finfo(float).eps
+    name = type(problem).__name__
+    ax = problem.apply_flat(x)
+    mag = _scale(problem, x, ax)
+    assert mag.shape == x.shape, name
+    assert np.all(np.abs(ax) <= mag), name
+    for _ in range(draws):
+        rounded = x * (1.0 + eps * rng.uniform(-1.0, 1.0, x.size))
+        change = np.abs(problem.apply_flat(rounded) - ax)
+        assert np.all(change <= 8.0 * eps * mag), name
+    # Newton reads every stage in one call: each row is its own state's scale
+    a2x = problem.apply_flat(2.0 * x)
+    both = _magnitude(problem, np.stack([x, 2.0 * x]), np.stack([ax, a2x]))
+    assert np.array_equal(both, [mag, _scale(problem, 2.0 * x, a2x)]), name
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
 def test_magnitude_bounds_the_rounding_of_apply(n, seed):
-    # |A[x]| <= mag(x), and rounding every cell of x moves A[x] by at most
-    # 8 eps mag(x), the scale of Newton's rounding floor; mag shares no
-    # call with A, so the operator call counts of a solve do not move
+    # the scale takes A[x] as given, so the apply counts of a solve do not
+    # move when Newton reads its floor
     rng = np.random.default_rng(seed)
-    eps = np.finfo(float).eps
     for problem, u in _problems(Grid1D(n, 1.0), rng):
-        x = u.flat
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(type(problem), "apply_flat", _no_apply)
-            mag = problem.magnitude_flat(x)
-        assert mag.shape == x.shape
-        assert np.all(np.abs(problem.apply_flat(x)) <= mag)
-        rounded = x * (1.0 + eps * rng.uniform(-1.0, 1.0, x.size))
-        change = np.abs(problem.apply_flat(rounded) - problem.apply_flat(x))
-        assert np.all(change <= 8.0 * eps * mag), type(problem).__name__
+        _assert_scale_bounds_rounding(problem, u.flat, rng)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5])
+def test_magnitude_bounds_fast_diffusion_on_rough_states(beta):
+    # cells in [0.1, 2]: for beta < 1, |J(x)| |x| = beta |D2| x^beta alone
+    # falls below |A[x]| = |D2 x^beta| where a small cell sits between large
+    # ones, so the scale needs its |A[x]| term
+    grid = Grid1D(16, 1.0)
+    problem = PorousMedium(grid, beta)
+    rng = np.random.default_rng(11)
+    for x in (np.tile([0.1, 2.0], 8), np.tile([0.1, 2.0, 2.0, 0.3], 4)):
+        ax = problem.apply_flat(x)
+        assert np.any(_scale(problem, x, 0.0 * ax) < np.abs(ax))
+        _assert_scale_bounds_rounding(problem, x, rng, draws=200)
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 48), c=st.floats(0.05, 20.0), beta=st.floats(0.3, 3.0),
+       rho1=_COEFFICIENT, rho2=_COEFFICIENT, mu=_COEFFICIENT)
+def test_constant_states_are_steady_to_the_scale(n, c, beta, rho1, rho2, mu):
+    # A[c] = 0 in exact arithmetic; where the bands round (LinearSystem), it
+    # is left at eps times the scale, under Newton's rounding floor
+    grid = Grid1D(n, 1.0)
+    eps = np.finfo(float).eps
+    const = np.full(n, c)
+    for problem, x in [
+            (PorousMedium(grid, beta), const),
+            (ScalarDiffusion(grid, a=lambda u: 1.0 + u**2, da=lambda u: 2.0 * u),
+             const),
+            (LinearSystem(grid, rho1, rho2, mu), np.concatenate([const, const])),
+            (Dlss(grid), const)]:
+        ax = problem.apply_flat(x)
+        assert np.all(np.abs(ax) <= 8.0 * eps * _scale(problem, x, ax)), \
+            type(problem).__name__

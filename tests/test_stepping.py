@@ -344,6 +344,22 @@ def test_non_finite_residual_stops_newton_at_once():
     assert exc.value.iterations == 0
 
 
+def test_overflowing_endpoint_is_a_step_error():
+    # the closed-form steps skip Newton, so the endpoint itself is checked:
+    # u^2 overflows in A, and u -/+ tau A[u] is no state
+    grid = Grid1D(16, 1.0)
+    problem = PorousMedium(grid, 2.0)
+    u = StateField.scalar(1e154 + 1e153 * np.cos(2.0 * np.pi * grid.x()))
+    with np.errstate(all="ignore"):
+        for solve, name in ((forward_step, "explicit_euler"),
+                            (backward_solve, "implicit_euler")):
+            with pytest.raises(StepError, match="non-finite values"):
+                solve(problem, get_scheme(name), u, 1e-3)
+        for name in ("implicit_euler", "trapezoidal"):
+            prof = profile_g(PowerEntropy(1.0), problem, get_scheme(name), u, 1e-4, 4)
+            assert prof.failed_index == 1, name
+
+
 def test_fast_diffusion_run_raises_domain_error_not_a_warning():
     grid = Grid1D(32, 1.0)
     problem = PorousMedium(grid, 0.5)
@@ -544,8 +560,8 @@ def test_stall_above_the_floor_names_it(pme32):
 def test_quadratic_convergence_never_reads_the_floor(pme32, monkeypatch):
     problem, u = pme32
     calls = []
-    monkeypatch.setattr(PorousMedium, "magnitude_flat",
-                        lambda self, x: calls.append(1) or np.ones_like(x))
+    monkeypatch.setattr(stepping, "_magnitude",
+                        lambda problem, g, ag: calls.append(1) or np.ones_like(g))
     for name in ALL_SCHEMES:
         for backward in (False, True):
             _step(problem, get_scheme(name), u.flat, 1e-4, NewtonConfig(),
@@ -558,7 +574,7 @@ class _CountingPME(PorousMedium):
 
     def __init__(self, grid, beta):
         super().__init__(grid, beta)
-        self.calls = {"apply": 0, "jacobian": 0, "magnitude": 0}
+        self.calls = {"apply": 0, "jacobian": 0}
 
     def apply_flat(self, x):
         self.calls["apply"] += 1
@@ -568,14 +584,11 @@ class _CountingPME(PorousMedium):
         self.calls["jacobian"] += 1
         return super().jacobian_flat(x)
 
-    def magnitude_flat(self, x):
-        self.calls["magnitude"] += 1
-        return super().magnitude_flat(x)
-
 
 def test_newton_work_per_solve(pme32):
     # A at the known endpoint once, then A at each moving stage once per
-    # iterate and J there once per iteration; the stages are never recomputed
+    # iterate and J there once per iteration; the stages are never recomputed,
+    # and a quadratically converging solve builds no J for its rounding floor
     grid, u = pme32[0].grid, pme32[1]
     scheme = get_scheme("trapezoidal")
     for backward in (False, True):
@@ -586,7 +599,7 @@ def test_newton_work_per_solve(pme32):
         moving = len(stepping._relation(scheme.tableau, backward).moving)
         assert iters >= 2 and moving == 1, backward
         assert problem.calls == {"apply": 1 + (iters + 1) * moving,
-                                 "jacobian": iters * moving, "magnitude": 0}
+                                 "jacobian": iters * moving}
 
 
 FAMILIES = ["pme", "scalar", "linear", "dlss"]
