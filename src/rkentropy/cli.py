@@ -100,13 +100,11 @@ def _validate(cfg: RunConfig):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{key} must be one of {', '.join(names)}; "
                               f"got {getattr(cfg, key)!r}")
-    for key in ("beta", "length", "tau", "t_end", "newton_tol", "t0"):
+    for key in ("beta", "length", "tau", "t_end", "t0"):
         if not 0 < (value := getattr(cfg, key)) < np.inf:
             raise ConfigError(f"{key} must be positive and finite, got {value}")
     if cfg.n < 4:
         raise ConfigError(f"n must be at least 4, got {cfg.n}")
-    if cfg.newton_max_iter < 1:
-        raise ConfigError("newton_max_iter must be at least 1")
     if cfg.ic == "barenblatt":
         if cfg.problem != "pme" or cfg.beta <= 1.0:
             raise ConfigError(

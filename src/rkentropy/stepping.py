@@ -23,8 +23,9 @@ Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
 for one state-sized W in either direction.
 
 ``_step`` runs one plain Newton loop: each iterate forms the stage values
-g = x + C W once, evaluates A at the moving stages (fixed ones keep A[x]),
-and updates W with the matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).
+g = x + C W once, evaluates A and J at the moving stages once (fixed ones
+keep A[x], and J(x) is built at most once per solve), and updates W with
+the matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).
 ``_newton_solver`` sums that matrix stage by stage in the cyclic band form
 of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
 LAPACK band storage laid out per grid size, block count and stencil
@@ -37,9 +38,12 @@ family.  The first factorization loads scipy's _flapack, not scipy.linalg.
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
 residual, 8 eps max(|W| + tau |B| mag(g)) with mag(g) = |J(g)| |g| + |A[g]|
 (``_magnitude``): the stencil terms cancel in A far below mag, so a fixed
-tol can lie below what the arithmetic resolves.  No damping or line search
-is used; a non-finite residual or endpoint, or max_iter iterations above
-both, is a StepError.
+tol can lie below what the arithmetic resolves.  The floor is read once
+convergence stops speeding up, when r_k/r_{k-1} exceeds 1/2 or reaches
+r_{k-1}/r_{k-2} (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+section 2.1), and at max_iter.  No damping or line search is used; a
+non-finite residual or endpoint, or max_iter iterations above both, is a
+StepError.
 """
 
 from __future__ import annotations
@@ -58,13 +62,12 @@ from .tableau import ButcherTableau, Scheme
 _FLOOR = 8.0 * np.finfo(float).eps  # residual rounding floor per unit of scale
 
 
-def _magnitude(problem: Problem, g: np.ndarray, ag: np.ndarray) -> np.ndarray:
-    """Rounding-error scale |J(g_i)| |g_i| + |A[g_i]| of A per cell, for each row
-    g_i of g and ag_i = A[g_i].  To first order, rounding x moves A[x] by eps
-    |J(x)| |x| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.3); |A[x]| keeps the scale above A where that falls below it."""
-    bands = np.abs(np.stack([problem.jacobian_flat(gi) for gi in g]))
-    return _band_matvec(bands, problem.offsets, np.abs(g)) + np.abs(ag)
+def _magnitude(problem: Problem, jac, g: np.ndarray, ag: np.ndarray) -> np.ndarray:
+    """Rounding-error scale |J(g_i)| |g_i| + |A[g_i]| of A per cell for each row
+    g_i of g, given jac[i] = J(g_i) and ag_i = A[g_i].  To first order, rounding
+    x moves A[x] by eps |J(x)| |x| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.3); |A[x]| keeps the scale above A there."""
+    return _band_matvec(np.abs(np.stack(jac)), problem.offsets, np.abs(g)) + np.abs(ag)
 
 
 class StepError(RuntimeError):
@@ -86,8 +89,8 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # an infinite tol would accept any iterate
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -201,18 +204,19 @@ def _band_lapack():
     return flapack.dgbtrf, flapack.dgbtrs
 
 
-def _newton_solver(problem: Problem, rel: _Relation, g: np.ndarray, tau: float):
-    """LU of I + tau sum_q coupling[q] (x) J(g_i) at the stage values g, as
-    the function that solves with it; LinAlgError on a zero pivot."""
+def _newton_solver(problem: Problem, rel: _Relation, jac, tau: float):
+    """LU of I + tau sum_q coupling[q] (x) J(g_i), given jac[i] = J(g_i) at the
+    moving stages, as the function that solves with it; LinAlgError on a zero
+    pivot."""
     dgbtrf, dgbtrs = _band_lapack()
 
     kl, ku, scatter, order, rank = _layout(
         problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
     # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks
     coupling = tau * rel.coupling[:, :, None, :, None, None, None]
-    bands = coupling[0] * problem.jacobian_flat(g[rel.moving[0]])[:, None]
+    bands = coupling[0] * jac[rel.moving[0]][:, None]
     for c, i in zip(coupling[1:], rel.moving[1:]):
-        bands += c * problem.jacobian_flat(g[i])[:, None]
+        bands += c * jac[i][:, None]
     ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
                      * (2 * kl + ku + 1)).reshape(order.size, -1).T
     ab[kl + ku] += 1.0
@@ -243,8 +247,9 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
 
     Newton stops when the residual is at most ``cfg.tol`` or at its
     rounding floor 8 eps max(|W| + tau |B| mag(g)); a non-finite residual or
-    endpoint fails at once.  The floor is read only after an iteration that
-    cut the residual by less than half and at the last iterate, so a
+    endpoint fails at once.  The floor is read once convergence stops
+    speeding up, after an iteration that cut the residual r by less than half
+    or with r_k/r_{k-1} >= r_{k-1}/r_{k-2}, and at the last iterate, so a
     quadratically converging solve never pays for it.
     """
     rel = _relation(scheme.tableau, backward)
@@ -252,6 +257,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     tau_b = tau * rel.B
     a_x = problem.apply_flat(x)
     ag = np.tile(a_x, (s, 1))  # A[g_i]; the rows of fixed stages stay A[x]
+    jac = [None] * s  # J(g_i); fixed stages get J(x) at the first floor read
     w = (-tau * rel.start)[:, None] * a_x if w_init is None else w_init
     norms: list[float] = []
     for it in range(cfg.max_iter + 1):
@@ -267,8 +273,14 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
         if not np.isfinite(norms[-1]):
             raise StepError(f"residual {norms[-1]} at Newton iteration {it}",
                             norms[-1], it)
-        if it == cfg.max_iter or (it and norms[-1] > 0.5 * norms[-2]):
-            mag = _magnitude(problem, g, ag)
+        for i in rel.moving:
+            jac[i] = problem.jacobian_flat(g[i])
+        slowing = it > 0 and (norms[-1] > 0.5 * norms[-2] or it > 1 and
+                              norms[-1] / norms[-2] >= norms[-2] / norms[-3])
+        if slowing or it == cfg.max_iter:
+            j_x = problem.jacobian_flat(x) if any(j is None for j in jac) else None
+            jac = [j_x if j is None else j for j in jac]
+            mag = _magnitude(problem, jac, g, ag)
             floor = _FLOOR * float(np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag)))
             if norms[-1] <= floor:
                 break
@@ -277,7 +289,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
                             f"{cfg.max_iter} iterations (tol {cfg.tol:.1e}, "
                             f"rounding floor {floor:.1e})", norms[-1], cfg.max_iter)
         try:
-            solve = _newton_solver(problem, rel, g, tau)
+            solve = _newton_solver(problem, rel, jac, tau)
         except np.linalg.LinAlgError as err:
             raise StepError(f"singular Newton matrix at iteration {it} "
                             f"(residual {norms[-1]:.3e}): {err}", norms[-1], it) from err
@@ -293,8 +305,8 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
 def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: float,
                  cfg: NewtonConfig | None = None) -> StateField:
     """Advance one step of size tau from u_prev."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     cfg = cfg or NewtonConfig()
     problem._check_state(u_prev)
     u_new, _, _ = _step(problem, scheme, u_prev.flat, tau, cfg)
@@ -308,8 +320,8 @@ def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
     v(0) = u exactly; for small tau the solution follows the expansion
     v(tau) = u + tau*A[u] + (tau^2/2) * c_rk * DA[u](A[u]) + O(tau^3).
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be nonnegative and finite")
     cfg = cfg or NewtonConfig()
     problem._check_state(u)
     if tau == 0.0:

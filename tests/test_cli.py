@@ -324,6 +324,11 @@ def test_main_reports_overflowing_run(tmp_path, capsys):
     # the last two categories of main's error table
     ({}, ["gprofile", "--schemes", "rk5"], "lookup"),
     ({"ic = barenblatt": "ic = file\nic_file = no/such/ic.txt"}, ["simulate"], "io"),
+    # the Newton settings rest on NewtonConfig's own checks
+    ({"ic = barenblatt": "ic = barenblatt\nnewton_tol = inf"}, ["simulate"], "config"),
+    ({"ic = barenblatt": "ic = barenblatt\nnewton_tol = 0"}, ["gprofile"], "config"),
+    ({"ic = barenblatt": "ic = barenblatt\nnewton_max_iter = 0"}, ["simulate"],
+     "config"),
 ])
 def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",

@@ -275,9 +275,10 @@ def _no_apply(self, x):
 
 def _scale(problem, x, ax):
     """Newton's rounding-error scale at the one state x, given ax = A[x]."""
+    jac = [problem.jacobian_flat(x)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(type(problem), "apply_flat", _no_apply)
-        return _magnitude(problem, x[None], ax[None])[0]
+        return _magnitude(problem, jac, x[None], ax[None])[0]
 
 
 def _assert_scale_bounds_rounding(problem, x, rng, draws=1):
@@ -295,7 +296,8 @@ def _assert_scale_bounds_rounding(problem, x, rng, draws=1):
         assert np.all(change <= 8.0 * eps * mag), name
     # Newton reads every stage in one call: each row is its own state's scale
     a2x = problem.apply_flat(2.0 * x)
-    both = _magnitude(problem, np.stack([x, 2.0 * x]), np.stack([ax, a2x]))
+    jac = [problem.jacobian_flat(x), problem.jacobian_flat(2.0 * x)]
+    both = _magnitude(problem, jac, np.stack([x, 2.0 * x]), np.stack([ax, a2x]))
     assert np.array_equal(both, [mag, _scale(problem, 2.0 * x, a2x)]), name
 
 

@@ -213,6 +213,15 @@ def test_invalid_arguments(pme32):
         run(problem, get_scheme("implicit_euler"), u, 1e-4, 1e-5)
     with pytest.raises(ValueError):
         NewtonConfig(tol=-1.0)
+    for bad in (np.inf, np.nan):
+        # not a StepError, which profile_g would take for a truncation; an
+        # infinite tol would return the unconverged predictor
+        with pytest.raises(ValueError, match="positive and finite"):
+            forward_step(problem, get_scheme("trapezoidal"), u, bad)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            backward_solve(problem, get_scheme("trapezoidal"), u, bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            NewtonConfig(tol=bad)
 
 
 def test_expansion_constant_matches_scheme(pme32):
@@ -438,7 +447,8 @@ def test_band_solve_equals_the_dense_solve(case, scratch_registry):
         rel = stepping._relation(scheme.tableau, backward)
         assert case != "simpson" or (rel.C.shape[1], len(rel.moving)) == (1, 2)
         g = _initial_stages(problem, rel, u, tau)
-        solve = _newton_solver(problem, rel, g, tau)
+        jac = [problem.jacobian_flat(gi) for gi in g]
+        solve = _newton_solver(problem, rel, jac, tau)
         dense = _dense_newton_matrix(problem, rel, g, tau)
         rhs = rng.standard_normal(dense.shape[0])
         want = np.linalg.solve(dense, rhs)
@@ -525,6 +535,16 @@ print(sorted({(kl, ku) for _, kl, ku in seen}))
     assert out.stdout.strip() == "[(2, 2), (4, 4)]"
 
 
+def _floor(problem, name, x, tau, w):
+    """Newton's rounding floor of a forward solve at the iterate w."""
+    rel = stepping._relation(get_scheme(name).tableau, False)
+    g = rel.C @ w + x
+    jac = [problem.jacobian_flat(gi) for gi in g]
+    ag = np.stack([problem.apply_flat(gi) for gi in g])
+    mag = stepping._magnitude(problem, jac, g, ag)
+    return stepping._FLOOR * np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag))
+
+
 @pytest.mark.parametrize("name", ["implicit_euler", "trapezoidal", "simpson"])
 def test_dlss_stall_stops_at_the_rounding_floor(name):
     # n = 256, tau = 1e-6: 1/dx^4 = 4.3e9, so the residual cannot go below
@@ -533,10 +553,11 @@ def test_dlss_stall_stops_at_the_rounding_floor(name):
     problem = Dlss(grid)
     u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
     cfg = NewtonConfig(tol=1e-12)
-    _, norms, _ = _step(problem, get_scheme(name), u.flat, 1e-6, cfg)
+    _, norms, w = _step(problem, get_scheme(name), u.flat, 1e-6, cfg)
     assert len(norms) - 1 <= 5
     assert norms[-1] > cfg.tol
-    assert norms[-1] > 0.5 * norms[-2]  # the floor is read after a stall only
+    # the contraction grows at the second iterate, which reads the floor there
+    assert len(norms) - 1 == 2 and norms[-1] <= _floor(problem, name, u.flat, 1e-6, w)
 
 
 def test_pme_stall_stops_at_the_rounding_floor():
@@ -555,6 +576,25 @@ def test_stall_above_the_floor_names_it(pme32):
     with pytest.raises(StepError, match=r"rounding floor \d\.\de-\d+\)"):
         forward_step(problem, get_scheme("implicit_euler"), u, 0.5,
                      NewtonConfig(tol=1e-15, max_iter=2))
+
+
+def test_stalled_solve_builds_each_jacobian_once(pme32, monkeypatch):
+    # a stall reads the floor at several iterates; J at each moving stage is
+    # built once per iterate for both the floor and the Newton matrix, and
+    # J(x) at the fixed stage once per solve
+    grid, u = pme32[0].grid, pme32[1]
+    problem, scheme = _CountingPME(grid, 2.0), get_scheme("simpson")
+    reads = []
+    magnitude = stepping._magnitude
+    monkeypatch.setattr(stepping, "_magnitude",
+                        lambda *args: reads.append(1) or magnitude(*args))
+    cfg = NewtonConfig(tol=1e-15, max_iter=8)
+    with pytest.raises(StepError, match="rounding floor"):
+        _step(problem, scheme, u.flat, 0.5, cfg)
+    rel = stepping._relation(scheme.tableau, False)
+    assert len(reads) >= 2 and len(rel.moving) == 2 < scheme.tableau.s
+    assert problem.calls == {"apply": 1 + (cfg.max_iter + 1) * len(rel.moving),
+                             "jacobian": (cfg.max_iter + 1) * len(rel.moving) + 1}
 
 
 def test_quadratic_convergence_never_reads_the_floor(pme32, monkeypatch):
