@@ -24,7 +24,8 @@ import numpy as np
 
 from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField,
                         _require_positive, diff1)
-from .stepping import NewtonConfig, StepError, Trajectory, _step
+from .stepping import (NewtonConfig, StepError, Trajectory, _Linearization,
+                       _require_count, _step)
 from .tableau import Scheme
 
 
@@ -228,15 +229,16 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     g[0] = 0 exactly (v(0) = u).  Each solve continues from the previous
     tau node's solution: the backward problem can develop spurious Newton
     roots away from the physical branch at larger tau, and continuation
-    keeps the iteration inside the correct basin.  A backward solve that
+    keeps the iteration inside the correct basin.  Every node solves from
+    the same endpoint u, so the sweep evaluates A[u] once and J(u), which
+    Newton's rounding floor needs, at most once.  A backward solve that
     fails (StepError), or leaves the problem's domain or the entropy's
     (DomainError), truncates the sweep at that node and records it in
     ``failed_index``; everything computed so far is kept.
     """
     if not 0 < tau_max < np.inf:
         raise ValueError("tau_max must be positive and finite")
-    if m < 3:
-        raise ValueError("need at least m = 3 sweep intervals")
+    _require_count("m", m, 3)
     cfg = cfg or NewtonConfig()
     problem._check_state(u)
     taus = np.linspace(0.0, tau_max, m + 1)
@@ -245,10 +247,11 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     h_u = evaluate(e, u, problem.grid)
     failed: int | None = None
     w_prev = None
+    base = _Linearization(problem, u.flat)
     for j in range(1, m + 1):
         try:
             v, _, w_prev = _step(problem, scheme, u.flat, taus[j], cfg,
-                                 backward=True, w_init=w_prev)
+                                 backward=True, w_init=w_prev, base=base)
             g[j] = h_u - evaluate(e, StateField.from_flat(v, problem.species),
                                   problem.grid)
         except (StepError, DomainError):

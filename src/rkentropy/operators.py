@@ -324,10 +324,15 @@ class Dlss(Problem):
     def _check_domain(self, x):
         _require_positive(x, "the fourth-order log-diffusion operator")
 
+    def _diff2(self, w):
+        """diff2(w, dx) through the neighbour gather: the same operations in
+        the same order, without the concatenates of ``_shift``."""
+        return (w[self._neighbours[2]] - 2.0 * w + w[self._neighbours[0]]
+                ) / self.grid.dx**2
+
     def apply_flat(self, x):
         self._check_domain(x)
-        dx = self.grid.dx
-        return diff2(x * diff2(np.log(x), dx), dx)
+        return self._diff2(x * self._diff2(np.log(x)))
 
     def jacobian_flat(self, x):
         # D2 @ core with the tridiagonal core diag(D2 log x) + diag(x) D2
@@ -335,11 +340,9 @@ class Dlss(Problem):
         # D2[i, i+p], so band p+q collects d2[p] * core_q[i+p].  One gather
         # shifts the core bands by every p; each band adds in the order of p
         self._check_domain(x)
-        log_x = np.log(x)
-        near = log_x[self._neighbours]
         core = x * self._weights[:, 0]
         core *= (1.0 / x)[self._neighbours]
-        core[1] += (near[2] - 2.0 * log_x + near[0]) / self.grid.dx**2
+        core[1] += self._diff2(np.log(x))
         terms = core.take(self._pairs)
         terms *= self._weights
         bands = np.zeros((5, self.grid.n))

@@ -23,9 +23,11 @@ Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
 for one state-sized W in either direction.
 
 ``_step`` runs one plain Newton loop: each iterate forms the stage values
-g = x + C W once, evaluates A and J at the moving stages once (fixed ones
-keep A[x], and J(x) is built at most once per solve), and updates W with
-the matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).
+g = x + C W once, evaluates A at the moving stages once (fixed ones keep
+A[x]), and, unless it stops, builds J there once to update W with the
+matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).  A[x], and J(x) if the
+floor needs it, are built once per solve (``_Linearization``), or once per
+``profile_g`` sweep, whose nodes all solve from x.
 ``_newton_solver`` sums that matrix stage by stage in the cyclic band form
 of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
 LAPACK band storage laid out per grid size, block count and stencil
@@ -36,22 +38,26 @@ blocks*(2*reach + 1) - 1: O(n) work and storage per iteration for every
 family.  The first factorization loads scipy's _flapack, not scipy.linalg.
 
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
-residual, 8 eps max(|W| + tau |B| mag(g)) with mag(g) = |J(g)| |g| + |A[g]|
+residual, 8 eps max(|W| + tau |B| mag(g)) with mag(g) = |J| |g| + |A[g]|
 (``_magnitude``): the stencil terms cancel in A far below mag, so a fixed
-tol can lie below what the arithmetic resolves.  The floor is read once
-convergence stops speeding up, when r_k/r_{k-1} exceeds 1/2 or reaches
-r_{k-1}/r_{k-2} (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
-section 2.1), and at max_iter.  No damping or line search is used; a
-non-finite residual or endpoint, or max_iter iterations above both, is a
-StepError.
+tol can lie below what the arithmetic resolves.  |J| holds the bands of
+the last factored Newton matrix, J at the previous iterate: the floor
+decides only near rounding level, where consecutive iterates differ by
+about the residual, and an iterate that stops builds no J for it.  The
+floor is read once convergence stops speeding up, when r_k/r_{k-1}
+exceeds 1/2 or reaches r_{k-1}/r_{k-2} (Deuflhard, Newton Methods for
+Nonlinear Problems, 2004, section 2.1), and at max_iter.  No damping or
+line search is used; a non-finite residual or endpoint, or max_iter
+iterations above both, is a StepError.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -63,10 +69,12 @@ _FLOOR = 8.0 * np.finfo(float).eps  # residual rounding floor per unit of scale
 
 
 def _magnitude(problem: Problem, jac, g: np.ndarray, ag: np.ndarray) -> np.ndarray:
-    """Rounding-error scale |J(g_i)| |g_i| + |A[g_i]| of A per cell for each row
-    g_i of g, given jac[i] = J(g_i) and ag_i = A[g_i].  To first order, rounding
-    x moves A[x] by eps |J(x)| |x| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.3); |A[x]| keeps the scale above A there."""
+    """Rounding-error scale |J_i| |g_i| + |A[g_i]| of A per cell for each row
+    g_i of g, given the Jacobian bands jac[i] and ag_i = A[g_i].  To first
+    order, rounding x moves A[x] by eps |J(x)| |x| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.3); |A[x]| keeps the
+    scale above A there.  ``_step`` passes the bands of its last factored
+    Newton matrix, J at the previous iterate, and J(x) at fixed stages."""
     return _band_matvec(np.abs(np.stack(jac)), problem.offsets, np.abs(g)) + np.abs(ag)
 
 
@@ -91,8 +99,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:  # an infinite tol would accept any iterate
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _require_count("max_iter", self.max_iter, 1)
 
 
 @dataclass
@@ -108,6 +115,27 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
+
+
+def _require_count(name: str, value, least: int):
+    """ValueError unless value is an integer (not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+
+
+class _Linearization:
+    """A[x] and, built on first use, J(x) at the known endpoint x of a solve.
+    A sweep shares one across its nodes, which all solve from the same x."""
+
+    def __init__(self, problem: Problem, x: np.ndarray):
+        self.problem, self.x = problem, x
+        self.a = problem.apply_flat(x)
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        return self.problem.jacobian_flat(self.x)
 
 
 def _proportional(row, base):
@@ -236,29 +264,34 @@ def _newton_solver(problem: Problem, rel: _Relation, jac, tau: float):
 
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
           cfg: NewtonConfig, backward: bool = False,
-          w_init: np.ndarray | None = None):
+          w_init: np.ndarray | None = None, base: _Linearization | None = None):
     """Solve the stage relation from the known endpoint x by plain Newton.
 
     Forward, x = u_old and the result is u_new; backward, x = u_new and
     the result is u_old.  ``w_init`` overrides the tau -> 0 initial
     iterate with a W from a neighbouring solve, which lets sweeps continue
-    along a solution branch instead of restarting.  Returns (the other
-    endpoint, the residual max-norm of each Newton iterate, W).
+    along a solution branch instead of restarting, and ``base``, the
+    ``_Linearization`` of x, lets them evaluate A[x] and J(x) once for all
+    their solves.  Returns (the other endpoint, the residual max-norm of each
+    Newton iterate, W).
 
     Newton stops when the residual is at most ``cfg.tol`` or at its
     rounding floor 8 eps max(|W| + tau |B| mag(g)); a non-finite residual or
     endpoint fails at once.  The floor is read once convergence stops
     speeding up, after an iteration that cut the residual r by less than half
     or with r_k/r_{k-1} >= r_{k-1}/r_{k-2}, and at the last iterate, so a
-    quadratically converging solve never pays for it.
+    quadratically converging solve never pays for it.  It reads the bands of
+    the last factored Newton matrix, so an iterate that stops builds no J.
     """
     rel = _relation(scheme.tableau, backward)
     s, r = rel.C.shape
     tau_b = tau * rel.B
-    a_x = problem.apply_flat(x)
-    ag = np.tile(a_x, (s, 1))  # A[g_i]; the rows of fixed stages stay A[x]
-    jac = [None] * s  # J(g_i); fixed stages get J(x) at the first floor read
-    w = (-tau * rel.start)[:, None] * a_x if w_init is None else w_init
+    base = base or _Linearization(problem, x)
+    ag = np.tile(base.a, (s, 1))  # A[g_i]; the rows of fixed stages stay A[x]
+    # bands of the last factored Newton matrix; fixed stages get J(x) at the
+    # first floor read
+    jac = [None] * s
+    w = (-tau * rel.start)[:, None] * base.a if w_init is None else w_init
     norms: list[float] = []
     for it in range(cfg.max_iter + 1):
         g = rel.C @ w
@@ -273,13 +306,10 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
         if not np.isfinite(norms[-1]):
             raise StepError(f"residual {norms[-1]} at Newton iteration {it}",
                             norms[-1], it)
-        for i in rel.moving:
-            jac[i] = problem.jacobian_flat(g[i])
         slowing = it > 0 and (norms[-1] > 0.5 * norms[-2] or it > 1 and
                               norms[-1] / norms[-2] >= norms[-2] / norms[-3])
-        if slowing or it == cfg.max_iter:
-            j_x = problem.jacobian_flat(x) if any(j is None for j in jac) else None
-            jac = [j_x if j is None else j for j in jac]
+        if slowing or it == cfg.max_iter:  # it > 0: a matrix has been factored
+            jac = [base.jac if j is None else j for j in jac]
             mag = _magnitude(problem, jac, g, ag)
             floor = _FLOOR * float(np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag)))
             if norms[-1] <= floor:
@@ -288,6 +318,8 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
             raise StepError(f"Newton stalled at residual {norms[-1]:.3e} after "
                             f"{cfg.max_iter} iterations (tol {cfg.tol:.1e}, "
                             f"rounding floor {floor:.1e})", norms[-1], cfg.max_iter)
+        for i in rel.moving:
+            jac[i] = problem.jacobian_flat(g[i])
         try:
             solve = _newton_solver(problem, rel, jac, tau)
         except np.linalg.LinAlgError as err:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rkentropy import stepping
 from rkentropy.entropy import (
     ExperimentPower,
     FirstOrder,
@@ -25,7 +26,7 @@ from rkentropy.operators import (
     StateField,
     diff1,
 )
-from rkentropy.stepping import NewtonConfig, run
+from rkentropy.stepping import NewtonConfig, StepError, _step, run
 from rkentropy.tableau import get_scheme
 
 
@@ -253,6 +254,78 @@ def test_h_is_evaluated_once_per_tau_node(pme32):
     assert len(calls) == m + 1
 
 
+def _count_at(problem, u):
+    """Count the kernel calls that ``problem`` gets on the array of u itself."""
+    calls = {"apply": 0, "jacobian": 0}
+
+    def counted(kind, kernel):
+        def call(x):
+            calls[kind] += np.shares_memory(x, u.values)
+            return kernel(x)
+        return call
+
+    problem.apply_flat = counted("apply", problem.apply_flat)
+    problem.jacobian_flat = counted("jacobian", problem.jacobian_flat)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["dlss", "pme"])
+def test_sweep_linearizes_its_endpoint_once(family, monkeypatch):
+    # every node solves from u: A[u] once per sweep, and J(u) only for the
+    # rounding floor, which the Dlss n = 256 solves read and the PME ones never
+    grid = Grid1D(256 if family == "dlss" else 32, 1.0)
+    u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
+    if family == "dlss":
+        problem, e, tau_max = Dlss(grid), LogEntropySum(), 1e-6
+    else:
+        problem, e, tau_max = PorousMedium(grid, 2.0), PowerEntropy(1.0), 1e-4
+    reads = []
+    magnitude = stepping._magnitude
+    monkeypatch.setattr(stepping, "_magnitude",
+                        lambda *args: reads.append(1) or magnitude(*args))
+    calls = _count_at(problem, u)
+    prof = profile_g(e, problem, get_scheme("simpson"), u, tau_max, 4)
+    assert prof.failed_index is None
+    assert bool(reads) == (family == "dlss")
+    assert calls == {"apply": 1, "jacobian": int(family == "dlss")}
+
+
+def _chained_profile(e, problem, scheme, u, tau_max, m, cfg):
+    """profile_g's G and failed_index from ``_step`` calls chained by w_init,
+    each of which linearizes u on its own."""
+    h_u = evaluate(e, u, problem.grid)
+    g, w = [0.0], None
+    for tau in np.linspace(0.0, tau_max, m + 1)[1:]:
+        try:
+            v, _, w = _step(problem, scheme, u.flat, tau, cfg, backward=True,
+                            w_init=w)
+        except (StepError, DomainError):
+            return g, len(g)
+        g.append(h_u - evaluate(e, StateField.from_flat(v, problem.species),
+                                problem.grid))
+    return g, None
+
+
+@pytest.mark.parametrize("family", ["dlss", "pme"])
+def test_sweep_equals_a_chain_of_solves(family):
+    # sharing A[u] and J(u) across the nodes changes no bit: the Dlss n = 256
+    # sweep stops at the rounding floor, the PME one stalls at node 3
+    grid = Grid1D(256 if family == "dlss" else 32, 1.0)
+    u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
+    if family == "dlss":
+        args = LogEntropySum(), Dlss(grid), get_scheme("simpson"), u, 1e-6, 6
+        cfg = NewtonConfig()
+    else:
+        args = (PowerEntropy(1.0), PorousMedium(grid, 2.0),
+                get_scheme("trapezoidal"), u, 1e-2, 5)
+        cfg = NewtonConfig(tol=1e-15, max_iter=4)
+    prof = profile_g(*args, cfg)
+    g, failed = _chained_profile(*args, cfg)
+    assert prof.failed_index == failed == (None if family == "dlss" else 3)
+    assert prof.g[:len(g)].tobytes() == np.array(g).tobytes()
+    assert np.all(np.isnan(prof.g[len(g):]))
+
+
 def test_profile_truncates_on_failure(pme32):
     problem, u = pme32
     cfg = NewtonConfig(tol=1e-15, max_iter=1)
@@ -311,8 +384,15 @@ def test_profile_argument_validation(pme32):
     e = ExperimentPower(5.0)
     with pytest.raises(ValueError):
         profile_g(e, problem, get_scheme("implicit_euler"), u, 0.0, 5)
-    with pytest.raises(ValueError):
-        profile_g(e, problem, get_scheme("implicit_euler"), u, 1e-4, 2)
+
+
+@pytest.mark.parametrize("bad", [2, 0, 3.5, 4.0, float("inf"), True, None])
+def test_sweep_intervals_must_be_an_integer(pme32, bad):
+    # a float failed in np.linspace
+    problem, u = pme32
+    with pytest.raises(ValueError, match="m must be an integer of at least 3"):
+        profile_g(ExperimentPower(5.0), problem, get_scheme("implicit_euler"), u,
+                  1e-4, bad)
 
 
 # -- decay-rate fitting -------------------------------------------------------
