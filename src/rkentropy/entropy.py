@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField,
-                        _require_positive, diff1)
-from .stepping import (NewtonConfig, StepError, Trajectory, _Linearization,
-                       _require_count, _step)
+                        _require_count, _require_positive, diff1)
+from .stepping import NewtonConfig, StepError, Trajectory, _Linearization, _step
 from .tableau import Scheme
 
 
@@ -40,8 +39,8 @@ class PowerEntropy:
     kind = "zeroth"
 
     def __init__(self, alpha: float):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= alpha < np.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
         self.alpha = float(alpha)
 
     def h(self, u):
@@ -78,6 +77,8 @@ class ExperimentPower:
     needs_positive = False
 
     def __init__(self, alpha: float):
+        if not -np.inf < alpha < np.inf:
+            raise ValueError(f"alpha must be finite, got {alpha}")
         self.alpha = float(alpha)
 
     def h(self, u):
@@ -100,8 +101,8 @@ class FirstOrder:
     needs_positive = True
 
     def __init__(self, alpha: float):
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.alpha = float(alpha)
 
     def f(self, u):
@@ -239,6 +240,8 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     if not 0 < tau_max < np.inf:
         raise ValueError("tau_max must be positive and finite")
     _require_count("m", m, 3)
+    if not -np.inf < base_time < np.inf:
+        raise ValueError(f"base_time must be finite, got {base_time}")
     cfg = cfg or NewtonConfig()
     problem._check_state(u)
     taus = np.linspace(0.0, tau_max, m + 1)
@@ -287,8 +290,10 @@ def fit_rate_series(times: np.ndarray, values: np.ndarray) -> float:
     """Exponential decay rate of a positive series: -slope of log(values)."""
     times = np.asarray(times, float)
     values = np.asarray(values, float)
-    if times.size < 2:
-        raise ValueError("need at least two samples to fit a rate")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValueError("decay fit requires finite times and values")
+    if np.unique(times).size < 2:
+        raise ValueError("need at least two distinct times to fit a rate")
     if np.any(values <= 0.0):
         raise ValueError("decay fit requires strictly positive values")
     slope = np.polyfit(times, np.log(values), 1)[0]

@@ -2,8 +2,11 @@
 
 Sign convention: the semi-discrete problem is du/dt = -A[u], so A[u] is
 the negated right-hand side.  All stencils are second-order central
-differences on a uniform periodic grid; the diffusion families are written
-so that sum_i A[u]_i telescopes to zero (discrete mass conservation).
+differences on a uniform periodic grid, and every kernel finds the
+neighbours (i + k) mod n of cell i through one gather, ``_cells_at``, whose
+index table is built once per stencil and grid.  The diffusion families
+are written so that sum_i A[u]_i telescopes to zero (discrete mass
+conservation).
 
 Each family provides two kernels, the operator A and its exact Jacobian in
 cyclic band form: cell i of species s depends only on the cells
@@ -20,6 +23,7 @@ domain (Dlss; PorousMedium with beta < 1), every kernel checks it first
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -30,6 +34,14 @@ class DomainError(ValueError):
     """State outside a problem's admissible set (e.g. nonpositive cells)."""
 
 
+def _require_count(name: str, value, least: int):
+    """ValueError unless value is an integer (not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic cell grid on [0, length) with nodes x_i = i*dx."""
@@ -38,10 +50,10 @@ class Grid1D:
     length: float = 1.0
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"grid needs n >= 4 cells, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"grid length must be positive, got {self.length}")
+        _require_count("n", self.n, 4)
+        if not 0 < self.length < np.inf:
+            raise ValueError(
+                f"grid length must be positive and finite, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -93,27 +105,26 @@ class StateField:
         return f"StateField(species={self.species}, n={self.n})"
 
 
-def _shift(w: np.ndarray, k: int) -> np.ndarray:
-    """w_{(i+k) mod n} for every cell i (np.roll(w, -k) for |k| < n)."""
-    return np.concatenate((w[k:], w[:k]))
-
-
-def diff1(w: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic central first difference (w_{i+1} - w_{i-1}) / (2 dx)."""
-    return (_shift(w, 1) - _shift(w, -1)) / (2.0 * dx)
-
-
-def diff2(w: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic second difference (w_{i+1} - 2 w_i + w_{i-1}) / dx^2."""
-    return (_shift(w, 1) - 2.0 * w + _shift(w, -1)) / dx**2
-
-
 @cache
 def _cells_at(offsets: tuple[int, ...], n: int) -> np.ndarray:
     """Cell (i + offsets[j]) mod n at [j, i], built once per stencil and grid."""
     cells = (np.arange(n) + np.asarray(offsets)[:, None]) % n
     cells.flags.writeable = False
     return cells
+
+
+def diff1(w: np.ndarray, dx: float) -> np.ndarray:
+    """Periodic central first difference (w_{i+1} - w_{i-1}) / (2 dx),
+    bit for bit (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * dx)."""
+    cells = _cells_at((-1, 0, 1), w.size)
+    return (w[cells[2]] - w[cells[0]]) / (2.0 * dx)
+
+
+def diff2(w: np.ndarray, dx: float) -> np.ndarray:
+    """Periodic second difference (w_{i+1} - 2 w_i + w_{i-1}) / dx^2,
+    bit for bit (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / dx**2."""
+    cells = _cells_at((-1, 0, 1), w.size)
+    return (w[cells[2]] - 2.0 * w + w[cells[0]]) / dx**2
 
 
 def _band_matvec(bands: np.ndarray, offsets: tuple[int, ...], w: np.ndarray
@@ -219,8 +230,8 @@ class PorousMedium(Problem):
     """
 
     def __init__(self, grid: Grid1D, beta: float):
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        if not 0 < beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         super().__init__(grid)
         self.beta = float(beta)
 
@@ -253,17 +264,17 @@ class ScalarDiffusion(Problem):
 
     def apply_flat(self, x):
         # flux numerator g_i = a((x_i + x_{i+1})/2) * (x_{i+1} - x_i), interface i+1/2
-        xp = _shift(x, 1)
+        xp = x[self._neighbours[2]]
         g = np.asarray(self.a(0.5 * (x + xp))) * (xp - x)
-        return -(g - _shift(g, -1)) / self.grid.dx**2
+        return -(g - g[self._neighbours[0]]) / self.grid.dx**2
 
     def jacobian_flat(self, x):
         n = self.grid.n
-        xp = _shift(x, 1)
+        xp = x[self._neighbours[2]]
         mid = 0.5 * (x + xp)
         av = np.asarray(self.a(mid)) * np.ones(n)
         pv = 0.5 * np.asarray(self.da(mid)) * (xp - x) * np.ones(n)
-        pm, am = _shift(pv, -1), _shift(av, -1)
+        pm, am = pv[self._neighbours[0]], av[self._neighbours[0]]
         dx2 = self.grid.dx**2
         # dA_i/du_{i-1} from flux i-1, dA_i/du_{i+1} from flux i
         bands = np.stack([(pm - am) / dx2,
@@ -284,8 +295,10 @@ class LinearSystem(Problem):
     species = 2
 
     def __init__(self, grid: Grid1D, rho1: float, rho2: float, mu: float):
-        if rho1 < 0 or rho2 < 0 or mu < 0:
-            raise ValueError("rho1, rho2, mu must be nonnegative")
+        for name, value in (("rho1", rho1), ("rho2", rho2), ("mu", mu)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"got {value}")
         super().__init__(grid)
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)
@@ -324,15 +337,9 @@ class Dlss(Problem):
     def _check_domain(self, x):
         _require_positive(x, "the fourth-order log-diffusion operator")
 
-    def _diff2(self, w):
-        """diff2(w, dx) through the neighbour gather: the same operations in
-        the same order, without the concatenates of ``_shift``."""
-        return (w[self._neighbours[2]] - 2.0 * w + w[self._neighbours[0]]
-                ) / self.grid.dx**2
-
     def apply_flat(self, x):
         self._check_domain(x)
-        return self._diff2(x * self._diff2(np.log(x)))
+        return diff2(x * diff2(np.log(x), self.grid.dx), self.grid.dx)
 
     def jacobian_flat(self, x):
         # D2 @ core with the tridiagonal core diag(D2 log x) + diag(x) D2
@@ -342,7 +349,7 @@ class Dlss(Problem):
         self._check_domain(x)
         core = x * self._weights[:, 0]
         core *= (1.0 / x)[self._neighbours]
-        core[1] += self._diff2(np.log(x))
+        core[1] += diff2(np.log(x), self.grid.dx)
         terms = core.take(self._pairs)
         terms *= self._weights
         bands = np.zeros((5, self.grid.n))

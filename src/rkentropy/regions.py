@@ -30,6 +30,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .operators import _require_count
+
 
 @dataclass(frozen=True)
 class RegionQuery:
@@ -43,8 +45,7 @@ class RegionQuery:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        if self.d < 1:
-            raise ValueError("dimension d must be at least 1")
+        _require_count("d", self.d, 1)
         if self.c_rk not in (0.0, 1.0, 2.0):
             raise ValueError("c_rk must be one of 0, 1, 2")
 
@@ -424,8 +425,7 @@ def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
     mu, dmu and hpp must accept an array of abscissae.
     """
     u_grid = np.asarray(u_grid, dtype=float)
-    if d < 1:
-        raise ValueError("dimension d must be at least 1")
+    _require_count("d", d, 1)
     if (u_grid.size < 1 or not np.all(np.isfinite(u_grid))
             or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0)):
         raise ValueError("u_grid must be finite, > 0 and strictly ascending")
@@ -587,8 +587,8 @@ def emit_mask(family: str, alpha_range: tuple[float, float],
         raise ValueError(f"unknown region family {family!r}")
     if family == "pme1" and (d != 1 or c_rk != 1.0):
         raise ValueError("family pme1 is the region of d = 1 and c_rk = 1")
-    if alpha_steps < 1 or beta_steps < 1:
-        raise ValueError("step counts must be at least 1")
+    _require_count("alpha_steps", alpha_steps, 1)
+    _require_count("beta_steps", beta_steps, 1)
     alphas = np.linspace(alpha_range[0], alpha_range[1], alpha_steps)
     betas = np.linspace(beta_range[0], beta_range[1], beta_steps)
     member = np.zeros((alpha_steps, beta_steps), dtype=bool)

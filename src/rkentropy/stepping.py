@@ -53,7 +53,6 @@ iterations above both, is a StepError.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,7 +60,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .operators import DomainError, Problem, StateField, _band_matvec, _cells_at
+from .operators import (DomainError, Problem, StateField, _band_matvec, _cells_at,
+                        _require_count)
 from .tableau import ButcherTableau, Scheme
 
 
@@ -115,14 +115,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
-
-
-def _require_count(name: str, value, least: int):
-    """ValueError unless value is an integer (not a bool) of at least ``least``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer of at least {least}, "
-                         f"got {value!r}")
 
 
 class _Linearization:

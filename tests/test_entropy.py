@@ -395,6 +395,35 @@ def test_sweep_intervals_must_be_an_integer(pme32, bad):
                   1e-4, bad)
 
 
+@pytest.mark.parametrize("base_time", [np.nan, np.inf])
+def test_profile_base_time_must_be_finite(pme32, base_time):
+    problem, u = pme32
+    with pytest.raises(ValueError, match="base_time must be finite"):
+        profile_g(ExperimentPower(5.0), problem, get_scheme("implicit_euler"), u,
+                  1e-4, 4, base_time=base_time)
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: Grid1D(8, length=np.inf), "length", id="grid-inf"),
+    pytest.param(lambda: PorousMedium(Grid1D(8), np.inf), "beta", id="pme-inf"),
+    pytest.param(lambda: PorousMedium(Grid1D(8), np.nan), "beta", id="pme-nan"),
+    pytest.param(lambda: LinearSystem(Grid1D(8), np.nan, 1.0, 1.0), "rho1",
+                 id="rho1-nan"),
+    pytest.param(lambda: LinearSystem(Grid1D(8), 1.0, np.inf, 1.0), "rho2",
+                 id="rho2-inf"),
+    pytest.param(lambda: LinearSystem(Grid1D(8), 1.0, 1.0, np.nan), "mu",
+                 id="mu-nan"),
+    pytest.param(lambda: PowerEntropy(np.nan), "alpha", id="power-nan"),
+    pytest.param(lambda: PowerEntropy(np.inf), "alpha", id="power-inf"),
+    pytest.param(lambda: ExperimentPower(np.nan), "alpha", id="experiment-nan"),
+    pytest.param(lambda: ExperimentPower(-np.inf), "alpha", id="experiment-inf"),
+    pytest.param(lambda: FirstOrder(np.inf), "alpha", id="first-order-inf"),
+])
+def test_constructors_reject_non_finite_parameters(build, name):
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        build()
+
+
 # -- decay-rate fitting -------------------------------------------------------
 
 def test_fit_rate_series_exact_geometric():
@@ -409,6 +438,19 @@ def test_fit_rate_series_exact_geometric():
 def test_fit_rate_series_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_rate_series([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("times, values, match", [
+    pytest.param([0, 1, 2], [1.0, np.nan, 0.5], "finite", id="nan-value"),
+    pytest.param([0, 1, 2], [1.0, np.inf, 0.5], "finite", id="inf-value"),
+    pytest.param([0, np.nan, 2], [1.0, 0.7, 0.5], "finite", id="nan-time"),
+    pytest.param([0, np.inf, 2], [1.0, 0.7, 0.5], "finite", id="inf-time"),
+    pytest.param([1, 1, 1], [1.0, 0.7, 0.5], "two distinct", id="equal-times"),
+    pytest.param([1], [1.0], "two distinct", id="one-sample"),
+])
+def test_fit_rate_series_rejects_unusable_samples(times, values, match):
+    with pytest.raises(ValueError, match=match):
+        fit_rate_series(times, values)
 
 
 def test_fit_decay_rate_on_barenblatt_run():

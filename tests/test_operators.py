@@ -11,6 +11,7 @@ from rkentropy.operators import (
     PorousMedium,
     ScalarDiffusion,
     StateField,
+    diff1,
     diff2,
     diff2_matrix,
 )
@@ -51,6 +52,29 @@ def test_grid_basics():
         Grid1D(3, 1.0)
     with pytest.raises(ValueError):
         Grid1D(8, -1.0)
+
+
+@pytest.mark.parametrize("bad", [64.0, 4.5, True, 3, np.int64(3)])
+def test_grid_cell_count_must_be_an_integer(bad):
+    # a float n would otherwise fail far from its cause: 64.0 in the first
+    # step, 4.5 in the state shape check
+    with pytest.raises(ValueError, match="n must be an integer of at least 4"):
+        Grid1D(bad)
+
+
+def test_grid_accepts_a_numpy_integer():
+    grid = Grid1D(np.int64(8))
+    assert grid.dx == 0.125 and diff2(np.ones(grid.n), grid.dx).shape == (8,)
+
+
+@pytest.mark.parametrize("n", [4, 5, 63, 64, 4096])
+def test_differences_match_the_roll_formulas(n):
+    w = np.random.default_rng(n).standard_normal(n)
+    dx = 0.37 / n
+    assert np.array_equal(diff1(w, dx),
+                          (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * dx))
+    assert np.array_equal(diff2(w, dx),
+                          (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / dx**2)
 
 
 def test_state_field_shapes():

@@ -543,6 +543,14 @@ def test_scalar_conditions_d1_second_condition_trivial():
         assert row.cond2_ok
 
 
+@pytest.mark.parametrize("d", [1.5, True])
+def test_scalar_conditions_dimension_must_be_an_integer(d):
+    handles = dict(mu=lambda u: u, dmu=lambda u: 1.0 + 0.0 * u,
+                   d2mu=lambda u: 0.0 * u, hpp=lambda u: 1.0 / u)
+    with pytest.raises(ValueError, match="d must be an integer of at least 1"):
+        scalar_conditions(**handles, u_grid=np.array([1.0, 2.0]), d=d, c_rk=1.0)
+
+
 def test_scalar_conditions_variant_prefactor():
     handles = dict(
         mu=lambda u: u, dmu=lambda u: 1.0, d2mu=lambda u: 0.0,
@@ -654,6 +662,12 @@ def test_emit_mask_validation():
         emit_mask("pme0", (0.5, 1.0), (0.5, 1.0), 0, 2)
 
 
+@pytest.mark.parametrize("steps", [(2.5, 2), (2, 2.5)])
+def test_emit_mask_step_counts_must_be_integers(steps):
+    with pytest.raises(ValueError, match="steps must be an integer of at least 1"):
+        emit_mask("pme0", (0.5, 1.0), (0.5, 1.0), *steps)
+
+
 def test_emit_mask_rejects_pme1_outside_its_definition():
     # the first-order region is defined for d = 1 and c_rk = 1 only, and
     # its exponents must be positive like every region query's
@@ -674,6 +688,12 @@ def test_region_query_validation():
         RegionQuery(1.0, 1.0, 1, 0.5)
     with pytest.raises(ValueError):
         RegionQuery(1.0, 1.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2.5, True])
+def test_region_query_dimension_must_be_an_integer(d):
+    with pytest.raises(ValueError, match="d must be an integer of at least 1"):
+        RegionQuery(1.0, 1.0, d)
 
 
 def test_poly_evaluators_match_direct_sums():
