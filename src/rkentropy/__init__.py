@@ -74,19 +74,3 @@ from .tableau import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ButcherTableau", "Scheme", "TableauError", "c_rk", "get_scheme",
-    "register", "registry",
-    "Grid1D", "StateField", "Problem", "PorousMedium", "ScalarDiffusion",
-    "LinearSystem", "Dlss", "DomainError", "diff1", "diff2", "diff2_matrix",
-    "NewtonConfig", "StepError", "Trajectory", "forward_step",
-    "backward_solve", "run",
-    "PowerEntropy", "LogEntropySum", "ExperimentPower", "FirstOrder",
-    "GProfile", "evaluate", "production", "i0", "i1", "profile_g",
-    "d2g_at_zero", "q_denominator", "fit_rate_series", "fit_decay_rate",
-    "RegionQuery", "Witness", "RegionMask", "ConditionRow", "DlssChainReport",
-    "r0_1d", "r0_strip_discriminant", "r0_membership", "certify_r0",
-    "r1_membership", "certify_r1", "quad_form_nonneg", "scalar_conditions",
-    "dlss_chain", "dlss_b12", "dlss_b12_derivative", "emit_mask",
-]

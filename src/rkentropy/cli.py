@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import entropy as ent
 from .operators import Dlss, DomainError, Grid1D, LinearSystem, PorousMedium, \
-    Problem, StateField
+    Problem, StateField, _require_count, _require_real
 from .regions import dlss_b12, dlss_b12_derivative, dlss_chain, emit_mask, \
     scalar_conditions
 from .stepping import NewtonConfig, StepError, run, step_count
@@ -100,11 +100,10 @@ def _validate(cfg: RunConfig):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{key} must be one of {', '.join(names)}; "
                               f"got {getattr(cfg, key)!r}")
-    for key in ("beta", "length", "tau", "t_end", "t0"):
-        if not 0 < (value := getattr(cfg, key)) < np.inf:
-            raise ConfigError(f"{key} must be positive and finite, got {value}")
-    if cfg.n < 4:
-        raise ConfigError(f"n must be at least 4, got {cfg.n}")
+    with _rejections():
+        for key in ("beta", "length", "tau", "t_end", "t0"):
+            _require_real(key, getattr(cfg, key), 0.0)
+        _require_count("n", cfg.n, 4)
     if cfg.ic == "barenblatt":
         if cfg.problem != "pme" or cfg.beta <= 1.0:
             raise ConfigError(
@@ -193,13 +192,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _scipy_meta() -> list[str]:
-    """scipy's version and the LAPACK it was built against, which factors
-    every Newton matrix and can be another build than numpy's BLAS."""
+def _platform_meta() -> list[str]:
+    """numpy's version and SIMD targets (its kernels round differently on
+    each), scipy's version and the LAPACK that solves every Newton system."""
     import scipy
 
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
     lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    return [f"scipy_version = {scipy.__version__}",
+    return [f"numpy_version = {np.__version__}",
+            f"numpy_simd = baseline {' '.join(simd['baseline'])}; "
+            f"found {' '.join(simd.get('found', [])) or 'none'}",
+            f"scipy_version = {scipy.__version__}",
             f"scipy_lapack = {lapack['name']} {lapack['version']}"]
 
 
@@ -251,8 +254,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
         (out / f"snapshot_t{t_snap:g}.csv").write_text("\n".join(rows) + "\n")
     meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
     meta.append(f"rkentropy_version = {__version__}")
-    meta.append(f"numpy_version = {np.__version__}")
-    meta += _scipy_meta()
+    meta += _platform_meta()
     (out / "run_meta.txt").write_text("\n".join(meta) + "\n")
     return path
 
@@ -315,9 +317,9 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
     elif preset != "pme_power":
         raise ConfigError(f"unknown preset {preset!r}; use heat_log or pme_power")
     handles = _pme_handles(alpha, beta)
-    if not np.all(np.isfinite([u_min, u_max])):
-        raise ConfigError("u_min and u_max must be finite")
-    with _rejections():  # a negative point count, a bad u grid or d
+    with _rejections():  # an infinite u range, a negative point count, a bad u grid or d
+        _require_real("u_min", u_min)
+        _require_real("u_max", u_max)
         u_grid = np.linspace(u_min, u_max, points)
         rows = scalar_conditions(handles["mu"], handles["dmu"], handles["d2mu"],
                                  handles["hpp"], u_grid, d=d, c_rk=c_rk)

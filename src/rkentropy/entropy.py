@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField,
-                        _require_count, _require_positive, diff1)
+                        _require_count, _require_positive, _require_real, diff1)
 from .stepping import NewtonConfig, StepError, Trajectory, _Linearization, _step
 from .tableau import Scheme
 
@@ -39,8 +39,7 @@ class PowerEntropy:
     kind = "zeroth"
 
     def __init__(self, alpha: float):
-        if not 0 <= alpha < np.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+        _require_real("alpha", alpha, 0.0, closed=True)
         self.alpha = float(alpha)
 
     def h(self, u):
@@ -77,8 +76,7 @@ class ExperimentPower:
     needs_positive = False
 
     def __init__(self, alpha: float):
-        if not -np.inf < alpha < np.inf:
-            raise ValueError(f"alpha must be finite, got {alpha}")
+        _require_real("alpha", alpha)
         self.alpha = float(alpha)
 
     def h(self, u):
@@ -101,8 +99,7 @@ class FirstOrder:
     needs_positive = True
 
     def __init__(self, alpha: float):
-        if not 0 < alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        _require_real("alpha", alpha, 0.0)
         self.alpha = float(alpha)
 
     def f(self, u):
@@ -237,11 +234,9 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     (DomainError), truncates the sweep at that node and records it in
     ``failed_index``; everything computed so far is kept.
     """
-    if not 0 < tau_max < np.inf:
-        raise ValueError("tau_max must be positive and finite")
+    _require_real("tau_max", tau_max, 0.0)
     _require_count("m", m, 3)
-    if not -np.inf < base_time < np.inf:
-        raise ValueError(f"base_time must be finite, got {base_time}")
+    _require_real("base_time", base_time)
     cfg = cfg or NewtonConfig()
     problem._check_state(u)
     taus = np.linspace(0.0, tau_max, m + 1)

@@ -42,6 +42,16 @@ def _require_count(name: str, value, least: int):
                          f"got {value!r}")
 
 
+def _require_real(name: str, value, low: float = -np.inf, closed: bool = False):
+    """ValueError unless value is finite and above ``low`` (or equal to it,
+    when ``closed``); the message states the bound."""
+    if not (-np.inf < value < np.inf and (value >= low if closed else value > low)):
+        bound = ("finite" if low == -np.inf else
+                 f"{'nonnegative' if closed else 'positive'} and finite" if low == 0.0
+                 else f"finite and {'at least' if closed else 'above'} {low!r}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic cell grid on [0, length) with nodes x_i = i*dx."""
@@ -51,9 +61,10 @@ class Grid1D:
 
     def __post_init__(self):
         _require_count("n", self.n, 4)
-        if not 0 < self.length < np.inf:
-            raise ValueError(
-                f"grid length must be positive and finite, got {self.length}")
+        _require_real("length", self.length, 0.0)
+        # the stencils divide by dx**2, a normal float: no overflow, no underflow
+        _require_real(f"dx * dx (length {self.length!r}, n {self.n})", self.dx * self.dx,
+                      float(np.finfo(float).tiny), closed=True)
 
     @property
     def dx(self) -> float:
@@ -230,8 +241,7 @@ class PorousMedium(Problem):
     """
 
     def __init__(self, grid: Grid1D, beta: float):
-        if not 0 < beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {beta}")
+        _require_real("beta", beta, 0.0)
         super().__init__(grid)
         self.beta = float(beta)
 
@@ -296,9 +306,7 @@ class LinearSystem(Problem):
 
     def __init__(self, grid: Grid1D, rho1: float, rho2: float, mu: float):
         for name, value in (("rho1", rho1), ("rho2", rho2), ("mu", mu)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, "
-                                 f"got {value}")
+            _require_real(name, value, 0.0, closed=True)
         super().__init__(grid)
         self.rho1 = float(rho1)
         self.rho2 = float(rho2)

@@ -30,7 +30,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .operators import _require_count
+from .operators import _require_count, _require_real
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class RegionQuery:
     c_rk: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        _require_real("alpha", self.alpha, 0.0)
+        _require_real("beta", self.beta, 0.0)
         _require_count("d", self.d, 1)
         if self.c_rk not in (0.0, 1.0, 2.0):
             raise ValueError("c_rk must be one of 0, 1, 2")
@@ -207,7 +207,8 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
     b6 b2^2 - b1 b4^2 = ``_det4`` of the Gram matrix, which with b1, b6 > 0
     has the sign of Q's completed-square remainder.  R opens downward in c2
     (coefficient -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2), and its discriminant in
-    c2 is K lambda (lambda - 1) q(lambda) with K > 0 and q quadratic.
+    c2 is K lambda (lambda - 1) q(lambda) with K > 0 and q quadratic.  On
+    the diagonal alpha = beta, where the search finds none, lambda = 0 may.
     """
     if q.d < 2:
         raise ValueError("r0_membership needs d >= 2; use r0_1d for d = 1")
@@ -220,10 +221,15 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
             q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2)), 0.0, 1.0)
     except OverflowError:  # float ** overflowed: no witness
         best = None
-    if best is None:
-        return False, None
-    w = Witness(c1=-k * best[0], c2=best[1], lam=best[0])
-    return (True, w) if certify_r0(q, w) >= 0.0 else (False, None)
+    if best is not None:
+        w = Witness(c1=-k * best[0], c2=best[1], lam=best[0])
+        if certify_r0(q, w) >= 0.0:
+            return True, w
+    if q.alpha == q.beta:  # c1 = c2 = 0: Gram determinant -c_rk^2 (beta - alpha)^2 / 4
+        w = Witness(c1=0.0, c2=0.0, lam=0.0)
+        if certify_r0(q, w) >= 0.0:
+            return True, w
+    return False, None
 
 
 def certify_r0(q: RegionQuery, w: Witness) -> float:
@@ -426,6 +432,7 @@ def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
     """
     u_grid = np.asarray(u_grid, dtype=float)
     _require_count("d", d, 1)
+    _require_real("c_rk", c_rk)
     if (u_grid.size < 1 or not np.all(np.isfinite(u_grid))
             or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0)):
         raise ValueError("u_grid must be finite, > 0 and strictly ascending")
@@ -589,6 +596,9 @@ def emit_mask(family: str, alpha_range: tuple[float, float],
         raise ValueError("family pme1 is the region of d = 1 and c_rk = 1")
     _require_count("alpha_steps", alpha_steps, 1)
     _require_count("beta_steps", beta_steps, 1)
+    for name, ends in (("alpha_range", alpha_range), ("beta_range", beta_range)):
+        for end in ends:
+            _require_real(name, end, 0.0)
     alphas = np.linspace(alpha_range[0], alpha_range[1], alpha_steps)
     betas = np.linspace(beta_range[0], beta_range[1], beta_steps)
     member = np.zeros((alpha_steps, beta_steps), dtype=bool)

@@ -28,14 +28,15 @@ A[x]), and, unless it stops, builds J there once to update W with the
 matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).  A[x], and J(x) if the
 floor needs it, are built once per solve (``_Linearization``), or once per
 ``profile_g`` sweep, whose nodes all solve from x.
-``_newton_solver`` sums that matrix stage by stage in the cyclic band form
+``_newton_update`` sums that matrix stage by stage in the cyclic band form
 of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
 LAPACK band storage laid out per grid size, block count and stencil
-(``_layout``), and factors it with LAPACK's banded LU (``dgbtrf``, partial
-pivoting, fill inside the band).  Folding the cells (0, n-1, 1, n-2, ...)
-makes the cyclic band a plain band of half-width at most
-blocks*(2*reach + 1) - 1: O(n) work and storage per iteration for every
-family.  The first factorization loads scipy's _flapack, not scipy.linalg.
+(``_layout``), and solves with it in one call of LAPACK's band driver
+``dgbsv``: the banded LU ``dgbtrf`` (partial pivoting, fill inside the
+band), then ``dgbtrs``.  Folding the cells (0, n-1, 1, n-2, ...) makes the
+cyclic band a plain band of half-width at most blocks*(2*reach + 1) - 1:
+O(n) work and storage per iteration for every family.  The first solve
+loads scipy's _flapack, not scipy.linalg.
 
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
 residual, 8 eps max(|W| + tau |B| mag(g)) with mag(g) = |J| |g| + |A[g]|
@@ -61,7 +62,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .operators import (DomainError, Problem, StateField, _band_matvec, _cells_at,
-                        _require_count)
+                        _require_count, _require_real)
 from .tableau import ButcherTableau, Scheme
 
 
@@ -97,8 +98,7 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:  # an infinite tol would accept any iterate
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        _require_real("tol", self.tol, 0.0)  # an infinite tol would accept any iterate
         _require_count("max_iter", self.max_iter, 1)
 
 
@@ -210,8 +210,8 @@ def _layout(n: int, blocks: int, offsets: tuple[int, ...]):
 
 @cache
 def _band_lapack():
-    """(dgbtrf, dgbtrs) from scipy's _flapack extension, loaded alone: the
-    scipy.linalg package around it loads some 330 more modules."""
+    """dgbsv from scipy's _flapack extension, loaded alone: the scipy.linalg
+    package around it loads some 330 more modules."""
     import scipy
     from importlib import machinery, util
 
@@ -221,15 +221,14 @@ def _band_lapack():
         raise ImportError(f"scipy's LAPACK extension {where}/_flapack.* is missing")
     flapack = util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
-    return flapack.dgbtrf, flapack.dgbtrs
+    return flapack.dgbsv
 
 
-def _newton_solver(problem: Problem, rel: _Relation, jac, tau: float):
-    """LU of I + tau sum_q coupling[q] (x) J(g_i), given jac[i] = J(g_i) at the
-    moving stages, as the function that solves with it; LinAlgError on a zero
-    pivot."""
-    dgbtrf, dgbtrs = _band_lapack()
-
+def _newton_update(problem: Problem, rel: _Relation, jac, tau: float,
+                   rhs: np.ndarray) -> np.ndarray:
+    """The solution of (I + tau sum_q coupling[q] (x) J(g_i)) y = rhs, given
+    jac[i] = J(g_i) at the moving stages, by LAPACK's band driver dgbsv (its
+    LU dgbtrf, then dgbtrs); LinAlgError on a zero pivot."""
     kl, ku, scatter, order, rank = _layout(
         problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
     # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks
@@ -240,18 +239,14 @@ def _newton_solver(problem: Problem, rel: _Relation, jac, tau: float):
     ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
                      * (2 * kl + ku + 1)).reshape(order.size, -1).T
     ab[kl + ku] += 1.0
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    # dgbsv also returns the band LU and its pivots, which this solve drops
+    _, _, y, info = _band_lapack()(kl, ku, ab, rhs[order], overwrite_ab=1,
+                                   overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"zero pivot in row {info - 1} of the band LU")
     if info < 0:  # an illegal argument is a bug: no StepError, which sweeps catch
-        raise RuntimeError(f"dgbtrf rejected argument {-info} (info {info})")
-
-    def solve(rhs):
-        x, status = dgbtrs(lu, kl, ku, rhs[order], piv)
-        if status:
-            raise RuntimeError(f"dgbtrs rejected argument {-status} (info {status})")
-        return x[rank]
-    return solve
+        raise RuntimeError(f"dgbsv rejected argument {-info} (info {info})")
+    return y[rank]
 
 
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
@@ -313,11 +308,11 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
         for i in rel.moving:
             jac[i] = problem.jacobian_flat(g[i])
         try:
-            solve = _newton_solver(problem, rel, jac, tau)
+            update = _newton_update(problem, rel, jac, tau, res.reshape(-1))
         except np.linalg.LinAlgError as err:
             raise StepError(f"singular Newton matrix at iteration {it} "
                             f"(residual {norms[-1]:.3e}): {err}", norms[-1], it) from err
-        w = w - solve(res.reshape(-1)).reshape(r, -1)
+        w = w - update.reshape(r, -1)
     b = scheme.tableau.b
     other = x + (tau if backward else -tau) * (b[:, None] * ag).sum(axis=0)
     if not np.all(np.isfinite(other)):
@@ -329,8 +324,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
 def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: float,
                  cfg: NewtonConfig | None = None) -> StateField:
     """Advance one step of size tau from u_prev."""
-    if not 0 < tau < np.inf:
-        raise ValueError("tau must be positive and finite")
+    _require_real("tau", tau, 0.0)
     cfg = cfg or NewtonConfig()
     problem._check_state(u_prev)
     u_new, _, _ = _step(problem, scheme, u_prev.flat, tau, cfg)
@@ -344,8 +338,7 @@ def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
     v(0) = u exactly; for small tau the solution follows the expansion
     v(tau) = u + tau*A[u] + (tau^2/2) * c_rk * DA[u](A[u]) + O(tau^3).
     """
-    if not 0 <= tau < np.inf:
-        raise ValueError("tau must be nonnegative and finite")
+    _require_real("tau", tau, 0.0, closed=True)
     cfg = cfg or NewtonConfig()
     problem._check_state(u)
     if tau == 0.0:
@@ -357,10 +350,8 @@ def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
 def step_count(tau: float, t_end: float) -> int:
     """Steps of size tau that ``run`` takes to reach t_end: ceil(t_end/tau),
     less 1e-12 so that a quotient rounded just above an integer adds none."""
-    if not 0 < tau < np.inf:
-        raise ValueError("tau must be positive and finite")
-    if not tau <= t_end < np.inf:
-        raise ValueError("t_end must be finite and at least one step")
+    _require_real("tau", tau, 0.0)
+    _require_real("t_end", t_end, tau, closed=True)  # at least one step
     return int(np.ceil(t_end / tau - 1e-12))
 
 

@@ -282,6 +282,29 @@ def test_main_rejects_out_of_range_arguments(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}={value}")
+    for key in ("beta", "length", "tau", "t_end", "t0")
+    for value in ("nan", "inf", "-inf", "0.0")
+] + [pytest.param("n", "3", id="n=3")])
+def test_config_reals_are_range_checked(tmp_path, capsys, key, value):
+    # each through the library's own check, reported as a config error
+    cfg_path = write_config(tmp_path, MINIMAL + f"{key} = {value}\n")
+    assert main(["simulate", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:config: {key} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["u_min", "u_max"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_check_conditions_range_ends_must_be_finite(key, value):
+    ends = {"u_min": 0.5, "u_max": 2.0, key: value}
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        cmd_check_conditions("pme_power", 1.0, 2.0, ends["u_min"], ends["u_max"],
+                             4, 1, 1.0)
+
+
 def test_main_reports_overflowing_run(tmp_path, capsys):
     # an explicit step far beyond the stability limit blows up; the run
     # must abort with a categorized error, not a traceback
@@ -352,6 +375,10 @@ def test_main_simulate_and_gprofile(tmp_path):
     assert (out / "entropy.csv").exists()
     meta = (out / "run_meta.txt").read_text()
     assert "\nscipy_version = " in meta and "\nscipy_lapack = " in meta
+    # the SIMD targets numpy dispatches to, read as numpy states them
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    assert (f"\nnumpy_simd = baseline {' '.join(simd['baseline'])}; found "
+            f"{' '.join(simd.get('found', [])) or 'none'}\n") in meta
     out2 = tmp_path / "prof"
     assert main(["gprofile", "--config", str(cfg_path), "--base-times",
                  "3e-4", "--tau-max", "1e-4", "--m", "4", "--schemes",

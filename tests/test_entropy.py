@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from range_cases import range_cases
 from rkentropy import stepping
 from rkentropy.entropy import (
     ExperimentPower,
@@ -401,6 +402,27 @@ def test_profile_base_time_must_be_finite(pme32, base_time):
     with pytest.raises(ValueError, match="base_time must be finite"):
         profile_g(ExperimentPower(5.0), problem, get_scheme("implicit_euler"), u,
                   1e-4, 4, base_time=base_time)
+
+
+_PME = PorousMedium(Grid1D(8), 2.0)
+_U = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * _PME.grid.x()))
+
+
+def _profile(tau_max=1e-4, base_time=0.0):
+    return profile_g(ExperimentPower(5.0), _PME, get_scheme("implicit_euler"), _U,
+                     tau_max, 4, base_time=base_time)
+
+
+@pytest.mark.parametrize("name, build, value", range_cases(
+    ("alpha", PowerEntropy, 0.0, True, "PowerEntropy"),
+    ("alpha", ExperimentPower, -np.inf, False, "ExperimentPower"),
+    ("alpha", FirstOrder, 0.0, False, "FirstOrder"),
+    ("tau_max", lambda v: _profile(tau_max=v), 0.0, False),
+    ("base_time", lambda v: _profile(base_time=v), -np.inf, False),
+))
+def test_entropy_reals_are_range_checked(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(value)
 
 
 @pytest.mark.parametrize("build, name", [

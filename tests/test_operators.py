@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from range_cases import range_cases
 from rkentropy.operators import (
     Dlss,
     DomainError,
@@ -14,6 +17,7 @@ from rkentropy.operators import (
     diff1,
     diff2,
     diff2_matrix,
+    _require_real,
 )
 from rkentropy.stepping import _magnitude
 
@@ -75,6 +79,44 @@ def test_differences_match_the_roll_formulas(n):
                           (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * dx))
     assert np.array_equal(diff2(w, dx),
                           (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / dx**2)
+
+
+@pytest.mark.parametrize("low, closed, bound", [
+    (-np.inf, False, "finite"), (0.0, False, "positive and finite"),
+    (0.0, True, "nonnegative and finite"), (0.5, True, "finite and at least 0.5"),
+    (0.5, False, "finite and above 0.5"),
+])
+def test_require_real_states_its_bound(low, closed, bound):
+    # the bound itself passes only when closed; the message names it
+    for value in (np.nan, np.inf, -np.inf, low - 1.0) + (() if closed else (low,)):
+        with pytest.raises(ValueError, match=re.escape(f"x must be {bound}, got ")):
+            _require_real("x", value, low, closed)
+    _require_real("x", max(low, 0.0) + 1.0, low, closed)
+    if closed:
+        _require_real("x", low, low, closed)
+
+
+@pytest.mark.parametrize("name, build, value", range_cases(
+    ("length", lambda v: Grid1D(8, v), 0.0, False),
+    ("beta", lambda v: PorousMedium(Grid1D(8), v), 0.0, False),
+    ("rho1", lambda v: LinearSystem(Grid1D(8), v, 1.0, 1.0), 0.0, True),
+    ("rho2", lambda v: LinearSystem(Grid1D(8), 1.0, v, 1.0), 0.0, True),
+    ("mu", lambda v: LinearSystem(Grid1D(8), 1.0, 1.0, v), 0.0, True),
+))
+def test_operator_reals_are_range_checked(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("length", [1e200, 1e-200])
+def test_grid_spacing_squared_must_be_a_normal_float(length):
+    # dx**2 raised OverflowError at 1e200 and was 0 at 1e-200, where apply
+    # then divided by zero; just inside both ends the kernels run cleanly
+    with pytest.raises(ValueError, match=re.escape(f"dx * dx (length {length!r}, n 8)")):
+        Grid1D(8, length)
+    inside = Grid1D(8, length ** 0.75)
+    u = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * inside.x() / inside.length))
+    assert np.all(np.isfinite(PorousMedium(inside, 2.0).apply(u).values))
 
 
 def test_state_field_shapes():

@@ -33,6 +33,7 @@ from rkentropy.regions import (
     r1_poly_coeffs,
     scalar_conditions,
 )
+from range_cases import range_cases
 from sampling_oracle import eval_p_poly, eval_q_poly, sample_r0, sample_r1
 
 
@@ -688,6 +689,48 @@ def test_region_query_validation():
         RegionQuery(1.0, 1.0, 1, 0.5)
     with pytest.raises(ValueError):
         RegionQuery(1.0, 1.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("name, build, value", range_cases(
+    # an infinite alpha reached certify_r0, whose Fraction raised OverflowError
+    ("alpha", lambda v: RegionQuery(v, 1.0), 0.0, False, "RegionQuery.alpha"),
+    ("beta", lambda v: RegionQuery(1.0, v), 0.0, False, "RegionQuery.beta"),
+    # an infinite end gave NaN nodes, which RegionQuery blamed on their sign
+    ("alpha_range", lambda v: emit_mask("pme0", (v, 1.0), (0.5, 1.0), 2, 2, d=2),
+     0.0, False, "alpha_min"),
+    ("alpha_range", lambda v: emit_mask("pme0", (0.5, v), (0.5, 1.0), 2, 2, d=2),
+     0.0, False, "alpha_max"),
+    ("beta_range", lambda v: emit_mask("pme0", (0.5, 1.0), (v, 1.0), 2, 2, d=2),
+     0.0, False, "beta_min"),
+    ("beta_range", lambda v: emit_mask("pme0", (0.5, 1.0), (0.5, v), 2, 2, d=2),
+     0.0, False, "beta_max"),
+    # a NaN c_rk gave all-NaN rows with every flag 0
+    ("c_rk", lambda v: scalar_conditions(lambda u: u, lambda u: 1.0, lambda u: 0.0,
+                                         lambda u: 1.0 / u, [1.0, 2.0], 1, v),
+     -np.inf, False, "scalar_conditions.c_rk"),
+))
+def test_region_reals_are_range_checked(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.2])
+@pytest.mark.parametrize("d", [3, 4])
+def test_diagonal_takes_the_lambda_zero_witness(a, d):
+    # at c1 = c2 = 0 the Gram determinant is -c_rk^2 (beta - alpha)^2 / 4, so
+    # on the diagonal the lambda = 0 witness certifies (exactly 0) where the
+    # search over the open interval finds none
+    q = RegionQuery(a, a, d, 1.0)
+    zero = Witness(c1=0.0, c2=0.0, lam=0.0)
+    assert certify_r0(q, zero) == 0.0
+    assert r0_membership(q) == (True, zero)
+
+
+def test_lambda_zero_witness_on_and_off_the_diagonal():
+    zero = Witness(c1=0.0, c2=0.0, lam=0.0)
+    mask = emit_mask("pme0", (0.1, 4.0), (0.1, 4.0), 21, 21, d=3)
+    assert mask.member[0, 0] and mask.witnesses[(0, 0)] == zero
+    assert certify_r0(RegionQuery(0.1, 0.1 + 2.0**-40, 3, 1.0), zero) < 0.0
 
 
 @pytest.mark.parametrize("d", [2.5, True])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from range_cases import range_cases
 from rkentropy import stepping, tableau
 from rkentropy.entropy import PowerEntropy, profile_g
 from rkentropy.operators import (
@@ -24,11 +25,12 @@ from rkentropy.stepping import (
     NewtonConfig,
     StepError,
     _layout,
-    _newton_solver,
+    _newton_update,
     _step,
     backward_solve,
     forward_step,
     run,
+    step_count,
 )
 from rkentropy.tableau import ButcherTableau, get_scheme, register
 
@@ -222,6 +224,24 @@ def test_invalid_arguments(pme32):
             backward_solve(problem, get_scheme("trapezoidal"), u, bad)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             NewtonConfig(tol=bad)
+
+
+_PME = PorousMedium(Grid1D(8), 2.0)
+_U = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * _PME.grid.x()))
+
+
+@pytest.mark.parametrize("name, build, value", range_cases(
+    ("tol", lambda v: NewtonConfig(tol=v), 0.0, False),
+    ("tau", lambda v: forward_step(_PME, get_scheme("trapezoidal"), _U, v), 0.0, False,
+     "forward_step"),
+    ("tau", lambda v: backward_solve(_PME, get_scheme("trapezoidal"), _U, v), 0.0,
+     True, "backward_solve"),
+    ("tau", lambda v: step_count(v, 1.0), 0.0, False, "step_count"),
+    ("t_end", lambda v: step_count(1e-4, v), 1e-4, True),  # at least one step
+))
+def test_stepping_reals_are_range_checked(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(value)
 
 
 @pytest.mark.parametrize("bad", [0, -2, 2.5, float("inf"), float("nan"), True,
@@ -456,35 +476,29 @@ def test_band_solve_equals_the_dense_solve(case, scratch_registry):
         assert case != "simpson" or (rel.C.shape[1], len(rel.moving)) == (1, 2)
         g = _initial_stages(problem, rel, u, tau)
         jac = [problem.jacobian_flat(gi) for gi in g]
-        solve = _newton_solver(problem, rel, jac, tau)
         dense = _dense_newton_matrix(problem, rel, g, tau)
         rhs = rng.standard_normal(dense.shape[0])
         want = np.linalg.solve(dense, rhs)
-        got = solve(rhs)
+        got = _newton_update(problem, rel, jac, tau, rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), backward
 
 
-@pytest.mark.parametrize("routine", ["dgbtrf", "dgbtrs"])
-def test_illegal_lapack_argument_is_not_a_step_error(pme32, monkeypatch, routine):
+def test_illegal_lapack_argument_is_not_a_step_error(pme32, monkeypatch):
     # a negative LAPACK status names an illegal argument: a bug that run
     # and profile_g pass on, not a failed solve that a sweep truncates at
-    dgbtrf, dgbtrs = stepping._band_lapack()
+    dgbsv = stepping._band_lapack()
 
-    def factor(ab, kl, ku, overwrite_ab):
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=overwrite_ab)
-        return lu, piv, -3 if routine == "dgbtrf" else info
+    def illegal(*args, **kwargs):
+        lu, piv, x, _ = dgbsv(*args, **kwargs)
+        return lu, piv, x, -3
 
-    def solve(lu, kl, ku, rhs, piv):
-        x, info = dgbtrs(lu, kl, ku, rhs, piv)
-        return x, -3 if routine == "dgbtrs" else info
-
-    monkeypatch.setattr(stepping, "_band_lapack", lambda: (factor, solve))
+    monkeypatch.setattr(stepping, "_band_lapack", lambda: illegal)
     problem, u = pme32
     scheme = get_scheme("trapezoidal")
     for call in (lambda: run(problem, scheme, u, 1e-4, 1e-3),
                  lambda: profile_g(PowerEntropy(1.0), problem, scheme, u, 1e-4, 4)):
-        with pytest.raises(RuntimeError, match=rf"{routine} rejected argument 3 "
-                                               r"\(info -3\)") as exc:
+        with pytest.raises(RuntimeError,
+                           match=r"dgbsv rejected argument 3 \(info -3\)") as exc:
             call()
         assert not isinstance(exc.value, StepError)
 
@@ -500,7 +514,7 @@ def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
 
 
 def test_band_lapack_is_scipys_bit_for_bit():
-    # the routines loaded without the scipy.linalg package are the ones it
+    # the routine loaded without the scipy.linalg package is the one it
     # exposes: after real solves scipy.linalg still imports, and on the
     # PME (kl = ku = 2) and Dlss (kl = ku = 4) Newton matrices of those
     # solves both give the same LU, pivots and solution bytes
@@ -511,14 +525,14 @@ from rkentropy import stepping
 from rkentropy.operators import Dlss, Grid1D, PorousMedium, StateField
 from rkentropy.tableau import get_scheme
 
-dgbtrf, dgbtrs = stepping._band_lapack()
+dgbsv = stepping._band_lapack()
 seen = []
 
-def factor(ab, kl, ku, overwrite_ab):
+def solve(kl, ku, ab, rhs, overwrite_ab, overwrite_b):
     seen.append((ab.copy(), kl, ku))
-    return dgbtrf(ab, kl, ku, overwrite_ab=overwrite_ab)
+    return dgbsv(kl, ku, ab, rhs, overwrite_ab=overwrite_ab, overwrite_b=overwrite_b)
 
-stepping._band_lapack = lambda: (factor, dgbtrs)
+stepping._band_lapack = lambda: solve
 grid = Grid1D(16, 1.0)
 u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
 for problem, tau in ((PorousMedium(grid, 2.0), 1e-3), (Dlss(grid), 1e-6)):
@@ -530,10 +544,9 @@ rng = np.random.default_rng(0)
 for ab, kl, ku in seen:
     rhs = rng.standard_normal(ab.shape[1])
     results = []
-    for trf, trs in ((dgbtrf, dgbtrs), (lapack.dgbtrf, lapack.dgbtrs)):
-        lu, piv, info = trf(ab.copy(), kl, ku)
-        x, status = trs(lu, kl, ku, rhs, piv)
-        results.append((lu.tobytes(), piv.tobytes(), x.tobytes(), info, status))
+    for sv in (dgbsv, lapack.dgbsv):
+        lu, piv, x, info = sv(kl, ku, ab.copy(), rhs)
+        results.append((lu.tobytes(), piv.tobytes(), x.tobytes(), info))
     assert results[0] == results[1]
 print(sorted({(kl, ku) for _, kl, ku in seen}))
 """

@@ -9,7 +9,13 @@ workload and seed, then the sha256 over all of them.  Two checkouts, or two
 BLAS thread counts, that print the same digest took the same iterates bit
 for bit.
 
-    python tools/iterate_digest.py [--seeds 0 1 2]
+With ``--decisions`` only the Newton decisions are hashed: each solve's
+iteration count, or its exception type and failing iteration.  Two CPU
+dispatch paths (numpy's ``NPY_DISABLE_CPU_FEATURES``) round differently,
+so their iterates differ in the last bits, but they must print the same
+decisions digest.
+
+    python tools/iterate_digest.py [--seeds 0 1 2] [--decisions]
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 WORKLOADS = ("march", "gap_sweep", "fourth_order")
 
 
-def digest_pass(name: str, seed: int) -> tuple[str, int, int]:
-    """(sha256, solves, failed solves) of one pass of one workload."""
+def digest_pass(name: str, seed: int, decisions: bool = False
+                ) -> tuple[str, int, int]:
+    """(sha256, solves, failed solves) of one pass of one workload; with
+    ``decisions``, of its Newton decisions only."""
     import numpy as np
     from rkentropy import DomainError, StepError, entropy, stepping
     from tracing import Recorder
@@ -45,8 +53,11 @@ def digest_pass(name: str, seed: int) -> tuple[str, int, int]:
             sha.update(f"{type(err).__name__} {getattr(err, 'iterations', '')};"
                        .encode())
             raise
-        for part in (other, np.asarray(norms, float), w):
-            sha.update(np.ascontiguousarray(part).tobytes())
+        if decisions:
+            sha.update(f"{len(norms) - 1};".encode())
+        else:
+            for part in (other, np.asarray(norms, float), w):
+                sha.update(np.ascontiguousarray(part).tobytes())
         return other, norms, w
 
     # run() looks _step up in stepping, profile_g in entropy
@@ -62,11 +73,13 @@ def digest_pass(name: str, seed: int) -> tuple[str, int, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument("--decisions", action="store_true",
+                        help="hash only iteration counts and failures")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     for seed in args.seeds:
         for name in WORKLOADS:
-            sha, solves, failed = digest_pass(name, seed)
+            sha, solves, failed = digest_pass(name, seed, args.decisions)
             total.update(sha.encode())
             print(f"{name} seed {seed}: {solves} solves, {failed} failed, {sha}")
     print(f"all {total.hexdigest()}")
