@@ -300,6 +300,8 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
     the quadratic part is definite, E opens downward in c3 (coefficient
     -100), and its peak over c3 is -3 (c2 - c2*) g(c2) / 25, g quadratic.
     """
+    _require_real("alpha", alpha, 0.0)
+    _require_real("beta", beta, 0.0)
     if not (-2.0 <= alpha - 2.0 * beta <= 1.0):
         return False, None
     try:
@@ -316,6 +318,8 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
 def certify_r1(alpha: float, beta: float, w: Witness) -> float:
     """Exact certificate that P(xi) >= 0 everywhere at the witness, scored
     like ``certify_r0``."""
+    _require_real("alpha", alpha, 0.0)
+    _require_real("beta", beta, 0.0)
     return _psd_margin(_r1_gram(*map(Fraction, (alpha, beta, w.c2, w.c3))))
 
 
@@ -350,13 +354,13 @@ def quad_form_nonneg(A: float, B: float, C: float, D: float, E: float,
                      F: float) -> bool:
     """Decide whether A + B x + C y + D x^2 + E xy + F y^2 >= 0 on R^2.
 
-    Requires F > 0.  Nonnegative iff the homogenized form in (1, x, y),
-    matrix [[A, B/2, C/2], [B/2, D, E/2], [C/2, E/2, F]], is positive
-    semidefinite; decided exactly in Fraction by ``_psd_margin``, so the
-    verdict has no tolerance and is invariant under positive rescaling.
+    Requires finite coefficients and F > 0.  Nonnegative iff the homogenized
+    form in (1, x, y), matrix [[A, B/2, C/2], [B/2, D, E/2], [C/2, E/2, F]], is
+    positive semidefinite; decided exactly in Fraction by ``_psd_margin``, so
+    the verdict has no tolerance and is invariant under positive rescaling.
     """
-    if not F > 0:
-        raise ValueError("quad_form_nonneg requires F > 0")
+    for name, value in zip("ABCDEF", (A, B, C, D, E, F)):
+        _require_real(name, value, 0.0 if name == "F" else -np.inf)
     A, B, C, D, E, F = map(Fraction, (A, B, C, D, E, F))
     return _psd_margin([[A, B / 2, C / 2], [B / 2, D, E / 2],
                         [C / 2, E / 2, F]]) >= 0

@@ -141,7 +141,7 @@ def _proportional(row, base):
 class _Relation:
     """W = -tau B A[x + C W] for one tableau and direction (Y = C W, M = C B).
 
-    ``start`` gives the tau -> 0 initial iterate W = -tau * start * A[x].
+    A cold solve starts at its tau -> 0 limit W = -tau (B 1) A[x] (``_step``).
     ``moving`` lists the stages whose value depends on W (nonzero row of
     C), and ``coupling[q]`` is the outer product B[:, i] C[i] of the q-th
     of them: the Newton matrix is I + tau sum_q coupling[q] (x) J(g_i).
@@ -149,7 +149,6 @@ class _Relation:
 
     B: np.ndarray
     C: np.ndarray
-    start: np.ndarray
     moving: tuple[int, ...]
     coupling: np.ndarray
 
@@ -178,8 +177,7 @@ def _relation(tableau: ButcherTableau, backward: bool) -> _Relation:
         C[i, kept.index(k)] = float(lam)
     B = np.array([[float(v) for v in rows[k]] for k in kept]).reshape(-1, tableau.s)
     moving = tuple(int(i) for i in np.flatnonzero(np.any(C != 0.0, axis=1)))
-    return _Relation(B=B, C=C, start=tableau.a.sum(axis=1)[kept], moving=moving,
-                     coupling=B.T[list(moving), :, None] * C[list(moving), None, :])
+    return _Relation(B, C, moving, B.T[list(moving), :, None] * C[list(moving), None, :])
 
 
 @cache
@@ -255,12 +253,13 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     """Solve the stage relation from the known endpoint x by plain Newton.
 
     Forward, x = u_old and the result is u_new; backward, x = u_new and
-    the result is u_old.  ``w_init`` overrides the tau -> 0 initial
-    iterate with a W from a neighbouring solve, which lets sweeps continue
-    along a solution branch instead of restarting, and ``base``, the
-    ``_Linearization`` of x, lets them evaluate A[x] and J(x) once for all
-    their solves.  Returns (the other endpoint, the residual max-norm of each
-    Newton iterate, W).
+    the result is u_old.  Newton starts at W = -tau (B 1) A[x], the tau -> 0
+    limit of the relation (stages x - tau c_i A[x] forward, x + tau (1 - c_i)
+    A[x] backward; the root W = 0 at tau = 0), or at ``w_init``, a W from a
+    neighbouring solve, which lets sweeps continue along a solution branch
+    instead of restarting; ``base``, the ``_Linearization`` of x, lets them
+    evaluate A[x] and J(x) once for all their solves.  Returns (the other
+    endpoint, the residual max-norm of each Newton iterate, W).
 
     Newton stops when the residual is at most ``cfg.tol`` or at its
     rounding floor 8 eps max(|W| + tau |B| mag(g)); a non-finite residual or
@@ -278,7 +277,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     # bands of the last factored Newton matrix; fixed stages get J(x) at the
     # first floor read
     jac = [None] * s
-    w = (-tau * rel.start)[:, None] * base.a if w_init is None else w_init
+    w = (-tau * rel.B.sum(axis=1))[:, None] * base.a if w_init is None else w_init
     norms: list[float] = []
     for it in range(cfg.max_iter + 1):
         g = rel.C @ w
@@ -325,9 +324,8 @@ def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: floa
                  cfg: NewtonConfig | None = None) -> StateField:
     """Advance one step of size tau from u_prev."""
     _require_real("tau", tau, 0.0)
-    cfg = cfg or NewtonConfig()
     problem._check_state(u_prev)
-    u_new, _, _ = _step(problem, scheme, u_prev.flat, tau, cfg)
+    u_new, _, _ = _step(problem, scheme, u_prev.flat, tau, cfg or NewtonConfig())
     return StateField.from_flat(u_new, problem.species)
 
 
@@ -337,13 +335,11 @@ def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
 
     v(0) = u exactly; for small tau the solution follows the expansion
     v(tau) = u + tau*A[u] + (tau^2/2) * c_rk * DA[u](A[u]) + O(tau^3).
+    Newton starts at v = u + tau*A[u] (``_step``), the root v = u at tau = 0.
     """
     _require_real("tau", tau, 0.0, closed=True)
-    cfg = cfg or NewtonConfig()
     problem._check_state(u)
-    if tau == 0.0:
-        return u.copy()
-    v, _, _ = _step(problem, scheme, u.flat, tau, cfg, backward=True)
+    v, _, _ = _step(problem, scheme, u.flat, tau, cfg or NewtonConfig(), backward=True)
     return StateField.from_flat(v, problem.species)
 
 

@@ -704,6 +704,19 @@ def test_region_query_validation():
      0.0, False, "beta_min"),
     ("beta_range", lambda v: emit_mask("pme0", (0.5, 1.0), (0.5, v), 2, 2, d=2),
      0.0, False, "beta_max"),
+    # a NaN or negative exponent read as a non-member, an infinite one made
+    # certify_r1's Fraction raise OverflowError
+    ("alpha", lambda v: r1_membership(v, 1.0), 0.0, False, "r1_membership.alpha"),
+    ("beta", lambda v: r1_membership(1.0, v), 0.0, False, "r1_membership.beta"),
+    ("alpha", lambda v: certify_r1(v, 1.0, r1_membership(1.0, 1.0)[1]), 0.0, False,
+     "certify_r1.alpha"),
+    ("beta", lambda v: certify_r1(1.0, v, r1_membership(1.0, 1.0)[1]), 0.0, False,
+     "certify_r1.beta"),
+    # Fraction raised OverflowError on an infinite coefficient, its own
+    # unnamed ValueError on a NaN; F must also be positive
+    *[(name, lambda v, k=k: quad_form_nonneg(*[v if i == k else 1.0 for i in range(6)]),
+       0.0 if name == "F" else -np.inf, False, f"quad_form_nonneg.{name}")
+      for k, name in enumerate("ABCDEF")],
     # a NaN c_rk gave all-NaN rows with every flag 0
     ("c_rk", lambda v: scalar_conditions(lambda u: u, lambda u: 1.0, lambda u: 0.0,
                                          lambda u: 1.0 / u, [1.0, 2.0], 1, v),

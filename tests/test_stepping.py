@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from range_cases import range_cases
 from rkentropy import stepping, tableau
+from rkentropy.cli import barenblatt_profile
 from rkentropy.entropy import PowerEntropy, profile_g
 from rkentropy.operators import (
     Dlss,
@@ -109,6 +110,32 @@ def test_backward_tau_zero_is_identity(pme32):
     for name in ALL_SCHEMES:
         v = backward_solve(problem, get_scheme(name), u, 0.0)
         assert np.array_equal(v.values, u.values)
+
+
+def test_cold_solves_start_at_the_tau_to_zero_limit():
+    # W0 = -tau (B 1) A[x]: B 1 = c forward (the row sums of a, bit for bit)
+    # and c - 1 backward on the kept rows, so a cold backward solve starts
+    # at v = u + tau A[u], within O(tau^2) of its root: one Newton iteration
+    # at tau = 1e-5 where a start at v = u took two
+    for scheme in tableau.registry().values():
+        t = scheme.tableau
+        for backward in (False, True):
+            rel = stepping._relation(t, backward)
+            kept = [int(np.flatnonzero(rel.C[:, q] == 1.0)[0])
+                    for q in range(rel.C.shape[1])]
+            row_sums = rel.B.sum(axis=1)
+            if backward:
+                assert np.allclose(row_sums, t.c[kept] - 1.0, rtol=0.0,
+                                   atol=2 * np.finfo(float).eps), scheme.name
+            else:
+                assert np.array_equal(row_sums, t.a.sum(axis=1)[kept]), scheme.name
+    grid = Grid1D(64, 1.0)
+    problem = PorousMedium(grid, 2.0)
+    u = barenblatt_profile(grid.x(), 2.0, 0.01, 0.25)
+    for name in ("explicit_euler", "trapezoidal", "simpson"):
+        _, norms, _ = _step(problem, get_scheme(name), u, 1e-5, NewtonConfig(),
+                            backward=True)
+        assert len(norms) - 1 == 1, (name, norms)
 
 
 def test_backward_implicit_euler_closed_form(pme32):
@@ -431,7 +458,7 @@ def test_newton_matrix_is_a_narrow_cyclic_band(blocks, offsets):
 
 def _initial_stages(problem, rel, u, tau):
     """Stage values g = x + C W at the tau -> 0 initial iterate of ``_step``."""
-    w = (-tau * rel.start)[:, None] * problem.apply_flat(u.flat)
+    w = (-tau * rel.B.sum(axis=1))[:, None] * problem.apply_flat(u.flat)
     return u.flat + rel.C @ w
 
 
@@ -554,6 +581,29 @@ print(sorted({(kl, ku) for _, kl, ku in seen}))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[(2, 2), (4, 4)]"
+
+
+def test_simd_dispatch_moves_no_fourth_order_endpoint_by_1e_6(tmp_path):
+    # numpy's SIMD kernels round differently on each dispatch path, and the
+    # Dlss stencils (1/dx^4 = 4.3e9 at n = 256) amplify the difference; with
+    # every dispatch target numpy found disabled, each endpoint of the
+    # fourth_order benchmark's 180 solves per seed stays within 1e-6 of its
+    # max-norm (6.7e-7 at seeds 0 and 1 on an AVX-512 machine, solve 119:
+    # a closed-form n = 256 sweep)
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools", "iterate_digest.py")
+    runs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+        out = tmp_path / f"endpoints{len(runs)}.npz"
+        subprocess.run([sys.executable, tool, "--workloads", "fourth_order",
+                        "--seeds", "0", "1", "--endpoints", str(out)],
+                       env=dict(os.environ, **disabled), check=True,
+                       capture_output=True, timeout=300)
+        with np.load(out) as ends:
+            runs.append([ends[k] for k in ends.files])
+    assert len(runs[0]) == len(runs[1]) == 360
+    for k, (a, b) in enumerate(zip(*runs)):
+        assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(a)), k
 
 
 def _floor(problem, name, x, tau, w):

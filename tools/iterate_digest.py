@@ -15,7 +15,12 @@ dispatch paths (numpy's ``NPY_DISABLE_CPU_FEATURES``) round differently,
 so their iterates differ in the last bits, but they must print the same
 decisions digest.
 
-    python tools/iterate_digest.py [--seeds 0 1 2] [--decisions]
+With ``--endpoints FILE`` the other endpoint of every solve that returns is
+also saved, in call order, to FILE (numpy ``.npz``), so that the endpoints
+of two dispatch paths can be compared value by value.
+
+    python tools/iterate_digest.py [--seeds 0 1 2] [--workloads march ...]
+                                   [--decisions] [--endpoints FILE]
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 WORKLOADS = ("march", "gap_sweep", "fourth_order")
 
 
-def digest_pass(name: str, seed: int, decisions: bool = False
-                ) -> tuple[str, int, int]:
+def digest_pass(name: str, seed: int, decisions: bool = False,
+                endpoints: list | None = None) -> tuple[str, int, int]:
     """(sha256, solves, failed solves) of one pass of one workload; with
-    ``decisions``, of its Newton decisions only."""
+    ``decisions``, of its Newton decisions only.  The other endpoint of each
+    solve that returns is appended to ``endpoints`` if given."""
     import numpy as np
     from rkentropy import DomainError, StepError, entropy, stepping
     from tracing import Recorder
@@ -53,6 +59,8 @@ def digest_pass(name: str, seed: int, decisions: bool = False
             sha.update(f"{type(err).__name__} {getattr(err, 'iterations', '')};"
                        .encode())
             raise
+        if endpoints is not None:
+            endpoints.append(other)
         if decisions:
             sha.update(f"{len(norms) - 1};".encode())
         else:
@@ -73,16 +81,23 @@ def digest_pass(name: str, seed: int, decisions: bool = False
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                        default=list(WORKLOADS))
     parser.add_argument("--decisions", action="store_true",
                         help="hash only iteration counts and failures")
+    parser.add_argument("--endpoints", metavar="FILE",
+                        help="save the endpoint of every solve that returns (.npz)")
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
+    total, endpoints = hashlib.sha256(), [] if args.endpoints else None
     for seed in args.seeds:
-        for name in WORKLOADS:
-            sha, solves, failed = digest_pass(name, seed, args.decisions)
+        for name in args.workloads:
+            sha, solves, failed = digest_pass(name, seed, args.decisions, endpoints)
             total.update(sha.encode())
             print(f"{name} seed {seed}: {solves} solves, {failed} failed, {sha}")
     print(f"all {total.hexdigest()}")
+    if endpoints is not None:
+        import numpy as np
+        np.savez(args.endpoints, *endpoints)
     return 0
 
 
