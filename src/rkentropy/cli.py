@@ -1,8 +1,8 @@
 """Command-line front end: simulations, profiles, regions, condition checks.
 
-Config files are flat ``key = value`` lines with ``#`` comments.  All
-output is CSV with a header row and shortest-round-trip float formatting,
-so identical configs produce byte-identical files.
+Config files are flat ``key = value`` lines with ``#`` comments.  All output
+is CSV with a header row and shortest-round-trip floats, written by the one
+writer ``operators._csv``, so identical configs produce byte-identical files.
 
 Subcommands: simulate, gprofile, region, check-conditions, dlss-constants.
 Failures exit nonzero after printing one line ``error:<category>: <message>``.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from . import entropy as ent
 from .operators import Dlss, DomainError, Grid1D, LinearSystem, PorousMedium, \
-    Problem, StateField, _require_count, _require_real
-from .regions import dlss_b12, dlss_b12_derivative, dlss_chain, emit_mask, \
-    scalar_conditions
+    StateField, _csv, _require_count, _require_real
+from .regions import ConditionRow, dlss_b12, dlss_b12_derivative, dlss_chain, \
+    emit_mask, scalar_conditions
 from .stepping import NewtonConfig, StepError, run, step_count
 from .tableau import get_scheme, registry
 
@@ -89,11 +89,6 @@ class RunConfig:
     snapshot_times: list[float] = field(default_factory=list)
 
 
-_TYPES = get_type_hints(RunConfig)
-_INT_KEYS = {key for key, kind in _TYPES.items() if kind is int}
-_FLOAT_KEYS = {key for key, kind in _TYPES.items() if kind is float}
-
-
 def _validate(cfg: RunConfig):
     for key, names in (("problem", _PROBLEMS), ("entropy", _ENTROPIES),
                        ("ic", _ICS), ("scheme", registry())):
@@ -116,7 +111,7 @@ def _validate(cfg: RunConfig):
 
 def parse_config(path) -> RunConfig:
     """Read a flat key=value config file into a validated RunConfig."""
-    raw = vars(RunConfig())
+    raw, types = vars(RunConfig()), get_type_hints(RunConfig)
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -128,14 +123,8 @@ def parse_config(path) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                raw[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                raw[key] = float(value)
-            elif key == "snapshot_times":
-                raw[key] = [float(tok) for tok in value.split(",") if tok]
-            else:
-                raw[key] = value
+            raw[key] = ([float(tok) for tok in value.split(",") if tok]
+                        if key == "snapshot_times" else types[key](value))
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse value for {key!r}: {value!r}"
@@ -143,14 +132,6 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig(**raw)
     _validate(cfg)
     return cfg
-
-
-def build_problem(cfg: RunConfig) -> Problem:
-    return _PROBLEMS[cfg.problem](cfg, Grid1D(n=cfg.n, length=cfg.length))
-
-
-def build_entropy(cfg: RunConfig):
-    return _ENTROPIES[cfg.entropy](cfg)
 
 
 def barenblatt_profile(x: np.ndarray, beta: float, t0: float, x_r: float
@@ -188,10 +169,6 @@ def make_initial(cfg: RunConfig, grid: Grid1D) -> StateField:
 # commands
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _platform_meta() -> list[str]:
     """numpy's version and SIMD targets (its kernels round differently on
     each), scipy's version and the LAPACK that solves every Newton system."""
@@ -208,8 +185,8 @@ def _platform_meta() -> list[str]:
 
 def _inputs(cfg: RunConfig):
     """The problem, entropy, initial state and Newton settings of a config."""
-    problem = build_problem(cfg)
-    return (problem, build_entropy(cfg), make_initial(cfg, problem.grid),
+    problem = _PROBLEMS[cfg.problem](cfg, Grid1D(n=cfg.n, length=cfg.length))
+    return (problem, _ENTROPIES[cfg.entropy](cfg), make_initial(cfg, problem.grid),
             NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter))
 
 
@@ -231,27 +208,17 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
         problem, e, u0, ncfg = _inputs(cfg)
         traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
         snapshots = [(t, traj.states[k]) for t, k in zip(cfg.snapshot_times, ks)]
-        dx = problem.grid.dx
-        lines = ["t,H,mass,min,max,iters"]
-        for k, state in enumerate(traj.states):
-            iters = traj.newton_iters[k - 1] if k > 0 else 0
-            lines.append(",".join([
-                _fmt(traj.times[k]),
-                _fmt(ent.evaluate(e, state, problem.grid)),
-                _fmt(float(state.flat.sum()) * dx),
-                _fmt(float(state.flat.min())),
-                _fmt(float(state.flat.max())),
-                str(iters),
-            ]))
-    path = out / "entropy.csv"
-    path.write_text("\n".join(lines) + "\n")
+        path = out / "entropy.csv"
+        path.write_text(_csv(("t", "H", "mass", "min", "max", "iters"), (
+            (traj.times[k], ent.evaluate(e, state, problem.grid),
+             float(state.flat.sum()) * problem.grid.dx, state.flat.min(),
+             state.flat.max(), traj.newton_iters[k - 1] if k else 0)
+            for k, state in enumerate(traj.states))))
     x = problem.grid.x()
     for t_snap, state in snapshots:
-        rows = ["x" + "".join(f",u{j + 1}" for j in range(state.species))]
-        for i in range(problem.grid.n):
-            rows.append(",".join([_fmt(x[i])] + [_fmt(state.values[j, i])
-                                                 for j in range(state.species)]))
-        (out / f"snapshot_t{t_snap:g}.csv").write_text("\n".join(rows) + "\n")
+        (out / f"snapshot_t{t_snap:g}.csv").write_text(_csv(
+            ["x", *(f"u{j + 1}" for j in range(state.species))],
+            zip(x, *state.values)))
     meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
     meta.append(f"rkentropy_version = {__version__}")
     meta += _platform_meta()
@@ -323,19 +290,12 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
         u_grid = np.linspace(u_min, u_max, points)
         rows = scalar_conditions(handles["mu"], handles["dmu"], handles["d2mu"],
                                  handles["hpp"], u_grid, d=d, c_rk=c_rk)
-    lines = ["u,b,b_alt,cond2_residual,cond2_residual_alt,cond3_value,"
-             "cond1_ok,cond2_ok,cond3_ok"]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.u), _fmt(r.b), _fmt(r.b_alt), _fmt(r.cond2_residual),
-            _fmt(r.cond2_residual_alt), _fmt(r.cond3_value),
-            str(int(r.cond1_ok)), str(int(r.cond2_ok)), str(int(r.cond3_ok)),
-        ]))
+    text = _csv([f.name for f in fields(ConditionRow)], map(astuple, rows))
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-    return lines
+        path.write_text(text)
+    return text.splitlines()
 
 
 def cmd_dlss_constants() -> tuple[list[str], bool]:

@@ -17,12 +17,11 @@ Two zeroth-order families (cell sums of h(u)) and one first-order family
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField,
+from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField, _csv,
                         _require_count, _require_positive, _require_real, diff1)
 from .stepping import NewtonConfig, StepError, Trajectory, _Linearization, _step
 from .tableau import Scheme
@@ -199,11 +198,8 @@ class GProfile:
     failed_index: int | None = None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau,G,d2G,Q\n")
-        for t, g, d, q in zip(self.taus, self.g, self.d2g, self.q):
-            buf.write(f"{float(t)!r},{float(g)!r},{float(d)!r},{float(q)!r}\n")
-        return buf.getvalue()
+        return _csv(("tau", "G", "d2G", "Q"),
+                    zip(self.taus, self.g, self.d2g, self.q))
 
 
 def q_denominator(e, problem: Problem, u: StateField) -> float:
@@ -285,6 +281,9 @@ def fit_rate_series(times: np.ndarray, values: np.ndarray) -> float:
     """Exponential decay rate of a positive series: -slope of log(values)."""
     times = np.asarray(times, float)
     values = np.asarray(values, float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError("decay fit requires 1-D times and values of one length, "
+                         f"got shapes {times.shape} and {values.shape}")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
         raise ValueError("decay fit requires finite times and values")
     if np.unique(times).size < 2:

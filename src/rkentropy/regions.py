@@ -30,7 +30,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .operators import _require_count, _require_real
+from .operators import _csv, _require_count, _require_real
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,13 @@ class RegionMask:
     witnesses: dict[tuple[int, int], Witness]
 
     def to_csv(self) -> str:
-        lines = ["alpha,beta,member,witness_c1,witness_c2,witness_c3"]
+        rows, blank = [], Witness(None, None)  # only members have a witness
         for i, a in enumerate(self.alphas):
             for j, b in enumerate(self.betas):
-                w = self.witnesses.get((i, j))  # only members have one
-                cols = (w.c1, w.c2, w.c3) if w else (None, None, None)
-                text = ",".join("" if x is None else repr(float(x)) for x in cols)
-                lines.append(f"{float(a)!r},{float(b)!r},"
-                             f"{int(self.member[i, j])},{text}")
-        return "\n".join(lines) + "\n"
+                w = self.witnesses.get((i, j), blank)
+                rows.append((a, b, self.member[i, j], w.c1, w.c2, w.c3))
+        return _csv(("alpha", "beta", "member", "witness_c1", "witness_c2",
+                     "witness_c3"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +234,8 @@ def certify_r0(q: RegionQuery, w: Witness) -> float:
     """Exact certificate that Q(eta) >= 0 everywhere at the witness: the
     ``_psd_margin`` (>= 0, or -1.0 if not positive semidefinite) of Q's
     Gram matrix, built in Fraction from the exact values of the inputs."""
+    for name in ("c1", "c2"):
+        _require_real(name, getattr(w, name))
     return _psd_margin(_r0_gram(*map(Fraction, (q.alpha, q.beta, q.d, q.c_rk,
                                                 w.c1, w.c2))))
 
@@ -317,9 +317,11 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
 
 def certify_r1(alpha: float, beta: float, w: Witness) -> float:
     """Exact certificate that P(xi) >= 0 everywhere at the witness, scored
-    like ``certify_r0``."""
+    like ``certify_r0``.  It reads c2 and c3 only: c1 is fixed at -(2 - alpha)."""
     _require_real("alpha", alpha, 0.0)
     _require_real("beta", beta, 0.0)
+    for name in ("c2", "c3"):
+        _require_real(name, getattr(w, name))
     return _psd_margin(_r1_gram(*map(Fraction, (alpha, beta, w.c2, w.c3))))
 
 

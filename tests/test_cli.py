@@ -22,9 +22,10 @@ from rkentropy.cli import (
     parse_config,
 )
 from rkentropy.entropy import GProfile
-from rkentropy.operators import Grid1D
+from rkentropy.operators import Grid1D, _csv
 from rkentropy.regions import RegionMask, Witness
-from rkentropy.stepping import step_count
+from rkentropy.stepping import run, step_count
+from rkentropy.tableau import get_scheme
 
 MINIMAL = """\
 # reproduction run
@@ -193,6 +194,59 @@ def test_region_and_profile_csv_floats_round_trip(data, n, k):
             continue
         assert _same_float(c1, w.c1) and _same_float(c2, w.c2)
         assert c3 == "" if w.c3 is None else _same_float(c3, w.c3)
+
+
+def _parse_cell(text):
+    if text == "":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.floats() | st.integers() | st.none(),
+                              min_size=3, max_size=3)))
+def test_csv_cells_round_trip(rows):
+    # the one CSV writer: NaN, -0.0, infinities and subnormals parse back
+    # exactly, integers stay integers and None is an empty cell
+    rows = [[math.nan, -0.0, math.inf], [-math.inf, 5e-324, 0], [None, 7, 0.1],
+            *rows]
+    text = _csv(("a", "b", "c"), rows)
+    assert text.endswith("\n") and text.count("\n") == len(rows) + 1
+    lines = text.splitlines()
+    assert lines[0] == "a,b,c"
+    for line, row in zip(lines[1:], rows):
+        for cell, x in zip(map(_parse_cell, line.split(",")), row, strict=True):
+            if isinstance(x, float):
+                assert isinstance(cell, float) and _same_float(cell, x)
+            else:
+                assert cell == x and type(cell) is type(x)
+
+
+def test_simulate_two_species_snapshot_round_trips(tmp_path):
+    text = ("problem = linear_system\nmu = 0.5\nscheme = trapezoidal\nn = 16\n"
+            "tau = 1e-3\nt_end = 5e-3\nic = cosine\nentropy = log_sum\n"
+            "snapshot_times = 3e-3\n")
+    cfg = parse_config(write_config(tmp_path, text))
+    cmd_simulate(cfg, tmp_path / "out")
+    lines = (tmp_path / "out" / "snapshot_t0.003.csv").read_text().splitlines()
+    assert lines[0] == "x,u1,u2" and len(lines) == cfg.n + 1
+    problem, _, u0, ncfg = cli._inputs(cfg)
+    state = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end,
+                ncfg).states[3]
+    table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table[:, 0], problem.grid.x())
+    assert np.array_equal(table[:, 1:].T, state.values)
+
+
+def test_check_conditions_file_equals_its_lines(tmp_path):
+    lines = cmd_check_conditions("pme_power", 1.0, 2.0, 0.5, 2.0, 5, 1, 1.0,
+                                 out_path=tmp_path / "cond.csv")
+    assert (tmp_path / "cond.csv").read_text() == "\n".join(lines) + "\n"
+    assert lines[0].split(",")[-3:] == ["cond1_ok", "cond2_ok", "cond3_ok"]
+    assert all(flag in ("0", "1") for line in lines[1:] for flag in line.split(",")[-3:])
 
 
 def test_simulate_snapshots(tmp_path):

@@ -475,6 +475,18 @@ def test_fit_rate_series_rejects_unusable_samples(times, values, match):
         fit_rate_series(times, values)
 
 
+@pytest.mark.parametrize("times, values, shapes", [
+    pytest.param([0, 1, 2], [1.0, 2.0], r"\(3,\) and \(2,\)", id="lengths"),
+    pytest.param([[0, 1], [2, 3]], [[1.0, 0.5], [0.2, 0.1]],
+                 r"\(2, 2\) and \(2, 2\)", id="2-D"),
+    pytest.param(1.0, 2.0, r"\(\) and \(\)", id="0-D"),
+])
+def test_fit_rate_series_rejects_mismatched_shapes(times, values, shapes):
+    # np.polyfit raised its own TypeError for unequal lengths and 2-D input
+    with pytest.raises(ValueError, match=f"got shapes {shapes}$"):
+        fit_rate_series(times, values)
+
+
 def test_fit_decay_rate_on_barenblatt_run():
     grid = Grid1D(64, 1.0)
     problem = PorousMedium(grid, 2.0)

@@ -721,7 +721,21 @@ def test_region_query_validation():
     ("c_rk", lambda v: scalar_conditions(lambda u: u, lambda u: 1.0, lambda u: 0.0,
                                          lambda u: 1.0 / u, [1.0, 2.0], 1, v),
      -np.inf, False, "scalar_conditions.c_rk"),
-))
+    # a witness coordinate went straight to Fraction: OverflowError on an
+    # infinity, Fraction's own unnamed ValueError on a NaN
+    ("c1", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(v, 0.0, lam=0.0)),
+     -np.inf, False, "certify_r0.c1"),
+    ("c2", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(0.0, v, lam=0.0)),
+     -np.inf, False, "certify_r0.c2"),
+    ("c2", lambda v: certify_r1(1.0, 1.0, Witness(-1.0, v, 0.0)), -np.inf, False,
+     "certify_r1.c2"),
+    ("c3", lambda v: certify_r1(1.0, 1.0, Witness(-1.0, 1.0, v)), -np.inf, False,
+     "certify_r1.c3"),
+) + [
+    # a witness without c3 made certify_r1 raise TypeError
+    pytest.param("c3", lambda v: certify_r1(1.0, 1.0, Witness(-1.0, 1.0, v)),
+                 None, id="certify_r1.c3=None"),
+])
 def test_region_reals_are_range_checked(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         build(value)
