@@ -121,6 +121,8 @@ def _check_state(e, u: StateField):
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:
     """Discrete entropy of the state (species-summed cell sum)."""
+    if u.n != grid.n:
+        raise ValueError(f"state has {u.n} cells but the grid has {grid.n}")
     _check_state(e, u)
     if e.kind == "first":
         grad = diff1(e.f(u.values[0]), grid.dx)

@@ -1,12 +1,13 @@
 """Discrete 1D periodic spatial operators for four diffusion families.
 
-Sign convention: the semi-discrete problem is du/dt = -A[u], so A[u] is
-the negated right-hand side.  All stencils are second-order central
-differences on a uniform periodic grid, and every kernel finds the
-neighbours (i + k) mod n of cell i through one gather, ``_cells_at``, whose
-index table is built once per stencil and grid.  The diffusion families
-are written so that sum_i A[u]_i telescopes to zero (discrete mass
-conservation).
+Sign convention: the semi-discrete problem is du/dt = -A[u], so A[u] is the
+negated right-hand side.  All stencils are second-order central differences
+on a uniform periodic grid, and every kernel finds the neighbours (i + k)
+mod n of cell i through one gather, ``_cells_at``, whose index table is
+built once per stencil and grid.  Every flat kernel takes leading batch axes
+of independent states, gathered along the last axis, each row bit for bit as
+alone.  The diffusion families are written so that sum_i A[u]_i telescopes
+to zero (discrete mass conservation).
 
 Each family provides two kernels, the operator A and its exact Jacobian in
 cyclic band form: cell i of species s depends only on the cells
@@ -92,6 +93,8 @@ class StateField:
 
     def __init__(self, values):
         values = np.atleast_2d(np.asarray(values, dtype=float))
+        if values.ndim > 2:  # a batch of states is not a state
+            raise ValueError(f"state must be species x n, got shape {values.shape}")
         if values.shape[0] not in (1, 2):
             raise ValueError(f"species count must be 1 or 2, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
@@ -138,17 +141,17 @@ def _cells_at(offsets: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def diff1(w: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic central first difference (w_{i+1} - w_{i-1}) / (2 dx),
-    bit for bit (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * dx)."""
-    cells = _cells_at((-1, 0, 1), w.size)
-    return (w[cells[2]] - w[cells[0]]) / (2.0 * dx)
+    """Periodic central first difference (w_{i+1} - w_{i-1}) / (2 dx) along
+    the last axis, bit for bit (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * dx)."""
+    cells = _cells_at((-1, 0, 1), w.shape[-1])
+    return (w.take(cells[2], axis=-1) - w.take(cells[0], axis=-1)) / (2.0 * dx)
 
 
 def diff2(w: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic second difference (w_{i+1} - 2 w_i + w_{i-1}) / dx^2,
-    bit for bit (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / dx**2."""
-    cells = _cells_at((-1, 0, 1), w.size)
-    return (w[cells[2]] - 2.0 * w + w[cells[0]]) / dx**2
+    """Periodic second difference (w_{i+1} - 2 w_i + w_{i-1}) / dx^2 along the
+    last axis, bit for bit (np.roll(w, -1) - 2.0 * w + np.roll(w, 1)) / dx**2."""
+    cells = _cells_at((-1, 0, 1), w.shape[-1])
+    return (w.take(cells[2], axis=-1) - 2.0 * w + w.take(cells[0], axis=-1)) / dx**2
 
 
 def _band_matvec(bands: np.ndarray, offsets: tuple[int, ...], w: np.ndarray
@@ -206,9 +209,8 @@ class Problem:
         implementation that tests compare against; stepping never uses it.
         """
         self._check_state(u)
-        bands = self.jacobian_flat(u.flat)
-        return np.column_stack([_band_matvec(bands, self.offsets, unit)
-                                for unit in np.eye(u.flat.size)])
+        unit = np.eye(u.flat.size)  # one batch row per unit vector
+        return _band_matvec(self.jacobian_flat(u.flat), self.offsets, unit).T
 
     # -- flat kernels (stepping works on these) -------------------------
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
@@ -219,9 +221,9 @@ class Problem:
         return _band_matvec(self.jacobian_flat(x), self.offsets, wx)
 
     def jacobian_flat(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian bands, shape (species, species, len(offsets), n).
+        """Jacobian bands, shape (..., species, species, len(offsets), n).
 
-        Entry [s, t, j, i] is dA_{s,i} / dx_{t,(i + offsets[j]) mod n}.
+        Entry [..., s, t, j, i] is dA_{s,i} / dx_{t,(i + offsets[j]) mod n}.
         """
         raise NotImplementedError
 
@@ -239,10 +241,10 @@ class Problem:
 
 
 def _require_positive(x: np.ndarray, what: str):
-    if not np.minimum.reduce(x) > 0.0:  # one reduction; a NaN cell fails it too
-        bad = int(np.argmin(x > 0.0))
+    if not np.minimum.reduce(x, axis=None) > 0.0:  # one reduction; NaN fails it too
+        bad = int(np.argmin(x > 0.0))  # in the first batch row that has one
         raise DomainError(f"{what} requires strictly positive values; "
-                          f"cell {bad} has u={x[bad]:.6g}")
+                          f"cell {bad % x.shape[-1]} has u={x.flat[bad]:.6g}")
 
 
 class PorousMedium(Problem):
@@ -268,8 +270,8 @@ class PorousMedium(Problem):
 
     def jacobian_flat(self, x):
         self._check_domain(x)
-        mobility = self.beta * x ** (self.beta - 1.0)
-        return (-self._d2[:, None] * mobility[self._neighbours])[None, None]
+        mobility = (self.beta * x ** (self.beta - 1.0)).take(self._neighbours, axis=-1)
+        return (-self._d2[:, None] * mobility)[..., None, None, :, :]
 
 
 class ScalarDiffusion(Problem):
@@ -287,23 +289,22 @@ class ScalarDiffusion(Problem):
 
     def apply_flat(self, x):
         # flux numerator g_i = a((x_i + x_{i+1})/2) * (x_{i+1} - x_i), interface i+1/2
-        xp = x[self._neighbours[2]]
+        xp = x.take(self._neighbours[2], axis=-1)
         g = np.asarray(self.a(0.5 * (x + xp))) * (xp - x)
-        return -(g - g[self._neighbours[0]]) / self.grid.dx**2
+        return -(g - g.take(self._neighbours[0], axis=-1)) / self.grid.dx**2
 
     def jacobian_flat(self, x):
-        n = self.grid.n
-        xp = x[self._neighbours[2]]
+        xp = x.take(self._neighbours[2], axis=-1)
         mid = 0.5 * (x + xp)
-        av = np.asarray(self.a(mid)) * np.ones(n)
-        pv = 0.5 * np.asarray(self.da(mid)) * (xp - x) * np.ones(n)
-        pm, am = pv[self._neighbours[0]], av[self._neighbours[0]]
+        av = np.asarray(self.a(mid)) * np.ones_like(x)
+        pv = 0.5 * np.asarray(self.da(mid)) * (xp - x) * np.ones_like(x)
+        pm, am = (v.take(self._neighbours[0], axis=-1) for v in (pv, av))
         dx2 = self.grid.dx**2
         # dA_i/du_{i-1} from flux i-1, dA_i/du_{i+1} from flux i
         bands = np.stack([(pm - am) / dx2,
                           -((pv - av) - (pm + am)) / dx2,
-                          -(pv + av) / dx2])
-        return bands[None, None]
+                          -(pv + av) / dx2], axis=-2)
+        return bands[..., None, None, :, :]
 
 
 class LinearSystem(Problem):
@@ -335,7 +336,7 @@ class LinearSystem(Problem):
         return _band_matvec(self._bands, self.offsets, x)
 
     def jacobian_flat(self, x):
-        return self._bands
+        return np.broadcast_to(self._bands, x.shape[:-1] + self._bands.shape)
 
 
 class Dlss(Problem):
@@ -368,13 +369,13 @@ class Dlss(Problem):
         # D2[i, i+p], so band p+q collects d2[p] * core_q[i+p].  One gather
         # shifts the core bands by every p; each band adds in the order of p
         self._check_domain(x)
-        core = x * self._weights[:, 0]
-        core *= (1.0 / x)[self._neighbours]
-        core[1] += diff2(np.log(x), self.grid.dx)
-        terms = core.take(self._pairs)
+        core = x[..., None, :] * self._weights[:, 0]
+        core *= (1.0 / x).take(self._neighbours, axis=-1)
+        core[..., 1, :] += diff2(np.log(x), self.grid.dx)
+        terms = core.reshape(*x.shape[:-1], -1).take(self._pairs, axis=-1)
         terms *= self._weights
-        bands = np.zeros((5, self.grid.n))
-        for p, term in enumerate(terms):
-            band = bands[p:p + 3]
-            band += term
-        return bands[None, None]
+        bands = np.zeros((*x.shape[:-1], 5, self.grid.n))
+        for p in range(3):
+            band = bands[..., p:p + 3, :]
+            band += terms[..., p, :, :]
+        return bands[..., None, None, :, :]

@@ -23,12 +23,12 @@ Simpson (both stiffly accurate, so one row carries u_new - u_old) solve
 for one state-sized W in either direction.
 
 ``_step`` runs one plain Newton loop: each iterate forms the stage values
-g = x + C W once, evaluates A at the moving stages once (fixed ones keep
-A[x]), and, unless it stops, builds J there once to update W with the
-matrix I + tau sum_i (B[:, i] C[i]) (x) J(g_i).  A[x], and J(x) if the
-floor needs it, are built once per solve (``_Linearization``), or once per
-``profile_g`` sweep, whose nodes all solve from x.
-``_newton_update`` sums that matrix stage by stage in the cyclic band form
+g = x + C W once and makes one A and one J evaluation per iterate for all
+moving stages, as one batch (fixed ones keep A[x]; an iterate that stops
+builds no J); W is updated with the matrix I + tau sum_i (B[:, i] C[i]) (x)
+J(g_i).  A[x], and the floor scale at x if it is read, are built once per
+solve (``_Linearization``), or once per ``profile_g`` sweep, whose nodes
+all solve from x.  ``_newton_update`` sums that matrix in the cyclic band form
 of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
 LAPACK band storage laid out per grid size, block count and stencil
 (``_layout``), and solves with it in one call of LAPACK's band driver
@@ -70,13 +70,13 @@ _FLOOR = 8.0 * np.finfo(float).eps  # residual rounding floor per unit of scale
 
 
 def _magnitude(problem: Problem, jac, g: np.ndarray, ag: np.ndarray) -> np.ndarray:
-    """Rounding-error scale |J_i| |g_i| + |A[g_i]| of A per cell for each row
-    g_i of g, given the Jacobian bands jac[i] and ag_i = A[g_i].  To first
-    order, rounding x moves A[x] by eps |J(x)| |x| (Higham, Accuracy and
+    """Rounding-error scale |J| |g| + |A[g]| of A per cell of g, given the
+    Jacobian bands jac and ag = A[g], with the same leading batch axes.  To
+    first order, rounding x moves A[x] by eps |J(x)| |x| (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., section 3.3); |A[x]| keeps the
-    scale above A there.  ``_step`` passes the bands of its last factored
-    Newton matrix, J at the previous iterate, and J(x) at fixed stages."""
-    return _band_matvec(np.abs(np.stack(jac)), problem.offsets, np.abs(g)) + np.abs(ag)
+    scale above A there.  Moving stages get the bands of the last factored
+    Newton matrix (J at the previous iterate), fixed ones J(x)."""
+    return _band_matvec(np.abs(jac), problem.offsets, np.abs(g)) + np.abs(ag)
 
 
 class StepError(RuntimeError):
@@ -118,16 +118,18 @@ class Trajectory:
 
 
 class _Linearization:
-    """A[x] and, built on first use, J(x) at the known endpoint x of a solve.
-    A sweep shares one across its nodes, which all solve from the same x."""
+    """A[x] and, from the first floor read that needs it, the fixed stages'
+    floor scale |J(x)| |x| + |A[x]| at the known endpoint x of a solve.  A
+    sweep shares one across its nodes, which all solve from the same x."""
 
     def __init__(self, problem: Problem, x: np.ndarray):
         self.problem, self.x = problem, x
         self.a = problem.apply_flat(x)
 
     @cached_property
-    def jac(self) -> np.ndarray:
-        return self.problem.jacobian_flat(self.x)
+    def mag(self) -> np.ndarray:
+        jac = self.problem.jacobian_flat(self.x)
+        return _magnitude(self.problem, jac, self.x, self.a)
 
 
 def _proportional(row, base):
@@ -142,14 +144,15 @@ class _Relation:
     """W = -tau B A[x + C W] for one tableau and direction (Y = C W, M = C B).
 
     A cold solve starts at its tau -> 0 limit W = -tau (B 1) A[x] (``_step``).
-    ``moving`` lists the stages whose value depends on W (nonzero row of
-    C), and ``coupling[q]`` is the outer product B[:, i] C[i] of the q-th
-    of them: the Newton matrix is I + tau sum_q coupling[q] (x) J(g_i).
+    ``moving`` indexes the stages whose value depends on W (nonzero row of
+    C), as a slice where they are contiguous (every built-in), and
+    ``coupling[q]`` is the outer product B[:, i] C[i] of the q-th of them:
+    the Newton matrix is I + tau sum_q coupling[q] (x) J(g_i).
     """
 
     B: np.ndarray
     C: np.ndarray
-    moving: tuple[int, ...]
+    moving: slice | np.ndarray
     coupling: np.ndarray
 
 
@@ -176,8 +179,10 @@ def _relation(tableau: ButcherTableau, backward: bool) -> _Relation:
     for i, (k, lam) in multiple.items():
         C[i, kept.index(k)] = float(lam)
     B = np.array([[float(v) for v in rows[k]] for k in kept]).reshape(-1, tableau.s)
-    moving = tuple(int(i) for i in np.flatnonzero(np.any(C != 0.0, axis=1)))
-    return _Relation(B, C, moving, B.T[list(moving), :, None] * C[list(moving), None, :])
+    stages = np.flatnonzero(np.any(C != 0.0, axis=1))
+    moving = (slice(int(stages[0]), int(stages[-1]) + 1)
+              if stages.size and stages[-1] - stages[0] == stages.size - 1 else stages)
+    return _Relation(B, C, moving, B.T[stages, :, None] * C[stages, None, :])
 
 
 @cache
@@ -225,15 +230,13 @@ def _band_lapack():
 def _newton_update(problem: Problem, rel: _Relation, jac, tau: float,
                    rhs: np.ndarray) -> np.ndarray:
     """The solution of (I + tau sum_q coupling[q] (x) J(g_i)) y = rhs, given
-    jac[i] = J(g_i) at the moving stages, by LAPACK's band driver dgbsv (its
-    LU dgbtrf, then dgbtrs); LinAlgError on a zero pivot."""
+    the bands jac[q] = J(g_i) of the q-th moving stage, by LAPACK's band
+    driver dgbsv (its LU dgbtrf, then dgbtrs); LinAlgError on a zero pivot."""
     kl, ku, scatter, order, rank = _layout(
         problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
-    # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks
+    # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks, summed over q
     coupling = tau * rel.coupling[:, :, None, :, None, None, None]
-    bands = coupling[0] * jac[rel.moving[0]][:, None]
-    for c, i in zip(coupling[1:], rel.moving[1:]):
-        bands += c * jac[i][:, None]
+    bands = (coupling * jac[:, None, :, None]).sum(axis=0)
     ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
                      * (2 * kl + ku + 1)).reshape(order.size, -1).T
     ab[kl + ku] += 1.0
@@ -258,7 +261,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     A[x] backward; the root W = 0 at tau = 0), or at ``w_init``, a W from a
     neighbouring solve, which lets sweeps continue along a solution branch
     instead of restarting; ``base``, the ``_Linearization`` of x, lets them
-    evaluate A[x] and J(x) once for all their solves.  Returns (the other
+    evaluate A[x] and its floor scale once for all their solves.  Returns (the other
     endpoint, the residual max-norm of each Newton iterate, W).
 
     Newton stops when the residual is at most ``cfg.tol`` or at its
@@ -267,26 +270,24 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     speeding up, after an iteration that cut the residual r by less than half
     or with r_k/r_{k-1} >= r_{k-1}/r_{k-2}, and at the last iterate, so a
     quadratically converging solve never pays for it.  It reads the bands of
-    the last factored Newton matrix, so an iterate that stops builds no J.
+    the last factored Newton matrix, so an iterate that stops builds no J:
+    there is one A and one J evaluation per iterate for all moving stages.
     """
     rel = _relation(scheme.tableau, backward)
     s, r = rel.C.shape
-    tau_b = tau * rel.B
+    m, tau_b = rel.moving, tau * rel.B
     base = base or _Linearization(problem, x)
     ag = np.tile(base.a, (s, 1))  # A[g_i]; the rows of fixed stages stay A[x]
-    # bands of the last factored Newton matrix; fixed stages get J(x) at the
-    # first floor read
-    jac = [None] * s
     w = (-tau * rel.B.sum(axis=1))[:, None] * base.a if w_init is None else w_init
     norms: list[float] = []
     for it in range(cfg.max_iter + 1):
         g = rel.C @ w
         g += x
-        for i in rel.moving:
-            ag[i] = problem.apply_flat(g[i])
+        if r:  # a closed-form relation (r = 0) calls no kernel
+            ag[m] = problem.apply_flat(g[m])
         res = tau_b @ ag
         res += w
-        norms.append(float(np.max(np.abs(res))) if res.size else 0.0)
+        norms.append(float(np.max(np.abs(res), initial=0.0)))
         if norms[-1] <= cfg.tol:
             break
         if not np.isfinite(norms[-1]):
@@ -294,9 +295,10 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
                             norms[-1], it)
         slowing = it > 0 and (norms[-1] > 0.5 * norms[-2] or it > 1 and
                               norms[-1] / norms[-2] >= norms[-2] / norms[-3])
-        if slowing or it == cfg.max_iter:  # it > 0: a matrix has been factored
-            jac = [base.jac if j is None else j for j in jac]
-            mag = _magnitude(problem, jac, g, ag)
+        if slowing or it == cfg.max_iter:  # it > 0: jac is the last factored J
+            mag = (np.tile(base.mag, (s, 1)) if len(rel.coupling) < s  # some stage fixed
+                   else np.empty_like(ag))
+            mag[m] = _magnitude(problem, jac, g[m], ag[m])
             floor = _FLOOR * float(np.max(np.abs(w) + tau * (np.abs(rel.B) @ mag)))
             if norms[-1] <= floor:
                 break
@@ -304,8 +306,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
             raise StepError(f"Newton stalled at residual {norms[-1]:.3e} after "
                             f"{cfg.max_iter} iterations (tol {cfg.tol:.1e}, "
                             f"rounding floor {floor:.1e})", norms[-1], cfg.max_iter)
-        for i in rel.moving:
-            jac[i] = problem.jacobian_flat(g[i])
+        jac = problem.jacobian_flat(g[m])
         try:
             update = _newton_update(problem, rel, jac, tau, res.reshape(-1))
         except np.linalg.LinAlgError as err:

@@ -45,7 +45,9 @@ class ButcherTableau:
             raise TableauError(
                 f"shape mismatch: a{self.a.shape}, b({self.b.size},), c{self.c.shape}"
             )
-        for arr in (self.a, self.b, self.c):
+        for name, arr in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not np.all(np.isfinite(arr)):
+                raise TableauError(f"{name} must be finite, got {arr.tolist()}")
             arr.setflags(write=False)
 
     @property

@@ -82,6 +82,14 @@ def test_log_sum_is_power_entropy_at_zero(species):
     np.testing.assert_array_equal(e.hpp(u), 1.0 / u)
 
 
+def test_evaluate_rejects_a_state_of_another_grid():
+    # an 8-cell state on a 16-cell grid once gave half its entropy
+    u = StateField.scalar(np.ones(8))
+    for e in (PowerEntropy(1.0), FirstOrder(1.0)):
+        with pytest.raises(ValueError, match="8 cells but the grid has 16"):
+            evaluate(e, u, Grid1D(16, 1.0))
+
+
 def test_evaluate_rejects_nonpositive_for_log_kinds():
     grid = Grid1D(16, 1.0)
     u = StateField.scalar(np.linspace(-0.5, 1.0, 16))

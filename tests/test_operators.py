@@ -129,6 +129,13 @@ def test_state_field_shapes():
         StateField.scalar([1.0, np.nan, 1.0, 1.0])
 
 
+def test_state_field_rejects_a_batch():
+    # kernels take batches of states, but a state is species x n: a (1, 8, 2)
+    # array once passed for 16 cells and failed later in an unrelated broadcast
+    with pytest.raises(ValueError, match=r"species x n, got shape \(1, 8, 2\)"):
+        PorousMedium(Grid1D(8, 1.0), 2.0)._check_state(StateField(np.ones((1, 8, 2))))
+
+
 def test_pme_stencil_hand_value():
     # n=4, L=1 (dx=1/4), u=(1,2,1,2): w = u^2 = (1,4,1,4),
     # A[u]_i = -(w_{i+1} - 2 w_i + w_{i-1}) * 16
@@ -333,6 +340,60 @@ def test_jacobian_bands(n, seed):
             core = np.diag(diff2(np.log(x), grid.dx)) + x[:, None] * d2m * (1.0 / x)[None, :]
             want = d2m @ core
             assert np.max(np.abs(jac - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+BATCH_CASES = {
+    "pme2": lambda grid: PorousMedium(grid, 2.0),
+    "pme1.5": lambda grid: PorousMedium(grid, 1.5),
+    "pme0.5": lambda grid: PorousMedium(grid, 0.5),
+    "scalar": lambda grid: ScalarDiffusion(grid, a=lambda u: 1.0 + u**2,
+                                           da=lambda u: 2.0 * u),
+    "linear": lambda grid: LinearSystem(grid, 1.0, 2.0, 0.7),
+    "dlss": Dlss,
+}
+
+
+def _bits(a):
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 7, 64])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_kernels_equal_per_row_calls(case, n):
+    # every flat kernel takes leading batch axes, and each row of a (2, 3)
+    # batch is bit for bit the 1-D call on that row: at n = 4 the Dlss offsets
+    # -2 and +2 name the same cell, and at n = 7 no row fills whole SIMD vectors
+    grid = Grid1D(n, 1.0)
+    problem = BATCH_CASES[case](grid)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.5, 2.0, (2, 3, problem.species * n))
+    w = rng.uniform(-1.0, 1.0, x.shape)
+    kernels = {"apply": (problem.apply_flat, (x,)),
+               "jacobian": (problem.jacobian_flat, (x,)),
+               "deriv": (problem.deriv_flat, (x, w)),
+               "diff1": (lambda v: diff1(v, grid.dx), (x,)),
+               "diff2": (lambda v: diff2(v, grid.dx), (x,))}
+    for name, (kernel, args) in kernels.items():
+        batch = kernel(*args)
+        assert batch.shape[:2] == x.shape[:2], name
+        for row in np.ndindex(x.shape[:-1]):
+            assert _bits(batch[row]) == _bits(kernel(*(a[row] for a in args))), (name, row)
+
+
+@pytest.mark.parametrize("case", ["pme0.5", "dlss"])
+def test_batched_domain_error_names_the_per_row_cell(case):
+    # a batch fails at its first row with a bad cell, naming the same cell and
+    # value as the 1-D call on that row
+    problem = BATCH_CASES[case](Grid1D(8, 1.0))
+    x = np.ones((2, 2, 8))
+    x[0, 1, 5], x[1, 0, 2] = -0.25, np.nan
+    for kernel in (problem.apply_flat, problem.jacobian_flat,
+                   lambda v: problem.deriv_flat(v, v)):
+        with pytest.raises(DomainError, match="cell 5 has u=-0.25$") as row:
+            kernel(x[0, 1])
+        with pytest.raises(DomainError) as batch:
+            kernel(x)
+        assert str(batch.value) == str(row.value)
 
 
 def _no_apply(self, x):

@@ -33,7 +33,7 @@ from rkentropy.stepping import (
     run,
     step_count,
 )
-from rkentropy.tableau import ButcherTableau, get_scheme, register
+from rkentropy.tableau import ButcherTableau, Scheme, get_scheme, register
 
 ALL_SCHEMES = ["explicit_euler", "implicit_euler", "trapezoidal", "simpson"]
 
@@ -466,10 +466,16 @@ def _dense_newton_matrix(problem, rel, g, tau):
     """I + tau sum_i (B[:, i] C[i]) (x) J(g_i), from the dense Jacobian."""
     r, m = rel.C.shape[1], g.shape[1]
     dense = np.eye(r * m)
-    for i in rel.moving:
+    for i in _moving(rel):
         gi = StateField.from_flat(g[i], problem.species)
         dense += tau * np.kron(np.outer(rel.B[:, i], rel.C[i]), problem.jacobian(gi))
     return dense
+
+
+def _moving(rel):
+    """The indices of the moving stages, which ``rel.moving`` holds as a
+    slice where they are contiguous."""
+    return np.arange(rel.C.shape[0])[rel.moving]
 
 
 def _gauss2():
@@ -484,7 +490,7 @@ def _gauss2():
 def test_band_solve_equals_the_dense_solve(case, scratch_registry):
     # tau makes tau*J of order one; at n = 4 the Dlss offsets -2 and +2
     # name the same cell; Simpson has one kept row and two moving stages in
-    # either direction, so its band sum adds two stage Jacobians
+    # either direction, so its band sum adds the two stacked stage Jacobians
     rng = np.random.default_rng(5)
     n = {"dlss4": 4, "pme": 16, "simpson": 16}.get(case, 32)
     grid = Grid1D(n, 1.0)
@@ -500,9 +506,9 @@ def test_band_solve_equals_the_dense_solve(case, scratch_registry):
         tau = 1e-7 if case == "dlss32" else 1e-3
     for backward in (False, True):
         rel = stepping._relation(scheme.tableau, backward)
-        assert case != "simpson" or (rel.C.shape[1], len(rel.moving)) == (1, 2)
+        assert case != "simpson" or (rel.C.shape[1], _moving(rel).size) == (1, 2)
         g = _initial_stages(problem, rel, u, tau)
-        jac = [problem.jacobian_flat(gi) for gi in g]
+        jac = problem.jacobian_flat(g[rel.moving])  # one batch: the moving stages
         dense = _dense_newton_matrix(problem, rel, g, tau)
         rhs = rng.standard_normal(dense.shape[0])
         want = np.linalg.solve(dense, rhs)
@@ -650,10 +656,10 @@ def test_stall_above_the_floor_names_it(pme32):
 
 
 def test_stalled_solve_builds_each_jacobian_once(pme32, monkeypatch):
-    # a stall reads the floor at several iterates; J at each moving stage is
-    # built once per factored Newton matrix, whose bands the next floor read
-    # reuses, so the last iterate builds none; J(x) at the fixed stage is
-    # built once per solve
+    # a stall reads the floor at several iterates; J at the moving stages is
+    # built once per factored Newton matrix, as one batch whose bands the next
+    # floor read reuses, so the last iterate builds none; J(x) at the fixed
+    # stage is built once per solve, and A once per iterate for both stages
     grid, u = pme32[0].grid, pme32[1]
     problem, scheme = _CountingPME(grid, 2.0), get_scheme("simpson")
     reads = []
@@ -664,9 +670,9 @@ def test_stalled_solve_builds_each_jacobian_once(pme32, monkeypatch):
     with pytest.raises(StepError, match="rounding floor"):
         _step(problem, scheme, u.flat, 0.5, cfg)
     rel = stepping._relation(scheme.tableau, False)
-    assert len(reads) >= 2 and len(rel.moving) == 2 < scheme.tableau.s
-    assert problem.calls == {"apply": 1 + (cfg.max_iter + 1) * len(rel.moving),
-                             "jacobian": cfg.max_iter * len(rel.moving) + 1}
+    assert len(reads) >= 2 and _moving(rel).size == 2 < scheme.tableau.s
+    assert problem.calls == {"apply": 1 + (cfg.max_iter + 1),
+                             "jacobian": cfg.max_iter + 1}
 
 
 def test_quadratic_convergence_never_reads_the_floor(pme32, monkeypatch):
@@ -697,21 +703,42 @@ class _CountingPME(PorousMedium):
         return super().jacobian_flat(x)
 
 
-def test_newton_work_per_solve(pme32):
-    # A at the known endpoint once, then A at each moving stage once per
-    # iterate and J there once per iteration; the stages are never recomputed,
-    # and a quadratically converging solve builds no J for its rounding floor
+def _gapped():
+    """Forward, stages 0 and 2 move and stage 1 does not: the moving stages
+    are not contiguous, so ``rel.moving`` is an index array."""
+    return Scheme.from_tableau("gapped", ButcherTableau(
+        a=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5]], b=[0.5, 0.0, 0.5],
+        c=[1.0, 0.0, 1.0]))
+
+
+def test_newton_work_per_solve(pme32, scratch_registry):
+    # A at the known endpoint once, then A at all moving stages in one call
+    # per iterate and J there in one call per iteration, whatever their
+    # number; the stages are never recomputed, and a quadratically
+    # converging solve builds no J for its rounding floor
     grid, u = pme32[0].grid, pme32[1]
-    scheme = get_scheme("trapezoidal")
-    for backward in (False, True):
+    trapezoidal, simpson = get_scheme("trapezoidal"), get_scheme("simpson")
+    for scheme, backward, moving in ((trapezoidal, False, 1), (trapezoidal, True, 1),
+                                     (simpson, False, 2), (simpson, True, 2),
+                                     (_gauss2(), False, 2), (_gauss2(), True, 2),
+                                     (_gapped(), False, 2)):
         problem = _CountingPME(grid, 2.0)
         _, norms, _ = _step(problem, scheme, u.flat, 1e-3, NewtonConfig(),
                             backward=backward)
         iters = len(norms) - 1
-        moving = len(stepping._relation(scheme.tableau, backward).moving)
-        assert iters >= 2 and moving == 1, backward
-        assert problem.calls == {"apply": 1 + (iters + 1) * moving,
-                                 "jacobian": iters * moving}
+        rel = stepping._relation(scheme.tableau, backward)
+        assert iters >= 2 and _moving(rel).size == moving, (scheme.name, backward)
+        assert problem.calls == {"apply": 1 + (iters + 1), "jacobian": iters}
+
+
+def test_moving_stages_are_a_slice_where_contiguous():
+    # every built-in relation that iterates holds its moving stages as a
+    # slice, so g[rel.moving] is a view; the gapped ones are an index array
+    for name in ALL_SCHEMES:
+        for backward in (False, True):
+            rel = stepping._relation(get_scheme(name).tableau, backward)
+            assert isinstance(rel.moving, slice) or not rel.C.shape[1], (name, backward)
+    assert stepping._relation(_gapped().tableau, False).moving.tolist() == [0, 2]
 
 
 FAMILIES = ["pme", "scalar", "linear", "dlss"]

@@ -103,6 +103,18 @@ def test_tableau_shape_mismatch():
         ButcherTableau(a=[[0.0]], b=[1.0, 0.0], c=[0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_tableau_rejects_non_finite_entries(name, bad):
+    # a NaN entry once passed validate() and gave c_rk = NaN, an infinite one
+    # c_rk = -inf; both failed only at the first solve, without naming the array
+    arrays = {"a": np.array([[0.0, 0.0], [0.5, 0.5]]), "b": np.array([0.5, 0.5]),
+              "c": np.array([0.0, 1.0])}
+    arrays[name].flat[-1] = bad
+    with pytest.raises(TableauError, match=f"^{name} must be finite, got"):
+        ButcherTableau(**arrays)
+
+
 def test_tableau_is_immutable():
     t = ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0])
     with pytest.raises(ValueError):
