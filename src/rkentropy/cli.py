@@ -5,14 +5,14 @@ is CSV with a header row and shortest-round-trip floats, written by the one
 writer ``operators._csv``, so identical configs produce byte-identical files.
 
 Subcommands: simulate, gprofile, region, check-conditions, dlss-constants.
-Failures exit nonzero after printing one line ``error:<category>: <message>``.
+Failures exit nonzero after printing one line ``error:<category>: <message>``;
+``_CATEGORIES`` is the one place that classifies them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -32,19 +32,6 @@ from .tableau import get_scheme, registry
 
 class ConfigError(ValueError):
     """Bad key, unparsable value, or violated constraint in a config."""
-
-
-@contextmanager
-def _rejections():
-    """Report a value that the library rejects (its ValueError) as a
-    ConfigError.  A DomainError is about the computed state, not the
-    config, and keeps its own category."""
-    try:
-        yield
-    except (ConfigError, DomainError):
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 _PROBLEMS = {
@@ -95,10 +82,9 @@ def _validate(cfg: RunConfig):
         if getattr(cfg, key) not in names:
             raise ConfigError(f"{key} must be one of {', '.join(names)}; "
                               f"got {getattr(cfg, key)!r}")
-    with _rejections():
-        for key in ("beta", "length", "tau", "t_end", "t0"):
-            _require_real(key, getattr(cfg, key), 0.0)
-        _require_count("n", cfg.n, 4)
+    for key in ("beta", "length", "tau", "t_end", "t0"):
+        _require_real(key, getattr(cfg, key), 0.0)
+    _require_count("n", cfg.n, 4)
     if cfg.ic == "barenblatt":
         if cfg.problem != "pme" or cfg.beta <= 1.0:
             raise ConfigError(
@@ -112,7 +98,7 @@ def _validate(cfg: RunConfig):
 def parse_config(path) -> RunConfig:
     """Read a flat key=value config file into a validated RunConfig."""
     raw, types = vars(RunConfig()), get_type_hints(RunConfig)
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -203,17 +189,16 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
     """Run the configured trajectory; write entropy.csv and snapshots."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _rejections():
-        ks = [_state_index(t, cfg, "snapshot time") for t in cfg.snapshot_times]
-        problem, e, u0, ncfg = _inputs(cfg)
-        traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
-        snapshots = [(t, traj.states[k]) for t, k in zip(cfg.snapshot_times, ks)]
-        path = out / "entropy.csv"
-        path.write_text(_csv(("t", "H", "mass", "min", "max", "iters"), (
-            (traj.times[k], ent.evaluate(e, state, problem.grid),
-             float(state.flat.sum()) * problem.grid.dx, state.flat.min(),
-             state.flat.max(), traj.newton_iters[k - 1] if k else 0)
-            for k, state in enumerate(traj.states))))
+    ks = [_state_index(t, cfg, "snapshot time") for t in cfg.snapshot_times]
+    problem, e, u0, ncfg = _inputs(cfg)
+    traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
+    snapshots = [(t, traj.states[k]) for t, k in zip(cfg.snapshot_times, ks)]
+    path = out / "entropy.csv"
+    path.write_text(_csv(("t", "H", "mass", "min", "max", "iters"), (
+        (traj.times[k], ent.evaluate(e, state, problem.grid),
+         float(state.flat.sum()) * problem.grid.dx, state.flat.min(),
+         state.flat.max(), traj.newton_iters[k - 1] if k else 0)
+        for k, state in enumerate(traj.states))))
     x = problem.grid.x()
     for t_snap, state in snapshots:
         (out / f"snapshot_t{t_snap:g}.csv").write_text(_csv(
@@ -237,59 +222,45 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     schemes = [(name, get_scheme(name)) for name in schemes]
-    with _rejections():  # step_count checks t_end, profile_g tau_max and m
-        ks = [_state_index(t, cfg, "base time") for t in base_times]
-        problem, e, u0, ncfg = _inputs(cfg)
-        for name, scheme in schemes:
-            states = (run(problem, scheme, u0, cfg.tau, max(ks) * cfg.tau,
-                          ncfg).states if max(ks) else [u0])
-            for t_base, k in zip(base_times, ks):
-                prof = ent.profile_g(e, problem, scheme, states[k], tau_max,
-                                     m, ncfg, base_time=k * cfg.tau)
-                path = out / f"gprofile_{name}_t{t_base:g}.csv"
-                path.write_text(prof.to_csv())
-                paths.append(path)
+    ks = [_state_index(t, cfg, "base time") for t in base_times]
+    problem, e, u0, ncfg = _inputs(cfg)
+    for name, scheme in schemes:
+        states = (run(problem, scheme, u0, cfg.tau, max(ks) * cfg.tau,
+                      ncfg).states if max(ks) else [u0])
+        for t_base, k in zip(base_times, ks):
+            prof = ent.profile_g(e, problem, scheme, states[k], tau_max,
+                                 m, ncfg, base_time=k * cfg.tau)
+            path = out / f"gprofile_{name}_t{t_base:g}.csv"
+            path.write_text(prof.to_csv())
+            paths.append(path)
     return paths
 
 
 def cmd_region(family: str, alpha_range, beta_range, alpha_steps: int,
                beta_steps: int, d: int, c_rk: float, out_path) -> Path:
-    with _rejections():  # an out-of-range grid, d or c_rk
-        mask = emit_mask(family, alpha_range, beta_range, alpha_steps,
-                         beta_steps, d=d, c_rk=c_rk)
+    mask = emit_mask(family, alpha_range, beta_range, alpha_steps,
+                     beta_steps, d=d, c_rk=c_rk)
     path = Path(out_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(mask.to_csv())
     return path
 
 
-def _pme_handles(alpha: float, beta: float):
-    """Power-law mobility mu(u) = beta u^(beta - alpha), h''(u) = u^(alpha-1)."""
-    e = beta - alpha
-    return {
-        "mu": lambda u: beta * u**e,
-        "dmu": lambda u: beta * e * u ** (e - 1.0),
-        "d2mu": lambda u: beta * e * (e - 1.0) * u ** (e - 2.0),
-        "hpp": lambda u: u ** (alpha - 1.0),
-    }
-
-
 def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
                          u_max: float, points: int, d: int, c_rk: float,
                          out_path=None) -> list[str]:
     if preset == "heat_log":
-        # heat equation (a = 1) with logarithmic entropy: mobility u
-        # (beta = 1) and h'' = 1/u (alpha = 0)
+        # the heat equation, log entropy: mobility u (beta = 1), h'' = 1/u (alpha = 0)
         alpha, beta = 0.0, 1.0
     elif preset != "pme_power":
         raise ConfigError(f"unknown preset {preset!r}; use heat_log or pme_power")
-    handles = _pme_handles(alpha, beta)
-    with _rejections():  # an infinite u range, a negative point count, a bad u grid or d
-        _require_real("u_min", u_min)
-        _require_real("u_max", u_max)
-        u_grid = np.linspace(u_min, u_max, points)
-        rows = scalar_conditions(handles["mu"], handles["dmu"], handles["d2mu"],
-                                 handles["hpp"], u_grid, d=d, c_rk=c_rk)
+    _require_real("u_min", u_min)
+    _require_real("u_max", u_max)
+    e = beta - alpha  # power-law mobility mu(u) = beta u^e; h''(u) = u^(alpha - 1)
+    rows = scalar_conditions(
+        lambda u: beta * u**e, lambda u: beta * e * u ** (e - 1.0),
+        lambda u: beta * e * (e - 1.0) * u ** (e - 2.0), lambda u: u ** (alpha - 1.0),
+        np.linspace(u_min, u_max, points), d=d, c_rk=c_rk)
     text = _csv([f.name for f in fields(ConditionRow)], map(astuple, rows))
     if out_path is not None:
         path = Path(out_path)
@@ -371,8 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CATEGORIES = {ConfigError: "config", KeyError: "lookup", DomainError: "domain",
-               StepError: "step", OSError: "io"}
+# the first match wins: a DomainError is a ValueError, so it precedes the catch-all
+_CATEGORIES = {KeyError: "lookup", DomainError: "domain", StepError: "step",
+               OSError: "io", ValueError: "config"}
 
 
 def main(argv=None) -> int:
@@ -384,8 +356,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.command == "gprofile":
             cfg = parse_config(args.config)
-            with _rejections():
-                base_times = [float(tok) for tok in args.base_times.split(",") if tok]
+            base_times = [float(tok) for tok in args.base_times.split(",") if tok]
             schemes = (list(registry()) if args.schemes == "all"
                        else [tok for tok in args.schemes.split(",") if tok])
             paths = cmd_gprofile(cfg, base_times, args.tau_max, args.m, schemes,

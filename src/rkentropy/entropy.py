@@ -117,6 +117,11 @@ def _check_state(e, u: StateField):
         raise ValueError("first-order entropies are single-species")
     if getattr(e, "needs_positive", False):
         _require_positive(u.flat, "entropy")
+    elif e.kind == "zeroth" and not e.alpha.is_integer() and np.fmin.reduce(u.flat) < 0.0:
+        # a negative base has no real power with a non-integer exponent
+        bad = int(np.argmax(u.flat < 0.0))
+        raise DomainError(f"entropy with non-integer alpha={e.alpha!r} requires "
+                          f"nonnegative values; cell {bad % u.n} has u={u.flat[bad]:.6g}")
 
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:

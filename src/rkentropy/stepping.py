@@ -349,6 +349,7 @@ def step_count(tau: float, t_end: float) -> int:
     less 1e-12 so that a quotient rounded just above an integer adds none."""
     _require_real("tau", tau, 0.0)
     _require_real("t_end", t_end, tau, closed=True)  # at least one step
+    _require_real("t_end / tau", t_end / tau)  # overflows for a tiny tau
     return int(np.ceil(t_end / tau - 1e-12))
 
 

@@ -30,9 +30,8 @@ class TableauError(ValueError):
 
 
 class ButcherTableau:
-    """Immutable Runge-Kutta coefficient arrays (a_ij, b_i, c_i).
-
-    Consistency requires sum_j a[i, j] == c[i] for every stage i and
+    """Immutable Runge-Kutta coefficient arrays (a_ij, b_i, c_i), checked
+    for consistency when built: sum_j a[i, j] == c[i] for every stage i and
     sum_i b[i] == 1, both within CONSISTENCY_TOL.
     """
 
@@ -49,34 +48,24 @@ class ButcherTableau:
             if not np.all(np.isfinite(arr)):
                 raise TableauError(f"{name} must be finite, got {arr.tolist()}")
             arr.setflags(write=False)
+        row, bsum = self.a.sum(axis=1), float(self.b.sum())
+        violations = [f"row {i + 1}: sum(a)={float(row[i])!r} != c={float(self.c[i])!r}"
+                      for i in range(s) if abs(row[i] - self.c[i]) > CONSISTENCY_TOL]
+        if abs(bsum - 1.0) > CONSISTENCY_TOL:
+            violations.append(f"sum(b)={bsum!r} != 1")
+        if violations:
+            raise TableauError("inconsistent tableau: " + "; ".join(violations))
 
     @property
     def s(self) -> int:
         return self.b.size
-
-    def validate(self) -> list[str]:
-        """Return a list of violated-sum descriptions, empty when consistent."""
-        violations = []
-        row = self.a.sum(axis=1)
-        for i in range(self.s):
-            if abs(row[i] - self.c[i]) > CONSISTENCY_TOL:
-                violations.append(
-                    f"row {i + 1}: sum(a)={float(row[i])!r} != c={float(self.c[i])!r}"
-                )
-        bsum = float(self.b.sum())
-        if abs(bsum - 1.0) > CONSISTENCY_TOL:
-            violations.append(f"sum(b)={bsum!r} != 1")
-        return violations
 
     def __repr__(self):
         return f"ButcherTableau(s={self.s}, b={self.b.tolist()}, c={self.c.tolist()})"
 
 
 def c_rk(tableau: ButcherTableau) -> float:
-    """Structural constant 2 * sum_i b_i (1 - c_i) of a consistent tableau."""
-    violations = tableau.validate()
-    if violations:
-        raise TableauError("inconsistent tableau: " + "; ".join(violations))
+    """Structural constant 2 * sum_i b_i (1 - c_i) of a tableau."""
     return 2.0 * float(np.dot(tableau.b, 1.0 - tableau.c))
 
 
@@ -89,11 +78,14 @@ SIMPSON = ButcherTableau(
 
 @dataclass(frozen=True)
 class Scheme:
-    """A named time-stepping scheme: a tableau and its constant c_rk."""
+    """A named time-stepping scheme: a tableau, whose constant c_rk it reads."""
 
     name: str
     tableau: ButcherTableau
-    c_rk_effective: float
+
+    @property
+    def c_rk_effective(self) -> float:
+        return c_rk(self.tableau)
 
     @property
     def is_composite_simpson(self) -> bool:
@@ -101,10 +93,6 @@ class Scheme:
         t = self.tableau
         return all(np.array_equal(x, y) for x, y in (
             (t.a, SIMPSON.a), (t.b, SIMPSON.b), (t.c, SIMPSON.c)))
-
-    @staticmethod
-    def from_tableau(name: str, tableau: ButcherTableau) -> "Scheme":
-        return Scheme(name=name, tableau=tableau, c_rk_effective=c_rk(tableau))
 
 
 def _builtin_schemes() -> dict[str, Scheme]:
@@ -114,10 +102,10 @@ def _builtin_schemes() -> dict[str, Scheme]:
         a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5], c=[0.0, 1.0]
     )
     return {
-        "explicit_euler": Scheme.from_tableau("explicit_euler", explicit_euler),
-        "implicit_euler": Scheme.from_tableau("implicit_euler", implicit_euler),
-        "trapezoidal": Scheme.from_tableau("trapezoidal", trapezoidal),
-        "simpson": Scheme.from_tableau("simpson", SIMPSON),
+        "explicit_euler": Scheme("explicit_euler", explicit_euler),
+        "implicit_euler": Scheme("implicit_euler", implicit_euler),
+        "trapezoidal": Scheme("trapezoidal", trapezoidal),
+        "simpson": Scheme("simpson", SIMPSON),
     }
 
 
@@ -131,7 +119,7 @@ def registry() -> dict[str, Scheme]:
 
 def register(name: str, tableau: ButcherTableau) -> Scheme:
     """Register a user tableau under ``name`` and return its Scheme."""
-    scheme = Scheme.from_tableau(name, tableau)
+    scheme = Scheme(name, tableau)
     _REGISTRY[name] = scheme
     return scheme
 

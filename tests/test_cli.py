@@ -56,8 +56,10 @@ def test_parse_minimal_config(tmp_path):
 
 
 def test_parse_config_rejects_negative_beta(tmp_path):
+    # the library's own ValueError reaches the caller as it was raised; main
+    # reports it as a config error (test_config_reals_are_range_checked)
     path = write_config(tmp_path, MINIMAL.replace("beta = 2.0", "beta = -1"))
-    with pytest.raises(ConfigError, match="beta"):
+    with pytest.raises(ValueError, match=r"^beta must be positive and finite, got -1\.0$"):
         parse_config(path)
 
 
@@ -270,12 +272,15 @@ def test_gprofile_minimal_grid(tmp_path):
     assert len(lines) == 5
 
 
-def test_gprofile_rejects_bad_arguments(tmp_path):
-    cfg = parse_config(write_config(tmp_path, MINIMAL))
-    with pytest.raises(ConfigError):
-        cmd_gprofile(cfg, [1e-3], 0.0, 10, ["implicit_euler"], tmp_path / "x")
-    with pytest.raises(ConfigError):
-        cmd_gprofile(cfg, [1e-3], 1e-4, 2, ["implicit_euler"], tmp_path / "x")
+def test_gprofile_rejects_bad_arguments(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    for argv, line in ((["--tau-max", "0"], "tau_max must be positive and finite, got 0.0"),
+                       (["--m", "2"], "m must be an integer of at least 3, got 2")):
+        out = tmp_path / argv[0][2:]
+        assert main(["gprofile", "--config", str(cfg_path), "--base-times", "0",
+                     "--schemes", "implicit_euler", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error:config: {line}\n"
+        assert not list(out.glob("*.csv"))
 
 
 def test_region_command(tmp_path):
@@ -339,7 +344,7 @@ def test_main_rejects_out_of_range_arguments(tmp_path, capsys, argv):
 @pytest.mark.parametrize("key, value", [
     pytest.param(key, value, id=f"{key}={value}")
     for key in ("beta", "length", "tau", "t_end", "t0")
-    for value in ("nan", "inf", "-inf", "0.0")
+    for value in ("nan", "inf", "-inf", "0.0", "-1")
 ] + [pytest.param("n", "3", id="n=3")])
 def test_config_reals_are_range_checked(tmp_path, capsys, key, value):
     # each through the library's own check, reported as a config error
@@ -351,12 +356,13 @@ def test_config_reals_are_range_checked(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key", ["u_min", "u_max"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_check_conditions_range_ends_must_be_finite(key, value):
-    ends = {"u_min": 0.5, "u_max": 2.0, key: value}
-    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
-        cmd_check_conditions("pme_power", 1.0, 2.0, ends["u_min"], ends["u_max"],
-                             4, 1, 1.0)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_check_conditions_range_ends_must_be_finite(tmp_path, capsys, key, value):
+    out = tmp_path / "out.csv"
+    assert main(["check-conditions", "--preset", "pme_power",
+                 f"--{key.replace('_', '-')}={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error:config: {key} must be finite, got {value}\n"
+    assert not out.exists()
 
 
 def test_main_reports_overflowing_run(tmp_path, capsys):
@@ -406,6 +412,12 @@ def test_main_reports_overflowing_run(tmp_path, capsys):
     ({"ic = barenblatt": "ic = barenblatt\nnewton_tol = 0"}, ["gprofile"], "config"),
     ({"ic = barenblatt": "ic = barenblatt\nnewton_max_iter = 0"}, ["simulate"],
      "config"),
+    # each time is finite, but the step count t_end / tau is not
+    ({"tau = 1e-4": "tau = 1e-300", "t_end = 5e-4": "t_end = 1e300"}, ["simulate"],
+     "config"),
+    # a negative cell has no real power 1.5 in h(u) = u^1.5 / 0.75
+    ({"ic = barenblatt": "ic = cosine\nmean = 0\namplitude = 1\nentropy = power\n"
+                         "alpha = 0.5"}, ["simulate"], "domain"),
 ])
 def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
@@ -418,6 +430,17 @@ def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     err = capsys.readouterr().err
     assert err.startswith(f"error:{category}:") and err.count("\n") == 1
     assert not list(out.glob("*.csv"))
+
+
+def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    # its UnicodeDecodeError is a ValueError: once a traceback and exit 1
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(MINIMAL.replace("reproduction", "r\xe9sum\xe9").encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:config: 'utf-8' codec can't decode byte 0xe9 ")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_main_simulate_and_gprofile(tmp_path):

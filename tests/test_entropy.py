@@ -98,6 +98,22 @@ def test_evaluate_rejects_nonpositive_for_log_kinds():
             evaluate(e, u, grid)
 
 
+def test_evaluate_rejects_negative_cells_for_non_integer_powers():
+    # a negative base has no real non-integer power: these once gave NaN
+    grid = Grid1D(16, 1.0)
+    u = StateField.scalar(np.cos(2.0 * np.pi * grid.x()))  # cell 5 is the first < 0
+    for e in (PowerEntropy(0.5), ExperimentPower(2.5)):
+        with pytest.raises(DomainError, match=rf"^entropy with non-integer "
+                           rf"alpha={e.alpha!r} requires nonnegative values; "
+                           rf"cell 5 has u=-0\.382683$"):
+            evaluate(e, u, grid)
+    # integer powers are real on the whole axis and keep their values
+    assert evaluate(ExperimentPower(5.0), u, grid) == float(np.sum(u.values**5.0)
+                                                            * grid.dx)
+    assert evaluate(PowerEntropy(1.0), u, grid) == float(np.sum(u.values**2.0 / 2.0)
+                                                         * grid.dx)
+
+
 # -- production -------------------------------------------------------------
 
 def test_production_constant_state_is_zero(pme32):

@@ -271,6 +271,14 @@ def test_stepping_reals_are_range_checked(name, build, value):
         build(value)
 
 
+def test_step_count_rejects_an_overflowing_quotient():
+    # each time is finite, but the count is not: int(ceil(inf)) once raised
+    # an OverflowError
+    with pytest.raises(ValueError, match=r"^t_end / tau must be finite, got inf$"):
+        step_count(1e-300, 1e300)
+    assert step_count(1e-300, 1e-298) == 100
+
+
 @pytest.mark.parametrize("bad", [0, -2, 2.5, float("inf"), float("nan"), True,
                                  "5", None])
 def test_max_iter_must_be_an_integer(bad):
@@ -706,7 +714,7 @@ class _CountingPME(PorousMedium):
 def _gapped():
     """Forward, stages 0 and 2 move and stage 1 does not: the moving stages
     are not contiguous, so ``rel.moving`` is an index array."""
-    return Scheme.from_tableau("gapped", ButcherTableau(
+    return Scheme("gapped", ButcherTableau(
         a=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5]], b=[0.5, 0.0, 0.5],
         c=[1.0, 0.0, 1.0]))
 

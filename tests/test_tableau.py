@@ -48,26 +48,27 @@ def test_register_user_tableau():
     assert get_scheme("implicit_midpoint") is scheme
 
 
+# a tableau is checked for consistency when it is built
+
 def test_validate_reports_bad_b_sum():
-    t = ButcherTableau(a=[[0.0, 0.0], [0.0, 0.0]], b=[0.6, 0.6], c=[0.0, 0.0])
-    report = t.validate()
-    assert any("sum(b)=1.2" in line for line in report)
+    with pytest.raises(TableauError, match=r"^inconsistent tableau: sum\(b\)=1\.2 != 1$"):
+        ButcherTableau(a=[[0.0, 0.0], [0.0, 0.0]], b=[0.6, 0.6], c=[0.0, 0.0])
 
 
 def test_validate_reports_bad_row_sum():
-    t = ButcherTableau(a=[[0.0, 0.0], [0.3, 0.0]], b=[0.5, 0.5], c=[0.0, 1.0])
-    report = t.validate()
-    assert any("row 2" in line and "0.3" in line for line in report)
+    with pytest.raises(TableauError, match=r"^inconsistent tableau: row 2: "
+                                           r"sum\(a\)=0\.3 != c=1\.0$"):
+        ButcherTableau(a=[[0.0, 0.0], [0.3, 0.0]], b=[0.5, 0.5], c=[0.0, 1.0])
 
 
 def test_validate_ok_for_consistent():
-    assert ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0]).validate() == []
+    assert ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0]).s == 1
 
 
 def test_c_rk_rejects_inconsistent():
-    bad = ButcherTableau(a=[[0.0]], b=[0.9], c=[0.0])
-    with pytest.raises(TableauError, match="sum"):
-        c_rk(bad)
+    # no inconsistent tableau exists, so c_rk never sees one
+    with pytest.raises(TableauError, match=r"^inconsistent tableau: sum\(b\)=0\.9 != 1$"):
+        ButcherTableau(a=[[0.0]], b=[0.9], c=[0.0])
 
 
 def test_order_two_identity_exact_dyadic():
@@ -122,5 +123,12 @@ def test_tableau_is_immutable():
 
 
 def test_scheme_from_tableau_name():
-    s = Scheme.from_tableau("ie", ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0]))
-    assert s.name == "ie" and not s.is_composite_simpson
+    s = Scheme("ie", ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0]))
+    assert s.name == "ie" and not s.is_composite_simpson and s.c_rk_effective == 0.0
+
+
+def test_scheme_reads_c_rk_from_its_tableau():
+    # a stored constant once let Scheme("ie2", <implicit Euler>, 2.0) claim
+    # c_rk = 2 for a tableau whose c_rk is 0
+    with pytest.raises(TypeError):
+        Scheme("ie2", get_scheme("implicit_euler").tableau, 2.0)
