@@ -5,8 +5,12 @@ is CSV with a header row and shortest-round-trip floats, written by the one
 writer ``operators._csv``, so identical configs produce byte-identical files.
 
 Subcommands: simulate, gprofile, region, check-conditions, dlss-constants.
-Failures exit nonzero after printing one line ``error:<category>: <message>``;
-``_CATEGORIES`` is the one place that classifies them.
+A command checks every input before its first step and returns its files
+as ``{name: text}``; ``main`` alone writes them, after the last step, so a
+failed command writes no file and makes no directory.  ``main`` prints one
+``wrote <path>`` line per file written; check-conditions prints its CSV
+instead, which equals its ``--out`` file.  Failures exit nonzero after one
+line ``error:<category>: <message>``, classified by ``_CATEGORIES`` alone.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ from .regions import ConditionRow, dlss_b12, dlss_b12_derivative, dlss_chain, \
     emit_mask, scalar_conditions
 from .stepping import NewtonConfig, StepError, run, step_count
 from .tableau import get_scheme, registry
-
-
-class ConfigError(ValueError):
-    """Bad key, unparsable value, or violated constraint in a config."""
 
 
 _PROBLEMS = {
@@ -80,19 +80,19 @@ def _validate(cfg: RunConfig):
     for key, names in (("problem", _PROBLEMS), ("entropy", _ENTROPIES),
                        ("ic", _ICS), ("scheme", registry())):
         if getattr(cfg, key) not in names:
-            raise ConfigError(f"{key} must be one of {', '.join(names)}; "
-                              f"got {getattr(cfg, key)!r}")
+            raise ValueError(f"{key} must be one of {', '.join(names)}; "
+                             f"got {getattr(cfg, key)!r}")
     for key in ("beta", "length", "tau", "t_end", "t0"):
         _require_real(key, getattr(cfg, key), 0.0)
     _require_count("n", cfg.n, 4)
     if cfg.ic == "barenblatt":
         if cfg.problem != "pme" or cfg.beta <= 1.0:
-            raise ConfigError(
+            raise ValueError(
                 "barenblatt initial data needs problem=pme with beta > 1")
         if not (0.0 < cfg.x_r < 0.5):
-            raise ConfigError("x_r must lie in (0, 1/2)")
+            raise ValueError("x_r must lie in (0, 1/2)")
     if cfg.ic == "file" and not cfg.ic_file:
-        raise ConfigError("ic=file needs ic_file=<path>")
+        raise ValueError("ic=file needs ic_file=<path>")
 
 
 def parse_config(path) -> RunConfig:
@@ -104,15 +104,15 @@ def parse_config(path) -> RunConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in raw:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
             raw[key] = ([float(tok) for tok in value.split(",") if tok]
                         if key == "snapshot_times" else types[key](value))
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"line {lineno}: cannot parse value for {key!r}: {value!r}"
             ) from None
     cfg = RunConfig(**raw)
@@ -146,7 +146,7 @@ def make_initial(cfg: RunConfig, grid: Grid1D) -> StateField:
     if values.shape[0] not in (1, 2) and values.shape[1] in (1, 2):
         values = values.T
     if values.shape != (species, grid.n):
-        raise ConfigError(
+        raise ValueError(
             f"ic_file shape {values.shape} does not match ({species}, {grid.n})")
     return StateField(values)
 
@@ -181,79 +181,65 @@ def _state_index(t: float, cfg: RunConfig, what: str) -> int:
     configured trajectory of step_count(tau, t_end) steps."""
     k = np.rint(t / cfg.tau)  # NaN for a NaN time
     if not 0 <= k <= step_count(cfg.tau, cfg.t_end):
-        raise ConfigError(f"{what} {t} outside the trajectory")
+        raise ValueError(f"{what} {t} outside the trajectory")
     return int(k)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir) -> Path:
-    """Run the configured trajectory; write entropy.csv and snapshots."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
+    """Run the configured trajectory; return entropy.csv, the snapshots and
+    run_meta.txt by file name."""
     ks = [_state_index(t, cfg, "snapshot time") for t in cfg.snapshot_times]
     problem, e, u0, ncfg = _inputs(cfg)
+    ent.evaluate(e, u0, problem.grid)  # the entropy's domain, before any step
     traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
-    snapshots = [(t, traj.states[k]) for t, k in zip(cfg.snapshot_times, ks)]
-    path = out / "entropy.csv"
-    path.write_text(_csv(("t", "H", "mass", "min", "max", "iters"), (
+    files = {"entropy.csv": _csv(("t", "H", "mass", "min", "max", "iters"), (
         (traj.times[k], ent.evaluate(e, state, problem.grid),
          float(state.flat.sum()) * problem.grid.dx, state.flat.min(),
          state.flat.max(), traj.newton_iters[k - 1] if k else 0)
-        for k, state in enumerate(traj.states))))
+        for k, state in enumerate(traj.states)))}
     x = problem.grid.x()
-    for t_snap, state in snapshots:
-        (out / f"snapshot_t{t_snap:g}.csv").write_text(_csv(
+    for t_snap, k in zip(cfg.snapshot_times, ks):
+        state = traj.states[k]
+        files[f"snapshot_t{t_snap:g}.csv"] = _csv(
             ["x", *(f"u{j + 1}" for j in range(state.species))],
-            zip(x, *state.values)))
+            zip(x, *state.values))
     meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
     meta.append(f"rkentropy_version = {__version__}")
     meta += _platform_meta()
-    (out / "run_meta.txt").write_text("\n".join(meta) + "\n")
-    return path
+    files["run_meta.txt"] = "\n".join(meta) + "\n"
+    return files
 
 
 def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
-                 schemes, out_dir) -> list[Path]:
-    """Freeze states at the base times and emit one profile CSV per
-    (scheme, base time) pair."""
+                 schemes) -> dict[str, str]:
+    """Freeze states at the base times; return one profile CSV per
+    (scheme, base time) pair by file name."""
     base_times = sorted(base_times)
     if not base_times or not schemes:
-        raise ConfigError("need at least one base time and one scheme")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
+        raise ValueError("need at least one base time and one scheme")
+    _require_real("tau_max", tau_max, 0.0)  # profile_g's checks, before any step
+    _require_count("m", m, 3)
     schemes = [(name, get_scheme(name)) for name in schemes]
     ks = [_state_index(t, cfg, "base time") for t in base_times]
     problem, e, u0, ncfg = _inputs(cfg)
+    files = {}
     for name, scheme in schemes:
         states = (run(problem, scheme, u0, cfg.tau, max(ks) * cfg.tau,
                       ncfg).states if max(ks) else [u0])
         for t_base, k in zip(base_times, ks):
-            prof = ent.profile_g(e, problem, scheme, states[k], tau_max,
-                                 m, ncfg, base_time=k * cfg.tau)
-            path = out / f"gprofile_{name}_t{t_base:g}.csv"
-            path.write_text(prof.to_csv())
-            paths.append(path)
-    return paths
-
-
-def cmd_region(family: str, alpha_range, beta_range, alpha_steps: int,
-               beta_steps: int, d: int, c_rk: float, out_path) -> Path:
-    mask = emit_mask(family, alpha_range, beta_range, alpha_steps,
-                     beta_steps, d=d, c_rk=c_rk)
-    path = Path(out_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(mask.to_csv())
-    return path
+            files[f"gprofile_{name}_t{t_base:g}.csv"] = ent.profile_g(
+                e, problem, scheme, states[k], tau_max, m, ncfg,
+                base_time=k * cfg.tau).to_csv()
+    return files
 
 
 def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
-                         u_max: float, points: int, d: int, c_rk: float,
-                         out_path=None) -> list[str]:
+                         u_max: float, points: int, d: int, c_rk: float) -> list[str]:
     if preset == "heat_log":
         # the heat equation, log entropy: mobility u (beta = 1), h'' = 1/u (alpha = 0)
         alpha, beta = 0.0, 1.0
     elif preset != "pme_power":
-        raise ConfigError(f"unknown preset {preset!r}; use heat_log or pme_power")
+        raise ValueError(f"unknown preset {preset!r}; use heat_log or pme_power")
     _require_real("u_min", u_min)
     _require_real("u_max", u_max)
     e = beta - alpha  # power-law mobility mu(u) = beta u^e; h''(u) = u^(alpha - 1)
@@ -261,12 +247,7 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
         lambda u: beta * u**e, lambda u: beta * e * u ** (e - 1.0),
         lambda u: beta * e * (e - 1.0) * u ** (e - 2.0), lambda u: u ** (alpha - 1.0),
         np.linspace(u_min, u_max, points), d=d, c_rk=c_rk)
-    text = _csv([f.name for f in fields(ConditionRow)], map(astuple, rows))
-    if out_path is not None:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    return text.splitlines()
+    return _csv([f.name for f in fields(ConditionRow)], map(astuple, rows)).splitlines()
 
 
 def cmd_dlss_constants() -> tuple[list[str], bool]:
@@ -349,34 +330,31 @@ _CATEGORIES = {KeyError: "lookup", DomainError: "domain", StepError: "step",
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out, files, shown = Path(), {}, None  # shown: printed in place of "wrote" lines
     try:
         if args.command == "simulate":
-            cfg = parse_config(args.config)
-            path = cmd_simulate(cfg, args.out)
-            print(f"wrote {path}")
+            out, files = Path(args.out), cmd_simulate(parse_config(args.config))
         elif args.command == "gprofile":
             cfg = parse_config(args.config)
             base_times = [float(tok) for tok in args.base_times.split(",") if tok]
             schemes = (list(registry()) if args.schemes == "all"
                        else [tok for tok in args.schemes.split(",") if tok])
-            paths = cmd_gprofile(cfg, base_times, args.tau_max, args.m, schemes,
-                                 args.out)
-            for path in paths:
-                print(f"wrote {path}")
+            out, files = Path(args.out), cmd_gprofile(cfg, base_times, args.tau_max,
+                                                      args.m, schemes)
         elif args.command == "region":
-            path = cmd_region(
+            files = {args.out: emit_mask(
                 args.family, (args.alpha_min, args.alpha_max),
                 (args.beta_min, args.beta_max), args.alpha_steps,
-                args.beta_steps, args.d, args.c_rk, args.out)
-            print(f"wrote {path}")
+                args.beta_steps, d=args.d, c_rk=args.c_rk).to_csv()}
         elif args.command == "check-conditions":
             if args.preset == "heat_log" and (args.alpha, args.beta) != (None, None):
-                raise ConfigError("--alpha and --beta go with --preset pme_power")
-            lines = cmd_check_conditions(
+                raise ValueError("--alpha and --beta go with --preset pme_power")
+            shown = "\n".join(cmd_check_conditions(
                 args.preset, 1.0 if args.alpha is None else args.alpha,
                 2.0 if args.beta is None else args.beta, args.u_min, args.u_max,
-                args.points, args.d, args.c_rk, args.out)
-            print("\n".join(lines))
+                args.points, args.d, args.c_rk))
+            if args.out is not None:
+                files = {args.out: shown + "\n"}
         elif args.command == "dlss-constants":
             lines, ok = cmd_dlss_constants()
             print("\n".join(lines))
@@ -384,6 +362,14 @@ def main(argv=None) -> int:
                 print("error:check: a fourth-order chain identity failed",
                       file=sys.stderr)
                 return 1
+        for name, text in files.items():
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            if shown is None:
+                print(f"wrote {path}")
+        if shown is not None:
+            print(shown)
     except tuple(_CATEGORIES) as err:
         category = next(c for kind, c in _CATEGORIES.items() if isinstance(err, kind))
         print(f"error:{category}: {err}", file=sys.stderr)

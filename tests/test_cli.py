@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from rkentropy import cli
 from rkentropy.cli import (
-    ConfigError,
     barenblatt_profile,
     cmd_check_conditions,
     cmd_dlss_constants,
     cmd_gprofile,
-    cmd_region,
     cmd_simulate,
     main,
     make_initial,
@@ -66,25 +64,25 @@ def test_parse_config_rejects_negative_beta(tmp_path):
 def test_parse_config_rejects_unknown_scheme(tmp_path):
     path = write_config(tmp_path,
                         MINIMAL.replace("implicit_euler", "rk5"))
-    with pytest.raises(ConfigError, match="trapezoidal"):
+    with pytest.raises(ValueError, match="trapezoidal"):
         parse_config(path)  # message lists the valid schemes
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, MINIMAL + "frobnicate = 3\n")
-    with pytest.raises(ConfigError, match="line 9.*frobnicate"):
+    with pytest.raises(ValueError, match="line 9.*frobnicate"):
         parse_config(path)
 
 
 def test_parse_config_rejects_bad_value(tmp_path):
     path = write_config(tmp_path, MINIMAL.replace("tau = 1e-4", "tau = fast"))
-    with pytest.raises(ConfigError, match="tau"):
+    with pytest.raises(ValueError, match="tau"):
         parse_config(path)
 
 
 def test_parse_config_barenblatt_needs_pme(tmp_path):
     text = MINIMAL.replace("problem = pme", "problem = dlss")
-    with pytest.raises(ConfigError, match="barenblatt"):
+    with pytest.raises(ValueError, match="barenblatt"):
         parse_config(write_config(tmp_path, text))
 
 
@@ -127,10 +125,9 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4")
     text = text.replace("n = 64", "n = 16")
     cfg = parse_config(write_config(tmp_path, text))
-    p1 = cmd_simulate(cfg, tmp_path / "a")
-    p2 = cmd_simulate(cfg, tmp_path / "b")
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().strip().split("\n")
+    files = cmd_simulate(cfg)
+    assert files == cmd_simulate(cfg)
+    lines = files["entropy.csv"].strip().split("\n")
     assert lines[0] == "t,H,mass,min,max,iters"
     assert len(lines) == 7  # header + 6 states (5 steps + initial)
     for line in lines[1:]:
@@ -145,8 +142,7 @@ def test_simulate_csv_floats_round_trip(tmp_path):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 3e-4").replace("n = 64",
                                                                    "n = 16")
     cfg = parse_config(write_config(tmp_path, text))
-    path = cmd_simulate(cfg, tmp_path / "out")
-    for line in path.read_text().strip().split("\n")[1:]:
+    for line in cmd_simulate(cfg)["entropy.csv"].strip().split("\n")[1:]:
         for tok in line.split(","):
             assert repr(float(tok)) == tok or tok.isdigit()
 
@@ -232,8 +228,7 @@ def test_simulate_two_species_snapshot_round_trips(tmp_path):
             "tau = 1e-3\nt_end = 5e-3\nic = cosine\nentropy = log_sum\n"
             "snapshot_times = 3e-3\n")
     cfg = parse_config(write_config(tmp_path, text))
-    cmd_simulate(cfg, tmp_path / "out")
-    lines = (tmp_path / "out" / "snapshot_t0.003.csv").read_text().splitlines()
+    lines = cmd_simulate(cfg)["snapshot_t0.003.csv"].splitlines()
     assert lines[0] == "x,u1,u2" and len(lines) == cfg.n + 1
     problem, _, u0, ncfg = cli._inputs(cfg)
     state = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end,
@@ -243,9 +238,11 @@ def test_simulate_two_species_snapshot_round_trips(tmp_path):
     assert np.array_equal(table[:, 1:].T, state.values)
 
 
-def test_check_conditions_file_equals_its_lines(tmp_path):
-    lines = cmd_check_conditions("pme_power", 1.0, 2.0, 0.5, 2.0, 5, 1, 1.0,
-                                 out_path=tmp_path / "cond.csv")
+def test_check_conditions_file_equals_its_lines(tmp_path, capsys):
+    assert main(["check-conditions", "--preset", "pme_power", "--points", "5",
+                 "--out", str(tmp_path / "cond.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == cmd_check_conditions("pme_power", 1.0, 2.0, 0.5, 2.0, 5, 1, 1.0)
     assert (tmp_path / "cond.csv").read_text() == "\n".join(lines) + "\n"
     assert lines[0].split(",")[-3:] == ["cond1_ok", "cond2_ok", "cond3_ok"]
     assert all(flag in ("0", "1") for line in lines[1:] for flag in line.split(",")[-3:])
@@ -255,19 +252,18 @@ def test_simulate_snapshots(tmp_path):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4")
     text = text.replace("n = 64", "n = 16") + "snapshot_times = 0,3e-4\n"
     cfg = parse_config(write_config(tmp_path, text))
-    cmd_simulate(cfg, tmp_path / "out")
-    assert (tmp_path / "out" / "snapshot_t0.csv").exists()
-    assert (tmp_path / "out" / "snapshot_t0.0003.csv").exists()
+    files = cmd_simulate(cfg)
+    assert "snapshot_t0.csv" in files
+    assert "snapshot_t0.0003.csv" in files
 
 
 def test_gprofile_minimal_grid(tmp_path):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 1e-3").replace("n = 64",
                                                                    "n = 16")
     cfg = parse_config(write_config(tmp_path, text))
-    paths = cmd_gprofile(cfg, [5e-4], 1e-4, 3, ["implicit_euler"],
-                         tmp_path / "out")
-    assert len(paths) == 1
-    lines = paths[0].read_text().strip().split("\n")
+    files = cmd_gprofile(cfg, [5e-4], 1e-4, 3, ["implicit_euler"])
+    assert len(files) == 1
+    lines = files["gprofile_implicit_euler_t0.0005.csv"].strip().split("\n")
     assert lines[0] == "tau,G,d2G,Q"
     assert len(lines) == 5
 
@@ -280,12 +276,15 @@ def test_gprofile_rejects_bad_arguments(tmp_path, capsys):
         assert main(["gprofile", "--config", str(cfg_path), "--base-times", "0",
                      "--schemes", "implicit_euler", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error:config: {line}\n"
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
 
-def test_region_command(tmp_path):
-    path = cmd_region("pme0", (0.5, 2.0), (0.5, 2.0), 4, 4, 1, 1.0,
-                      tmp_path / "region.csv")
+def test_region_command(tmp_path, capsys):
+    path = tmp_path / "region.csv"
+    assert main(["region", "--family", "pme0", "--alpha-max", "2", "--beta-max",
+                 "2", "--alpha-steps", "4", "--beta-steps", "4", "--d", "1",
+                 "--c-rk", "1", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "alpha,beta,member,witness_c1,witness_c2,witness_c3"
     assert len(lines) == 17
@@ -429,7 +428,7 @@ def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error:{category}:") and err.count("\n") == 1
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
@@ -443,12 +442,15 @@ def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert err.count("\n") == 1 and not out.exists()
 
 
-def test_main_simulate_and_gprofile(tmp_path):
+def test_main_simulate_and_gprofile(tmp_path, capsys):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
                                                                    "n = 16")
     cfg_path = write_config(tmp_path, text)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # one line per file written
+    assert capsys.readouterr().out == (f"wrote {out / 'entropy.csv'}\n"
+                                       f"wrote {out / 'run_meta.txt'}\n")
     assert (out / "entropy.csv").exists()
     meta = (out / "run_meta.txt").read_text()
     assert "\nscipy_version = " in meta and "\nscipy_lapack = " in meta
@@ -460,6 +462,9 @@ def test_main_simulate_and_gprofile(tmp_path):
     assert main(["gprofile", "--config", str(cfg_path), "--base-times",
                  "3e-4", "--tau-max", "1e-4", "--m", "4", "--schemes",
                  "implicit_euler,trapezoidal", "--out", str(out2)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"wrote {out2 / f'gprofile_{name}_t0.0003.csv'}\n"
+        for name in ("implicit_euler", "trapezoidal"))
     assert (out2 / "gprofile_implicit_euler_t0.0003.csv").exists()
     assert (out2 / "gprofile_trapezoidal_t0.0003.csv").exists()
 
@@ -476,13 +481,22 @@ def _count_runs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("edits, argv", [
-    ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = 5"}, ["simulate"]),
-    ({}, ["gprofile", "--base-times=-1,3e-4"]),
-    ({}, ["gprofile", "--base-times", "1"]),  # past t_end = 5e-4
-])
+@pytest.mark.parametrize("edits, argv, category", [
+    ({"ic = barenblatt": "ic = barenblatt\nsnapshot_times = 5"}, ["simulate"],
+     "config"),
+    ({}, ["gprofile", "--base-times=-1,3e-4"], "config"),
+    ({}, ["gprofile", "--base-times", "1"], "config"),  # past t_end = 5e-4
+    # profile_g's own checks, made before the march to the base time
+    ({}, ["gprofile", "--base-times", "3e-4", "--m", "2"], "config"),
+    ({}, ["gprofile", "--base-times", "3e-4", "--tau-max", "0"], "config"),
+    # the entropy at the initial state: a negative cell has no real power 1.5
+    ({"ic = barenblatt": "ic = cosine\nmean = 0\namplitude = 1\nentropy = power\n"
+                         "alpha = 0.5"}, ["simulate"], "domain"),
+    ({"problem = pme": "problem = linear_system\nentropy = first_order",
+      "ic = barenblatt": "ic = cosine"}, ["simulate"], "config"),
+], ids=[f"edits{i}-argv{i}" for i in range(7)])
 def test_times_are_checked_before_any_step(tmp_path, capsys, monkeypatch,
-                                           edits, argv):
+                                           edits, argv, category):
     calls = _count_runs(monkeypatch)
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
                                                                    "n = 16")
@@ -492,8 +506,24 @@ def test_times_are_checked_before_any_step(tmp_path, capsys, monkeypatch,
     cfg_path = write_config(tmp_path, text)
     assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:config:") and err.count("\n") == 1
-    assert calls == [] and not list(out.glob("*.csv"))
+    assert err.startswith(f"error:{category}:") and err.count("\n") == 1
+    assert calls == [] and not out.exists()
+
+
+def test_gprofile_failing_on_a_later_scheme_writes_nothing(tmp_path, capsys):
+    # implicit Euler's profile is complete before explicit Euler blows up
+    # on its march at tau = 1e-2 (past its stability limit at n = 16)
+    cfg_path = write_config(tmp_path, "problem = pme\nn = 16\ntau = 1e-2\n"
+                                      "t_end = 1.0\nic = cosine\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["gprofile", "--config", str(cfg_path), "--base-times", "1.0",
+                     "--m", "4", "--tau-max", "1e-4", "--schemes",
+                     "implicit_euler,explicit_euler", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:step:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gprofile_steps_only_to_the_last_base_time(tmp_path, monkeypatch):
