@@ -16,6 +16,7 @@ line ``error:<category>: <message>``, classified by ``_CATEGORIES`` alone.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .operators import Dlss, DomainError, Grid1D, LinearSystem, PorousMedium, \
     StateField, _csv, _require_count, _require_real
 from .regions import ConditionRow, dlss_b12, dlss_b12_derivative, dlss_chain, \
     emit_mask, scalar_conditions
-from .stepping import NewtonConfig, StepError, run, step_count
+from .stepping import NewtonConfig, StepError, _band_lapack, run, step_count
 from .tableau import get_scheme, registry
 
 
@@ -157,16 +158,20 @@ def make_initial(cfg: RunConfig, grid: Grid1D) -> StateField:
 
 def _platform_meta() -> list[str]:
     """numpy's version and SIMD targets (its kernels round differently on
-    each), scipy's version and the LAPACK that solves every Newton system."""
-    import scipy
-
+    each), and the LAPACK that solves every Newton system: the library its
+    dgbsv was found through, the symbol, its integer width and the live
+    OpenBLAS thread count."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    _, width, path, name = _band_lapack()
+    threads = getattr(ctypes.CDLL(path),
+                      name.replace("dgbsv_", "openblas_get_num_threads"), None)
+    if threads:
+        threads.argtypes, threads.restype = [], ctypes.c_int
     return [f"numpy_version = {np.__version__}",
             f"numpy_simd = baseline {' '.join(simd['baseline'])}; "
             f"found {' '.join(simd.get('found', [])) or 'none'}",
-            f"scipy_version = {scipy.__version__}",
-            f"scipy_lapack = {lapack['name']} {lapack['version']}"]
+            f"lapack = {name}, {8 * width}-bit integers, found through {path}",
+            f"blas_threads = {threads() if threads else 'unknown'}"]
 
 
 def _inputs(cfg: RunConfig):

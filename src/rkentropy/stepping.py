@@ -28,15 +28,15 @@ moving stages, as one batch (fixed ones keep A[x]; an iterate that stops
 builds no J); W is updated with the matrix I + tau sum_i (B[:, i] C[i]) (x)
 J(g_i).  A[x], and the floor scale at x if it is read, are built once per
 solve (``_Linearization``), or once per ``profile_g`` sweep, whose nodes
-all solve from x.  ``_newton_update`` sums that matrix in the cyclic band form
-of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
+all solve from x.  ``_band_solver`` sums that matrix in the cyclic band
+form of the problem's Jacobian (``Problem.jacobian_flat``), scatters it into
 LAPACK band storage laid out per grid size, block count and stencil
 (``_layout``), and solves with it in one call of LAPACK's band driver
 ``dgbsv``: the banded LU ``dgbtrf`` (partial pivoting, fill inside the
-band), then ``dgbtrs``.  Folding the cells (0, n-1, 1, n-2, ...) makes the
-cyclic band a plain band of half-width at most blocks*(2*reach + 1) - 1:
-O(n) work and storage per iteration for every family.  The first solve
-loads scipy's _flapack, not scipy.linalg.
+band), then ``dgbtrs``.  Folding the cells (0, n-1, 1, n-2, ...) makes
+the cyclic band a plain band of half-width at most blocks*(2*reach + 1) - 1:
+O(n) work and storage per iteration for every family.  dgbsv comes from the
+LAPACK numpy's linalg already loaded, called through ctypes (``_band_lapack``).
 
 Newton stops at ``NewtonConfig.tol`` or at the rounding floor of the
 residual, 8 eps max(|W| + tau |B| mag(g)) with mag(g) = |J| |g| + |A[g]|
@@ -54,7 +54,9 @@ iterations above both, is a StepError.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -213,41 +215,75 @@ def _layout(n: int, blocks: int, offsets: tuple[int, ...]):
 
 @cache
 def _band_lapack():
-    """dgbsv from scipy's _flapack extension, loaded alone: the scipy.linalg
-    package around it loads some 330 more modules."""
-    import scipy
-    from importlib import machinery, util
+    """(dgbsv, integer width, library file, symbol) of the LAPACK numpy's
+    linalg links, found through the handle of numpy.linalg._umath_linalg
+    (whose lookups search its dependencies), then numpy's vendored libraries."""
+    import glob
+    from numpy.linalg import _umath_linalg
 
-    where = os.path.join(scipy.__path__[0], "linalg")
-    spec = machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension {where}/_flapack.* is missing")
-    flapack = util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dgbsv
+    names = ("scipy_dgbsv_64_", "dgbsv_64_", "scipy_dgbsv_", "dgbsv_")
+    vendored = (os.path.join(np.__path__[0], "..", "numpy.libs", "*"),
+                os.path.join(np.__path__[0], ".dylibs", "*"))
+    libs = [_umath_linalg.__file__, *sorted(sum(map(glob.glob, vendored), []))]
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in names:
+            ilaver = getattr(lib, name.replace("dgbsv", "ilaver"), None)
+            if ilaver and hasattr(lib, name):
+                # ilaver fills all 8 bytes of each slot only with 64-bit integers
+                slots = np.full(3, -1, dtype=np.int64)
+                ilaver.argtypes, ilaver.restype = [ctypes.c_void_p] * 3, None
+                ilaver(*(slots.ctypes.data + 8 * k for k in range(3)))
+                dgbsv = getattr(lib, name)
+                dgbsv.argtypes, dgbsv.restype = [ctypes.c_void_p] * 10, None
+                return (dgbsv, 8 if np.all((slots >= 0) & (slots < 2**31)) else 4,
+                        path, name)
+    raise ImportError(f"no dgbsv and ilaver in numpy's LAPACK: looked for "
+                      f"{', '.join(names)} in {', '.join(libs)}")
 
 
-def _newton_update(problem: Problem, rel: _Relation, jac, tau: float,
-                   rhs: np.ndarray) -> np.ndarray:
-    """The solution of (I + tau sum_q coupling[q] (x) J(g_i)) y = rhs, given
-    the bands jac[q] = J(g_i) of the q-th moving stage, by LAPACK's band
-    driver dgbsv (its LU dgbtrf, then dgbtrs); LinAlgError on a zero pivot."""
-    kl, ku, scatter, order, rank = _layout(
-        problem.grid.n, rel.C.shape[1] * problem.species, problem.offsets)
-    # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks, summed over q
-    coupling = tau * rel.coupling[:, :, None, :, None, None, None]
-    bands = (coupling * jac[:, None, :, None]).sum(axis=0)
-    ab = np.bincount(scatter, weights=bands.ravel(), minlength=order.size
-                     * (2 * kl + ku + 1)).reshape(order.size, -1).T
-    ab[kl + ku] += 1.0
-    # dgbsv also returns the band LU and its pivots, which this solve drops
-    _, _, y, info = _band_lapack()(kl, ku, ab, rhs[order], overwrite_ab=1,
-                                   overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"zero pivot in row {info - 1} of the band LU")
-    if info < 0:  # an illegal argument is a bug: no StepError, which sweeps catch
-        raise RuntimeError(f"dgbsv rejected argument {-info} (info {info})")
-    return y[rank]
+_SOLVERS = threading.local()  # each thread's band solvers, by layout
+
+
+def _band_solver(n: int, r: int, species: int, offsets: tuple[int, ...]):
+    """This thread's solver of the Newton systems of r stage rows, ``species``
+    species and n cells: solve(coupling, jac, rhs) is y with (I + sum_q
+    coupling[q] (x) J(g_i)) y = rhs, by dgbsv on ``_layout``'s band storage,
+    with the other arrays' addresses taken once.  dgbsv runs without the GIL,
+    so each thread has its own; LinAlgError on a zero pivot."""
+    solve = vars(_SOLVERS).get((n, r, species, offsets))
+    if solve:
+        return solve
+    kl, ku, scatter, order, rank = _layout(n, r * species, offsets)
+    dgbsv, width = _band_lapack()[:2]
+    size, ldab = order.size, 2 * kl + ku + 1
+    ints = np.zeros(7 + size, f"i{width}")  # N, KL, KU, NRHS, LDAB, LDB, INFO, pivots
+    ints[:6] = size, kl, ku, 1, ldab, size
+    b = np.empty(size)
+    at = range(ints.ctypes.data, ints.ctypes.data + 8 * width, width)
+    args = [*at[:4], None, at[4], at[7], b.ctypes.data, at[5], at[6]]
+    # the bands, then I: bincount adds each slot's band entries, then its 1, into
+    # the Fortran (ldab, size) band storage
+    scatter = np.concatenate([scatter, np.arange(size) * ldab + kl + ku])
+    weights = np.ones(scatter.size)
+    # block (k, s) x (l, t) of the (r*species)^2 cyclic band blocks
+    bands = weights[:-size].reshape(r, species, r, species, len(offsets), n)
+
+    def solve(coupling, jac, rhs: np.ndarray) -> np.ndarray:
+        np.add.reduce(coupling * jac[:, None, :, None], axis=0, out=bands)
+        ab = np.bincount(scatter, weights=weights, minlength=size * ldab)
+        args[4] = ctypes.addressof(ctypes.c_char.from_buffer(ab))
+        rhs.take(order, out=b, mode="clip")  # order is a permutation
+        dgbsv(*args)
+        info = ints.item(6)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"zero pivot in row {info - 1} of the band LU")
+        if info < 0:  # an illegal argument is a bug: no StepError, which sweeps catch
+            raise RuntimeError(f"dgbsv rejected argument {-info} (info {info})")
+        return b[rank]
+
+    vars(_SOLVERS)[n, r, species, offsets] = solve
+    return solve
 
 
 def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
@@ -280,6 +316,9 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     ag = np.tile(base.a, (s, 1))  # A[g_i]; the rows of fixed stages stay A[x]
     w = (-tau * rel.B.sum(axis=1))[:, None] * base.a if w_init is None else w_init
     norms: list[float] = []
+    coupling = tau * rel.coupling[:, :, None, :, None, None, None]
+    # (a closed-form relation, r = 0, solves no Newton system)
+    solve = r and _band_solver(problem.grid.n, r, problem.species, problem.offsets)
     for it in range(cfg.max_iter + 1):
         g = rel.C @ w
         g += x
@@ -308,7 +347,7 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
                             f"rounding floor {floor:.1e})", norms[-1], cfg.max_iter)
         jac = problem.jacobian_flat(g[m])
         try:
-            update = _newton_update(problem, rel, jac, tau, res.reshape(-1))
+            update = solve(coupling, jac, res.reshape(-1))
         except np.linalg.LinAlgError as err:
             raise StepError(f"singular Newton matrix at iteration {it} "
                             f"(residual {norms[-1]:.3e}): {err}", norms[-1], it) from err

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ from rkentropy.cli import (
 from rkentropy.entropy import GProfile
 from rkentropy.operators import Grid1D, _csv
 from rkentropy.regions import RegionMask, Witness
-from rkentropy.stepping import run, step_count
+from rkentropy.stepping import _band_lapack, run, step_count
 from rkentropy.tableau import get_scheme
 
 MINIMAL = """\
@@ -453,7 +454,11 @@ def test_main_simulate_and_gprofile(tmp_path, capsys):
                                        f"wrote {out / 'run_meta.txt'}\n")
     assert (out / "entropy.csv").exists()
     meta = (out / "run_meta.txt").read_text()
-    assert "\nscipy_version = " in meta and "\nscipy_lapack = " in meta
+    # the LAPACK numpy links solves the Newton systems, at the live thread count
+    _, width, path, name = _band_lapack()
+    assert (f"\nlapack = {name}, {8 * width}-bit integers, found through {path}\n"
+            in meta)
+    assert re.search(r"\nblas_threads = (\d+|unknown)\n", meta)
     # the SIMD targets numpy dispatches to, read as numpy states them
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     assert (f"\nnumpy_simd = baseline {' '.join(simd['baseline'])}; found "
@@ -568,6 +573,20 @@ def test_main_region_overflow_is_a_non_member(tmp_path, argv):
     assert huge and all(row[2:] == ["0", "", "", ""] for row in huge)
 
 
+def test_run_meta_records_the_live_blas_thread_count():
+    # the count OpenBLAS runs with, read from the library that solves the
+    # Newton systems, not the count it was built for
+    probe = "from rkentropy import cli; print(cli._platform_meta()[-1])"
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        if out.stdout.strip() == "blas_threads = unknown":
+            pytest.skip("numpy's LAPACK is not OpenBLAS")
+        assert out.stdout.strip() == f"blas_threads = {threads}"
+
+
 def test_main_region_flat_fit_is_a_non_member(tmp_path):
     # at these exponents the fitted c2 coefficient of R rounds to 0, so the
     # fit has no vertex: no witness, and the cell is a non-member
@@ -579,11 +598,9 @@ def test_main_region_flat_fit_is_a_non_member(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    # every command pays the package import; the first factorization loads
-    # scipy's _flapack extension alone, so no path loads the scipy.linalg
-    # package, scipy's sparse modules or its quadrature
-    show = ("print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', "
-            "'scipy.sparse') if m in sys.modules))")
+    # Newton's band solves call the dgbsv of the LAPACK numpy already
+    # loaded, so no command and no library path imports any scipy module
+    show = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     conditions = ("from rkentropy.cli import cmd_check_conditions as c; "
                   "c('pme_power', 1.0, 2.0, 0.5, 2.0, 16, 1, 1.0); "
                   "c('heat_log', 1.0, 1.0, 0.5, 2.0, 16, 3, 0.0); ")
@@ -595,14 +612,22 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     sweep = ("assert profile_g(PowerEntropy(1.0), p, get_scheme('trapezoidal'), "
              "u, 1e-4, 4).failed_index is None; ")
     cfg = write_config(tmp_path, MINIMAL)
-    simulate = ("from rkentropy.cli import main; assert main(['simulate', "
-                f"'--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; ")
+    where = str(tmp_path / "o")
+    simulate, gprofile, region = (
+        f"from rkentropy.cli import main; assert main({argv!r}) == 0; " for argv in (
+            ["simulate", "--config", str(cfg), "--out", where],
+            ["gprofile", "--config", str(cfg), "--base-times", "1e-3", "--m", "4",
+             "--out", where],
+            ["region", "--family", "pme0", "--alpha-steps", "2", "--beta-steps", "2",
+             "--out", os.path.join(where, "region.csv")]))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for probe in ("import sys, rkentropy; " + show,
                   "import sys, rkentropy; " + conditions + show,
                   "import sys; " + state + step + show,
                   "import sys; " + state + sweep + show,
-                  "import sys; " + simulate + show):
+                  "import sys; " + simulate + show,
+                  "import sys; " + gprofile + show,
+                  "import sys; " + region + show):
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              check=True, capture_output=True, text=True,
                              timeout=60)

@@ -1,8 +1,11 @@
+import ctypes
+import glob
 import os
-import re
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,8 +28,8 @@ from rkentropy.operators import (
 from rkentropy.stepping import (
     NewtonConfig,
     StepError,
+    _band_solver,
     _layout,
-    _newton_update,
     _step,
     backward_solve,
     forward_step,
@@ -480,6 +483,16 @@ def _dense_newton_matrix(problem, rel, g, tau):
     return dense
 
 
+def _newton_update(problem, rel, jac, tau, rhs):
+    """One Newton update as ``_step`` makes it: the band solver of the
+    relation's rows and the problem's species, given the tau-scaled
+    couplings and the moving stages' Jacobian bands."""
+    coupling = tau * rel.coupling[:, :, None, :, None, None, None]
+    solve = _band_solver(problem.grid.n, rel.C.shape[1], problem.species,
+                         problem.offsets)
+    return solve(coupling, jac, rhs)
+
+
 def _moving(rel):
     """The indices of the moving stages, which ``rel.moving`` holds as a
     slice where they are contiguous."""
@@ -524,16 +537,81 @@ def test_band_solve_equals_the_dense_solve(case, scratch_registry):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), backward
 
 
+def _recording_lapack(monkeypatch, calls: list, info: int | None = None):
+    """Make every dgbsv call append (kl, ku, A, b, x, LU, pivots) to calls,
+    the band storages A and LU as (ldab, n) arrays, read through the
+    addresses dgbsv is passed; with ``info``, also overwrite its status."""
+    dgbsv, width, *rest = stepping._band_lapack()
+    cint = {4: ctypes.c_int32, 8: ctypes.c_int64}[width]
+
+    def read(address, count, ctype=ctypes.c_double):
+        return np.ctypeslib.as_array(ctypes.cast(address, ctypes.POINTER(ctype)),
+                                     (count,)).copy()
+
+    def recorded(*args):
+        n, kl, ku, _, ldab = (int(read(a, 1, cint)[0]) for a in args[:4] + args[5:6])
+        ab, b = read(args[4], ldab * n).reshape(n, ldab).T, read(args[7], n)
+        dgbsv(*args)
+        calls.append((kl, ku, ab, b, read(args[7], n),
+                      read(args[4], ldab * n).reshape(n, ldab).T, read(args[6], n, cint)))
+        if info is not None:
+            cint.from_address(args[9]).value = info
+
+    monkeypatch.setattr(stepping, "_band_lapack", lambda: (recorded, width, *rest))
+    monkeypatch.setattr(stepping, "_SOLVERS", threading.local())  # none made yet
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def _dense_from_band(ab: np.ndarray, kl: int, ku: int, lower: int, upper: int):
+    """Entries (i, j) with -upper <= i - j <= lower of LAPACK band storage
+    ab, where (i, j) sits at ab[kl + ku + i - j, j]; zero elsewhere."""
+    i, j = np.indices((ab.shape[1],) * 2)
+    inside = (i - j <= lower) & (j - i <= upper)
+    return np.where(inside, ab[np.clip(kl + ku + i - j, 0, ab.shape[0] - 1), j], 0.0)
+
+
+def test_band_lapack_meets_its_backward_error_bound(monkeypatch):
+    # the PME (kl = ku = 2) and Dlss (kl = ku = 4) Newton matrices of real
+    # solves.  Band LU and its two triangular solves form inner products of
+    # at most m = kl + ku + 1 terms, so the computed x solves (A + dA) x = b
+    # with |dA| <= gamma_3m |L||U| for the computed factors (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., Thm 9.4), and forming
+    # the residual adds at most gamma_(m+1) (|b| + |A||x|).  No row is
+    # swapped on these matrices, so L and U read straight off dgbsv's
+    # output.  np.linalg.solve takes the same pivots and meets the bound
+    # with gamma_3n; the two solutions differ by at most both perturbations
+    # carried through |A^-1| (twice that, for the computed inverse).
+    calls = []
+    _recording_lapack(monkeypatch, calls)
+    grid = Grid1D(16, 1.0)
+    u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
+    for problem, tau in ((PorousMedium(grid, 2.0), 1e-3), (Dlss(grid), 1e-6)):
+        forward_step(problem, get_scheme("trapezoidal"), u, tau)
+    assert sorted({(kl, ku) for kl, ku, *_ in calls}) == [(2, 2), (4, 4)]
+    for kl, ku, ab, b, x, lu, piv in calls:
+        n, m = b.size, kl + ku + 1
+        assert np.array_equal(piv, np.arange(1, n + 1)), (kl, ku)
+        dense = _dense_from_band(ab, kl, ku, kl, ku)
+        factors = (np.abs(_dense_from_band(lu, kl, ku, kl, -1)) + np.eye(n)) @ np.abs(
+            _dense_from_band(lu, kl, ku, 0, kl + ku))
+        residual = _gamma(m + 1) * (np.abs(b) + np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(b - dense @ x) <= _gamma(3 * m) * factors @ np.abs(x)
+                      + residual), (kl, ku)
+        x_dense = np.linalg.solve(dense, b)
+        carried = factors @ (_gamma(3 * m) * np.abs(x) + _gamma(3 * n) * np.abs(x_dense))
+        assert np.all(np.abs(x - x_dense)
+                      <= 2.0 * np.abs(np.linalg.inv(dense)) @ carried), (kl, ku)
+
+
 def test_illegal_lapack_argument_is_not_a_step_error(pme32, monkeypatch):
     # a negative LAPACK status names an illegal argument: a bug that run
     # and profile_g pass on, not a failed solve that a sweep truncates at
-    dgbsv = stepping._band_lapack()
-
-    def illegal(*args, **kwargs):
-        lu, piv, x, _ = dgbsv(*args, **kwargs)
-        return lu, piv, x, -3
-
-    monkeypatch.setattr(stepping, "_band_lapack", lambda: illegal)
+    _recording_lapack(monkeypatch, [], info=-3)
     problem, u = pme32
     scheme = get_scheme("trapezoidal")
     for call in (lambda: run(problem, scheme, u, 1e-4, 1e-3),
@@ -544,57 +622,89 @@ def test_illegal_lapack_argument_is_not_a_step_error(pme32, monkeypatch):
         assert not isinstance(exc.value, StepError)
 
 
-def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
-    # one load path, with no fallback to scipy.linalg: a missing extension
-    # is an ImportError that names where it was looked for
-    import scipy
+def test_threads_keep_their_own_band_workspace(pme32):
+    # dgbsv runs without the GIL, so each thread solves in a workspace of
+    # its own, made once per layout; marches in four threads at once (more
+    # than the cores) equal the serial ones bit for bit
+    problem, u = pme32
+    scheme = get_scheme("trapezoidal")
 
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+    def march(k):
+        start = StateField.scalar(u.flat * (1.0 + 0.01 * k))
+        end = run(problem, scheme, start, 1e-4, 2e-3).states[-1].flat
+        return end, stepping._band_solver(problem.grid.n, 1, 1, problem.offsets)
+
+    serial = [march(k) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = [job.result(timeout=60)
+                        for job in [pool.submit(march, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(serial, threaded))
+    assert len({id(solve) for _, solve in serial}) == 1
+    assert serial[0][1] not in {solve for _, solve in threaded}
+
+
+class _Library:
+    """A stand-in for ctypes.CDLL: the given symbols, and no others."""
+
+    symbols: dict = {}
+
+    def __init__(self, path):
+        pass
+
+    def __getattr__(self, name):
+        if name not in self.symbols:
+            raise AttributeError(name)
+        return self.symbols[name]
+
+
+def test_failed_lapack_lookup_names_libraries_and_symbols(monkeypatch):
+    # one lookup, in the LAPACK numpy links, with no fallback: libraries
+    # without the symbols are an ImportError that names every library and
+    # symbol it tried
+    from numpy.linalg import _umath_linalg
+
+    monkeypatch.setattr(ctypes, "CDLL", _Library)
+    with pytest.raises(ImportError) as exc:
         stepping._band_lapack.__wrapped__()
+    message = str(exc.value)
+    vendored = glob.glob(os.path.join(np.__path__[0], "..", "numpy.libs", "*"))
+    for name in (_umath_linalg.__file__, *vendored, "scipy_dgbsv_64_",
+                 "dgbsv_64_", "scipy_dgbsv_", "dgbsv_"):
+        assert name in message, name
 
 
-def test_band_lapack_is_scipys_bit_for_bit():
-    # the routine loaded without the scipy.linalg package is the one it
-    # exposes: after real solves scipy.linalg still imports, and on the
-    # PME (kl = ku = 2) and Dlss (kl = ku = 4) Newton matrices of those
-    # solves both give the same LU, pivots and solution bytes
-    probe = """
-import sys
-import numpy as np
-from rkentropy import stepping
-from rkentropy.operators import Dlss, Grid1D, PorousMedium, StateField
-from rkentropy.tableau import get_scheme
+@pytest.mark.parametrize("width", [4, 8])
+def test_integer_width_is_read_from_ilaver(monkeypatch, width):
+    # a stand-in LAPACK whose ilaver writes its version (3, 12, 0) as
+    # integers of the given width: the lookup tells the widths apart by the
+    # -1 bytes that a 4-byte write leaves in each 8-byte slot, whatever the
+    # symbol's name says
+    cint = {4: ctypes.c_int32, 8: ctypes.c_int64}[width]
 
-dgbsv = stepping._band_lapack()
-seen = []
+    def ilaver(*slots):
+        for slot, value in zip(slots, (3, 12, 0)):
+            cint.from_address(slot).value = value
 
-def solve(kl, ku, ab, rhs, overwrite_ab, overwrite_b):
-    seen.append((ab.copy(), kl, ku))
-    return dgbsv(kl, ku, ab, rhs, overwrite_ab=overwrite_ab, overwrite_b=overwrite_b)
+    symbols = {"dgbsv_": ctypes.CFUNCTYPE(None)(lambda: None),
+               "ilaver_": ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3)(ilaver)}
+    monkeypatch.setattr(_Library, "symbols", symbols)
+    monkeypatch.setattr(ctypes, "CDLL", _Library)
+    dgbsv, found, _, name = stepping._band_lapack.__wrapped__()
+    assert (dgbsv, found, name) == (symbols["dgbsv_"], width, "dgbsv_")
 
-stepping._band_lapack = lambda: solve
-grid = Grid1D(16, 1.0)
-u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
-for problem, tau in ((PorousMedium(grid, 2.0), 1e-3), (Dlss(grid), 1e-6)):
-    stepping.forward_step(problem, get_scheme("trapezoidal"), u, tau)
-assert "scipy.linalg" not in sys.modules
-from scipy.linalg import lapack
 
-rng = np.random.default_rng(0)
-for ab, kl, ku in seen:
-    rhs = rng.standard_normal(ab.shape[1])
-    results = []
-    for sv in (dgbsv, lapack.dgbsv):
-        lu, piv, x, info = sv(kl, ku, ab.copy(), rhs)
-        results.append((lu.tobytes(), piv.tobytes(), x.tobytes(), info))
-    assert results[0] == results[1]
-print(sorted({(kl, ku) for _, kl, ku in seen}))
-"""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[(2, 2), (4, 4)]"
+def test_numpys_lapack_width_follows_its_symbol():
+    # an ILP64 OpenBLAS marks its symbols with a 64_ suffix, and the width
+    # read from its ilaver agrees
+    _, width, path, name = stepping._band_lapack()
+    assert name in ("scipy_dgbsv_64_", "dgbsv_64_", "scipy_dgbsv_", "dgbsv_")
+    assert os.path.exists(path)
+    assert width == (8 if name.endswith("64_") else 4)
 
 
 def test_simd_dispatch_moves_no_fourth_order_endpoint_by_1e_6(tmp_path):
