@@ -247,11 +247,9 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
         raise ValueError(f"unknown preset {preset!r}; use heat_log or pme_power")
     _require_real("u_min", u_min)
     _require_real("u_max", u_max)
-    e = beta - alpha  # power-law mobility mu(u) = beta u^e; h''(u) = u^(alpha - 1)
-    rows = scalar_conditions(
-        lambda u: beta * u**e, lambda u: beta * e * u ** (e - 1.0),
-        lambda u: beta * e * (e - 1.0) * u ** (e - 2.0), lambda u: u ** (alpha - 1.0),
-        np.linspace(u_min, u_max, points), d=d, c_rk=c_rk)
+    _require_count("points", points, 1)
+    rows = scalar_conditions(alpha, beta, np.linspace(u_min, u_max, points), d=d,
+                             c_rk=c_rk)
     return _csv([f.name for f in fields(ConditionRow)], map(astuple, rows)).splitlines()
 
 

@@ -8,7 +8,7 @@ module decides those questions numerically:
 * closed-form strips in one space dimension,
 * region membership for d >= 2 and the first-order-entropy region in
   closed form: exact quadratic fits locate one witness per point,
-* the scalar-diffusion condition triple as a numeric per-state checker,
+* the scalar-diffusion condition triple of the power-law family in closed form,
 * the fourth-order (log-diffusion) multiplier chain in exact rational
   arithmetic.
 
@@ -22,7 +22,6 @@ search maximizes the determinant of the same matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,38 +392,10 @@ class ConditionRow:
     cond3_ok: bool
 
 
-@functools.cache
-def _gauss_rules():
-    """20- and 40-point Gauss-Legendre rules (loads numpy.polynomial)."""
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(20) + leggauss(40)
-
-
-def _integrate(f, a: float, b: float) -> float:
-    """Adaptive Gauss-Legendre quadrature of f over [a, b]: a piece keeps
-    its 40-point value once the 20-point rule agrees within
-    max(1e-10 * (its share of b - a), 1.49e-8 * |value|) -- QUADPACK's
-    epsabs and default epsrel -- and is bisected otherwise, up to 200
-    pieces."""
-    x20, w20, x40, w40 = _gauss_rules()
-    total, pieces, pending = 0.0, 1, [(a, b)]
-    while pending:
-        lo, hi = pending.pop()
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        coarse = half * np.sum(w20 * f(mid + half * x20))
-        fine = half * np.sum(w40 * f(mid + half * x40))
-        tol = max(1e-10 * (hi - lo) / (b - a), 1.49e-8 * abs(fine))
-        if abs(fine - coarse) <= tol or pieces >= 200:
-            total += fine
-        else:
-            pending += [(lo, mid), (mid, hi)]
-            pieces += 1
-    return float(total)
-
-
-def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
+def scalar_conditions(alpha: float, beta: float, u_grid, d: int, c_rk: float
                       ) -> list[ConditionRow]:
-    """Evaluate the three admissibility conditions of the scalar family.
+    """Evaluate the three admissibility conditions of the power-law family:
+    mobility mu(u) = beta u^e with e = beta - alpha, and h''(u) = u^(alpha - 1).
 
     For each u in the ascending positive grid (whose first point anchors
     the mobility integral):
@@ -433,37 +404,43 @@ def scalar_conditions(mu, dmu, d2mu, hpp, u_grid, d: int, c_rk: float
       cond2:  (c_rk + 1) h''(u) mu(u)^2 - ((d-1)/d) b(u)           >= 0
       cond3:  (c_rk + 2) mu(u) mu''(u) + (c_rk - 1) mu'(u)^2       <  0
 
-    The integral is accumulated segment by segment with ``_integrate``, so
-    mu, dmu and hpp must accept an array of abscissae.
+    The integrand is beta^2 e v^(p-1) with p = 2 beta - alpha - 1, so the
+    integral is beta^2 e (u^p - u0^p) / p, or beta^2 e log(u / u0) at p = 0;
+    a row whose powers overflow is a ValueError that names its u.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     _require_count("d", d, 1)
     _require_real("c_rk", c_rk)
+    _require_real("alpha", alpha)
+    _require_real("beta", beta, 0.0)
     if (u_grid.size < 1 or not np.all(np.isfinite(u_grid))
             or np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0)):
         raise ValueError("u_grid must be finite, > 0 and strictly ascending")
 
+    e, p = beta - alpha, 2.0 * beta - alpha - 1.0
     rows = []
-    acc = 0.0
-    prev = u_grid[0]
-    for u in u_grid:
-        if u > prev:
-            acc += _integrate(lambda v: mu(v) * dmu(v) * hpp(v), prev, u)
-            prev = u
-        b_main = (2.0 / 3.0) * (c_rk + 1.0) * acc
-        b_alt = (2.0 / 3.0) * (c_rk + 2.0) * acc
-        lead = (c_rk + 1.0) * hpp(u) * mu(u) ** 2
-        res2 = lead - (d - 1.0) / d * b_main
-        res2_alt = lead - (d - 1.0) / d * b_alt
-        c3v = (c_rk + 2.0) * mu(u) * d2mu(u) + (c_rk - 1.0) * dmu(u) ** 2
-        rows.append(
-            ConditionRow(
-                u=float(u), b=float(b_main), b_alt=float(b_alt),
-                cond2_residual=float(res2), cond2_residual_alt=float(res2_alt),
-                cond3_value=float(c3v),
-                cond1_ok=b_main >= 0.0, cond2_ok=res2 >= 0.0, cond3_ok=c3v < 0.0,
-            )
-        )
+    with np.errstate(all="ignore"):  # a row that overflows is rejected below
+        log_ratio = np.log1p((u_grid - u_grid[0]) / u_grid[0])
+        # (u^p - u0^p) / p = w^p (-expm1(-|p| log(u/u0))) / |p| with w^p the
+        # larger power, so no factor overflows unless the integral does; + 0.0
+        # makes the anchor's -0.0 (e < 0) a 0.0
+        acc = beta**2 * e * (log_ratio if p == 0.0 else
+                             (u_grid if p > 0.0 else u_grid[0]) ** p
+                             * -np.expm1(-abs(p) * log_ratio) / abs(p)) + 0.0
+        for u, acc_u in zip(u_grid, acc):
+            mu, dmu = beta * u**e, beta * e * u ** (e - 1.0)
+            d2mu, hpp = beta * e * (e - 1.0) * u ** (e - 2.0), u ** (alpha - 1.0)
+            b_main = (2.0 / 3.0) * (c_rk + 1.0) * acc_u
+            b_alt = (2.0 / 3.0) * (c_rk + 2.0) * acc_u
+            lead = (c_rk + 1.0) * hpp * mu ** 2
+            res2 = lead - (d - 1.0) / d * b_main
+            res2_alt = lead - (d - 1.0) / d * b_alt
+            c3v = (c_rk + 2.0) * mu * d2mu + (c_rk - 1.0) * dmu ** 2
+            values = [float(v) for v in (u, b_main, b_alt, res2, res2_alt, c3v)]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"the conditions at u = {values[0]!r} are not "
+                                 "finite: the powers of u overflow")
+            rows.append(ConditionRow(*values, b_main >= 0.0, res2 >= 0.0, c3v < 0.0))
     return rows
 
 

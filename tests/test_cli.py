@@ -303,6 +303,16 @@ def test_check_conditions_heat_log():
         assert line.split(",")[8] == "1"  # cond3 passes only for c_rk = 0
 
 
+def test_check_conditions_anchor_prints_positive_zero(capsys):
+    # e = beta - alpha < 0 makes b negative past the anchor, where the
+    # closed form's product is -0.0 before it is normalized
+    assert main(["check-conditions", "--preset", "pme_power", "--alpha", "3",
+                 "--beta", "2", "--points", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0].startswith("0.5,0.0,0.0,")
+    assert all(float(row.split(",")[1]) < 0.0 for row in rows[1:])
+
+
 def test_dlss_constants_pass():
     lines, ok = cmd_dlss_constants()
     assert ok
@@ -332,6 +342,15 @@ def test_main_exit_codes(tmp_path, capsys):
     ["check-conditions", "--points", "-1"],
     ["check-conditions", "--u-max", "inf"],
     ["check-conditions", "--alpha", "3", "--beta", "2"],  # heat_log fixes both
+    # a NaN exponent printed all-NaN rows, beta <= 0 a degenerate table, and
+    # exponents whose powers overflow NaN rows with every flag 0
+    ["check-conditions", "--preset", "pme_power", "--alpha", "nan"],
+    ["check-conditions", "--preset", "pme_power", "--beta", "inf"],
+    ["check-conditions", "--preset", "pme_power", "--beta", "0"],
+    ["check-conditions", "--preset", "pme_power", "--beta=-1"],
+    ["check-conditions", "--preset", "pme_power", "--alpha", "1e308", "--points", "2"],
+    ["check-conditions", "--preset", "pme_power", "--alpha=-400", "--beta", "400",
+     "--points", "3", "--u-max", "3"],
 ])
 def test_main_rejects_out_of_range_arguments(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -362,6 +381,17 @@ def test_check_conditions_range_ends_must_be_finite(tmp_path, capsys, key, value
     assert main(["check-conditions", "--preset", "pme_power",
                  f"--{key.replace('_', '-')}={value}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error:config: {key} must be finite, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["-3", "0"])
+def test_check_conditions_points_is_a_count(tmp_path, capsys, points):
+    # -3 reached numpy's "Number of samples, -3, must be non-negative.", and
+    # 0 an empty grid blamed on u_grid
+    out = tmp_path / "out.csv"
+    assert main(["check-conditions", f"--points={points}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error:config: points must be an integer of at least 1, got {points}\n")
     assert not out.exists()
 
 
@@ -599,8 +629,11 @@ def test_main_region_flat_fit_is_a_non_member(tmp_path):
 
 def test_import_leaves_scipy_unloaded(tmp_path):
     # Newton's band solves call the dgbsv of the LAPACK numpy already
-    # loaded, so no command and no library path imports any scipy module
-    show = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # loaded, so no command and no library path imports any scipy module;
+    # the condition triple is in closed form, so nothing loads numpy's
+    # quadrature rules (numpy.polynomial) either
+    show = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     conditions = ("from rkentropy.cli import cmd_check_conditions as c; "
                   "c('pme_power', 1.0, 2.0, 0.5, 2.0, 16, 1, 1.0); "
                   "c('heat_log', 1.0, 1.0, 0.5, 2.0, 16, 3, 0.0); ")

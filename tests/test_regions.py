@@ -11,7 +11,6 @@ from rkentropy.regions import (
     Witness,
     _best_point,
     _det4,
-    _integrate,
     _quadratic,
     _r0_gram,
     _r1_a_coeffs,
@@ -513,15 +512,11 @@ def test_quad_form_against_sampling_oracle():
 # -- scalar-diffusion conditions ----------------------------------------------
 
 def test_scalar_conditions_heat_log_entropy():
-    # a = 1 with h'' = 1/u gives mobility u: the third condition value is
-    # c_rk - 1 for every u, so only implicit Euler passes strictly
-    handles = dict(
-        mu=lambda u: u, dmu=lambda u: 1.0, d2mu=lambda u: 0.0,
-        hpp=lambda u: 1.0 / u,
-    )
+    # alpha = 0, beta = 1: mobility u and h'' = 1/u, so the third condition
+    # value is c_rk - 1 for every u and only implicit Euler passes strictly
     u_grid = np.linspace(0.5, 3.0, 7)
     for c_rk, passes in ((0.0, True), (1.0, False), (2.0, False)):
-        rows = scalar_conditions(**handles, u_grid=u_grid, d=3, c_rk=c_rk)
+        rows = scalar_conditions(0.0, 1.0, u_grid=u_grid, d=3, c_rk=c_rk)
         for row in rows:
             assert row.cond3_value == pytest.approx(c_rk - 1.0, abs=1e-14)
             assert row.cond3_ok == passes
@@ -532,11 +527,7 @@ def test_scalar_conditions_heat_log_entropy():
 
 
 def test_scalar_conditions_d1_second_condition_trivial():
-    handles = dict(
-        mu=lambda u: u, dmu=lambda u: 1.0, d2mu=lambda u: 0.0,
-        hpp=lambda u: 1.0 / u,
-    )
-    rows = scalar_conditions(**handles, u_grid=np.linspace(1.0, 2.0, 5), d=1,
+    rows = scalar_conditions(0.0, 1.0, u_grid=np.linspace(1.0, 2.0, 5), d=1,
                              c_rk=1.0)
     for row in rows:
         lead = (1.0 + 1.0) * (1.0 / row.u) * row.u**2
@@ -546,48 +537,69 @@ def test_scalar_conditions_d1_second_condition_trivial():
 
 @pytest.mark.parametrize("d", [1.5, True])
 def test_scalar_conditions_dimension_must_be_an_integer(d):
-    handles = dict(mu=lambda u: u, dmu=lambda u: 1.0 + 0.0 * u,
-                   d2mu=lambda u: 0.0 * u, hpp=lambda u: 1.0 / u)
     with pytest.raises(ValueError, match="d must be an integer of at least 1"):
-        scalar_conditions(**handles, u_grid=np.array([1.0, 2.0]), d=d, c_rk=1.0)
+        scalar_conditions(0.0, 1.0, u_grid=np.array([1.0, 2.0]), d=d, c_rk=1.0)
 
 
 def test_scalar_conditions_variant_prefactor():
-    handles = dict(
-        mu=lambda u: u, dmu=lambda u: 1.0, d2mu=lambda u: 0.0,
-        hpp=lambda u: 1.0 / u,
-    )
-    rows = scalar_conditions(**handles, u_grid=np.array([1.0, 2.0]), d=2,
+    rows = scalar_conditions(0.0, 1.0, u_grid=np.array([1.0, 2.0]), d=2,
                              c_rk=1.0)
     r = rows[-1]
     assert r.b_alt == pytest.approx(r.b * 1.5, rel=1e-12)  # (c+2)/(c+1) at c=1
 
 
 def test_scalar_conditions_integral_matches_closed_form():
-    # mu mu' h'' = beta^2 e u^k with e = beta - alpha, k = 2e + alpha - 2:
-    # steep near u0 = 1e-3, so the adaptive rule has to bisect
+    # mu mu' h'' = beta^2 e u^(p-1) with e = beta - alpha, p = 2 beta - alpha - 1:
+    # steep near u0 = 1e-3, where the naive antiderivative is still accurate
     alpha, beta = 1.0, 0.6
-    e, k = beta - alpha, 2.0 * (beta - alpha) + alpha - 2.0
-    handles = dict(mu=lambda u: beta * u**e,
-                   dmu=lambda u: beta * e * u ** (e - 1.0),
-                   d2mu=lambda u: 0.0 * u, hpp=lambda u: u ** (alpha - 1.0))
+    e, p = beta - alpha, 2.0 * beta - alpha - 1.0
     u_grid = np.array([1e-3, 2e-3, 0.1, 1.0])
-    rows = scalar_conditions(**handles, u_grid=u_grid, d=2, c_rk=1.0)
+    rows = scalar_conditions(alpha, beta, u_grid=u_grid, d=2, c_rk=1.0)
     for row in rows[1:]:
-        integral = beta**2 * e * (row.u ** (k + 1) - 1e-3 ** (k + 1)) / (k + 1)
-        assert row.b == pytest.approx((4.0 / 3.0) * integral, rel=1e-10)
+        integral = beta**2 * e * (row.u**p - 1e-3**p) / p
+        assert row.b == pytest.approx((4.0 / 3.0) * integral, rel=1e-13)
 
 
-def test_integrate_bisects_to_a_kink_and_stops_at_the_limit():
-    value = _integrate(lambda v: np.abs(v - 1.0 / 3.0), 0.0, 1.0)
-    assert value == pytest.approx(5.0 / 18.0, abs=1e-10)
-    assert np.isnan(_integrate(lambda v: np.full_like(v, np.nan), 0.0, 1.0))
+@pytest.mark.parametrize("alpha, beta", [
+    (1.0, 2.0), (3.0, 2.0), (0.5, 3.0),
+    (0.0, 0.5),  # p = 0: the log limit
+    (0.0, 0.5 + 5e-10), (0.0, 0.5 - 5e-10),  # p = +-1e-9
+])
+def test_scalar_conditions_b_matches_the_antiderivative(alpha, beta):
+    e, p = beta - alpha, 2.0 * beta - alpha - 1.0
+    u_grid = np.array([1e-3, 2e-3, 0.1, 1.0, 7.5])
+    rows = scalar_conditions(alpha, beta, u_grid=u_grid, d=2, c_rk=1.0)
+    for row in rows[1:]:
+        if abs(p) > 1e-6:  # the naive antiderivative cancels as p -> 0
+            integral = beta**2 * e * (row.u**p - 1e-3**p) / p
+        else:  # u0^p log(u/u0) (1 + p log(u/u0) / 2): the series of expm1
+            log_ratio = np.log(row.u / 1e-3)
+            integral = (beta**2 * e * 1e-3**p * log_ratio
+                        * (1.0 + 0.5 * p * log_ratio))
+        assert row.b == pytest.approx((4.0 / 3.0) * integral, rel=1e-13)
+
+
+def test_scalar_conditions_b_does_not_overflow_before_the_integral():
+    # u0^p = 1e-400 underflows to 0 and expm1(p log(u/u0)) overflows, but
+    # (4/3) beta^2 e (1 - u0^p) / p = 6733.5 is exact in floats
+    rows = scalar_conditions(1.0, 100.5, u_grid=[0.01, 1.0], d=1, c_rk=1.0)
+    assert rows[1].b == 6733.5
+
+
+@pytest.mark.parametrize("alpha, beta, u_grid, u", [
+    (1e308, 2.0, [0.5, 2.0], 0.5),
+    (-400.0, 400.0, [0.5, 1.75, 3.0], 1.75),
+])
+def test_scalar_conditions_overflow_names_the_first_row(alpha, beta, u_grid, u):
+    # the rows printed NaN with every flag 0, which read as "condition fails"
+    with pytest.raises(ValueError, match=rf"^the conditions at u = {u} are not "
+                                         "finite: the powers of u overflow$"):
+        scalar_conditions(alpha, beta, u_grid=u_grid, d=1, c_rk=1.0)
 
 
 def test_scalar_conditions_input_validation():
     with pytest.raises(ValueError):
-        scalar_conditions(lambda u: u, lambda u: 1.0, lambda u: 0.0,
-                          lambda u: 1.0 / u, np.array([2.0, 1.0]), 1, 1.0)
+        scalar_conditions(0.0, 1.0, np.array([2.0, 1.0]), 1, 1.0)
 
 
 # -- fourth-order multiplier chain ----------------------------------------------
@@ -718,9 +730,14 @@ def test_region_query_validation():
        0.0 if name == "F" else -np.inf, False, f"quad_form_nonneg.{name}")
       for k, name in enumerate("ABCDEF")],
     # a NaN c_rk gave all-NaN rows with every flag 0
-    ("c_rk", lambda v: scalar_conditions(lambda u: u, lambda u: 1.0, lambda u: 0.0,
-                                         lambda u: 1.0 / u, [1.0, 2.0], 1, v),
+    ("c_rk", lambda v: scalar_conditions(0.0, 1.0, [1.0, 2.0], 1, v),
      -np.inf, False, "scalar_conditions.c_rk"),
+    # a NaN exponent gave all-NaN rows, an infinite beta RuntimeWarnings too,
+    # and beta <= 0 a degenerate table
+    ("alpha", lambda v: scalar_conditions(v, 2.0, [1.0, 2.0], 1, 1.0),
+     -np.inf, False, "scalar_conditions.alpha"),
+    ("beta", lambda v: scalar_conditions(1.0, v, [1.0, 2.0], 1, 1.0),
+     0.0, False, "scalar_conditions.beta"),
     # a witness coordinate went straight to Fraction: OverflowError on an
     # infinity, Fraction's own unnamed ValueError on a NaN
     ("c1", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(v, 0.0, lam=0.0)),
