@@ -60,7 +60,6 @@ from .stepping import (
     StepError,
     Trajectory,
     backward_solve,
-    forward_step,
     run,
 )
 from .tableau import (
@@ -69,7 +68,6 @@ from .tableau import (
     TableauError,
     c_rk,
     get_scheme,
-    register,
     registry,
 )
 

@@ -245,9 +245,9 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
         alpha, beta = 0.0, 1.0
     elif preset != "pme_power":
         raise ValueError(f"unknown preset {preset!r}; use heat_log or pme_power")
-    _require_real("u_min", u_min)
-    _require_real("u_max", u_max)
     _require_count("points", points, 1)
+    _require_real("u_min", u_min, 0.0)
+    _require_real("u_max", u_max, u_min, closed=points == 1)  # one point: u_max = u_min
     rows = scalar_conditions(alpha, beta, np.linspace(u_min, u_max, points), d=d,
                              c_rk=c_rk)
     return _csv([f.name for f in fields(ConditionRow)], map(astuple, rows)).splitlines()

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -51,12 +50,12 @@ class RegionQuery:
 
 @dataclass(frozen=True)
 class Witness:
-    """Multiplier choice certifying a membership decision."""
+    """Multiplier choice certifying a membership decision: (c1, c2) for the
+    zeroth-order region, (c1, c2, c3) for the first-order one."""
 
     c1: float
     c2: float
     c3: float | None = None
-    lam: float | None = None
 
 
 @dataclass
@@ -210,7 +209,7 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
     if q.d < 2:
         raise ValueError("r0_membership needs d >= 2; use r0_1d for d = 1")
     if q.c_rk == 0.0:
-        return True, Witness(c1=0.0, c2=0.0, lam=0.0)
+        return True, Witness(c1=0.0, c2=0.0)
 
     k = (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)  # c1 = -k lambda
     try:
@@ -219,11 +218,11 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
     except OverflowError:  # float ** overflowed: no witness
         best = None
     if best is not None:
-        w = Witness(c1=-k * best[0], c2=best[1], lam=best[0])
+        w = Witness(c1=-k * best[0], c2=best[1])
         if certify_r0(q, w) >= 0.0:
             return True, w
     if q.alpha == q.beta:  # c1 = c2 = 0: Gram determinant -c_rk^2 (beta - alpha)^2 / 4
-        w = Witness(c1=0.0, c2=0.0, lam=0.0)
+        w = Witness(c1=0.0, c2=0.0)
         if certify_r0(q, w) >= 0.0:
             return True, w
     return False, None
@@ -452,34 +451,26 @@ def scalar_conditions(alpha: float, beta: float, u_grid, d: int, c_rk: float
 class DlssChainReport:
     """All intermediate coefficients of the fourth-order multiplier chain.
 
-    Values are Fractions when both inputs are rational, floats otherwise.
+    Every value is a Fraction: the inputs convert exactly, floats included.
     ``p`` is the final residual coefficient b1 - b2^2 b12 / b7^2 whose
     positivity closes the dissipation argument.
     """
 
-    c1: object
-    c2: object
-    c3: object
-    c4: object
-    c5: object
-    c6: object
-    c7: object
-    c8: object
+    c1: Fraction
+    c2: Fraction
+    c3: Fraction
+    c4: Fraction
+    c5: Fraction
+    c6: Fraction
+    c7: Fraction
+    c8: Fraction
     a: tuple
-    b1: object
-    b2: object
-    b4: object
-    b7: object
-    b12: object
-    p: object
-
-
-def _frac(x):
-    """Exact conversion for rationals; floats stay floats (and poison the
-    arithmetic downstream, which is the intended fallback)."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return x
+    b1: Fraction
+    b2: Fraction
+    b4: Fraction
+    b7: Fraction
+    b12: Fraction
+    p: Fraction
 
 
 # coefficient of c1 in the elimination of the mixed quartic term
@@ -494,7 +485,7 @@ _C1_CUBIC = (
 def dlss_c1_of_c3(c3):
     """Multiplier c1 closing the two-square decomposition, as a cubic in c3
     (valid at the optimal c8 = 17/172)."""
-    c3 = _frac(c3)
+    c3 = Fraction(c3)
     p3, p2, p1, p0 = _C1_CUBIC
     return p3 * c3**3 + p2 * c3**2 + p1 * c3 + p0
 
@@ -504,10 +495,10 @@ def dlss_chain(c3, c8) -> DlssChainReport:
 
     Eliminations fix c6, c5, c7, c4, c2 as polynomials in (c3, c8); c1
     comes from the cubic closing the square decomposition; the a and b
-    coefficient tables follow.  With Fraction inputs everything is exact.
+    coefficient tables follow, all in exact rational arithmetic: a float
+    input is the Fraction of its exact value, and NaN is a ValueError.
     """
-    c3 = _frac(c3)
-    c8 = _frac(c8)
+    c3, c8 = Fraction(c3), Fraction(c8)
     c6 = -2 * c8
     c5 = 8 * c8**2 - 6 * c8
     c7 = Fraction(-20, 3) * c8**2 + Fraction(8, 3) * c8
@@ -556,7 +547,7 @@ def dlss_b12(c8):
 def dlss_b12_derivative(c8):
     """Exact derivative of b12 at c8 (b12 is quadratic in c8, so a central
     difference with unit step is exact in rational arithmetic)."""
-    c8 = _frac(c8)
+    c8 = Fraction(c8)
     return (dlss_b12(c8 + 1) - dlss_b12(c8 - 1)) / 2
 
 
@@ -579,9 +570,9 @@ def emit_mask(family: str, alpha_range: tuple[float, float],
         raise ValueError("family pme1 is the region of d = 1 and c_rk = 1")
     _require_count("alpha_steps", alpha_steps, 1)
     _require_count("beta_steps", beta_steps, 1)
-    for name, ends in (("alpha_range", alpha_range), ("beta_range", beta_range)):
-        for end in ends:
-            _require_real(name, end, 0.0)
+    for name, end in zip(("alpha_min", "alpha_max", "beta_min", "beta_max"),
+                         (*alpha_range, *beta_range)):
+        _require_real(name, end, 0.0)
     alphas = np.linspace(alpha_range[0], alpha_range[1], alpha_steps)
     betas = np.linspace(beta_range[0], beta_range[1], beta_steps)
     member = np.zeros((alpha_steps, beta_steps), dtype=bool)

@@ -360,15 +360,6 @@ def _step(problem: Problem, scheme: Scheme, x: np.ndarray, tau: float,
     return other, norms, w
 
 
-def forward_step(problem: Problem, scheme: Scheme, u_prev: StateField, tau: float,
-                 cfg: NewtonConfig | None = None) -> StateField:
-    """Advance one step of size tau from u_prev."""
-    _require_real("tau", tau, 0.0)
-    problem._check_state(u_prev)
-    u_new, _, _ = _step(problem, scheme, u_prev.flat, tau, cfg or NewtonConfig())
-    return StateField.from_flat(u_new, problem.species)
-
-
 def backward_solve(problem: Problem, scheme: Scheme, u: StateField, tau: float,
                    cfg: NewtonConfig | None = None) -> StateField:
     """Recover the previous state v(tau) that steps forward onto u.

@@ -95,33 +95,19 @@ class Scheme:
             (t.a, SIMPSON.a), (t.b, SIMPSON.b), (t.c, SIMPSON.c)))
 
 
-def _builtin_schemes() -> dict[str, Scheme]:
-    explicit_euler = ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0])
-    implicit_euler = ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0])
-    trapezoidal = ButcherTableau(
-        a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5], c=[0.0, 1.0]
-    )
-    return {
-        "explicit_euler": Scheme("explicit_euler", explicit_euler),
-        "implicit_euler": Scheme("implicit_euler", implicit_euler),
-        "trapezoidal": Scheme("trapezoidal", trapezoidal),
-        "simpson": Scheme("simpson", SIMPSON),
-    }
-
-
-_REGISTRY: dict[str, Scheme] = _builtin_schemes()
+_REGISTRY: dict[str, Scheme] = {scheme.name: scheme for scheme in (
+    Scheme("explicit_euler", ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0])),
+    Scheme("implicit_euler", ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0])),
+    Scheme("trapezoidal", ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
+                                         c=[0.0, 1.0])),
+    Scheme("simpson", SIMPSON),
+)}
 
 
 def registry() -> dict[str, Scheme]:
-    """All named schemes: the four built-ins plus user registrations."""
+    """The four built-in schemes by name, as a copy; any other tableau runs
+    as ``Scheme(name, tableau)``."""
     return dict(_REGISTRY)
-
-
-def register(name: str, tableau: ButcherTableau) -> Scheme:
-    """Register a user tableau under ``name`` and return its Scheme."""
-    scheme = Scheme(name, tableau)
-    _REGISTRY[name] = scheme
-    return scheme
 
 
 def get_scheme(name: str) -> Scheme:

@@ -380,8 +380,36 @@ def test_check_conditions_range_ends_must_be_finite(tmp_path, capsys, key, value
     out = tmp_path / "out.csv"
     assert main(["check-conditions", "--preset", "pme_power",
                  f"--{key.replace('_', '-')}={value}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error:config: {key} must be finite, got {value}\n"
+    bound = {"u_min": "positive and finite", "u_max": "finite and above 0.5"}[key]
+    assert capsys.readouterr().err == f"error:config: {key} must be {bound}, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    # the first three once blamed u_grid, which is no option, and the range
+    # ends alpha_range and beta_range
+    (["check-conditions", "--u-min", "0"], "u_min must be positive and finite, got 0.0"),
+    (["check-conditions", "--u-min", "3", "--u-max", "2"],
+     "u_max must be finite and above 3.0, got 2.0"),
+    (["check-conditions", "--u-min", "1", "--u-max", "1", "--points", "2"],
+     "u_max must be finite and above 1.0, got 1.0"),
+    (["region", "--family", "pme0", "--alpha-min=-1"],
+     "alpha_min must be positive and finite, got -1.0"),
+    (["region", "--family", "pme0", "--beta-max=inf"],
+     "beta_max must be positive and finite, got inf"),
+], ids=["u_min=0", "u_max<u_min", "u_max=u_min", "alpha_min=-1", "beta_max=inf"])
+def test_range_errors_name_the_option(tmp_path, capsys, argv, line):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error:config: {line}\n"
+    assert not out.exists()
+
+
+def test_check_conditions_one_point_grid(tmp_path, capsys):
+    # at --points 1 the grid is u_min alone, and u_max may equal it
+    assert main(["check-conditions", "--u-min", "1", "--u-max", "1", "--points",
+                 "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1.0,")
 
 
 @pytest.mark.parametrize("points", ["-3", "0"])
@@ -638,10 +666,10 @@ def test_import_leaves_scipy_unloaded(tmp_path):
                   "c('pme_power', 1.0, 2.0, 0.5, 2.0, 16, 1, 1.0); "
                   "c('heat_log', 1.0, 1.0, 0.5, 2.0, 16, 3, 0.0); ")
     state = ("import numpy as np; from rkentropy import Grid1D, PorousMedium, "
-             "PowerEntropy, StateField, forward_step, get_scheme, profile_g; "
+             "PowerEntropy, StateField, get_scheme, profile_g, run; "
              "g = Grid1D(16); p = PorousMedium(g, 2.0); "
              "u = StateField.scalar(1.0 + 0.3 * np.cos(g.x())); ")
-    step = "forward_step(p, get_scheme('trapezoidal'), u, 1e-4); "
+    step = "run(p, get_scheme('trapezoidal'), u, 1e-4, 1e-4); "
     sweep = ("assert profile_g(PowerEntropy(1.0), p, get_scheme('trapezoidal'), "
              "u, 1e-4, 4).failed_index is None; ")
     cfg = write_config(tmp_path, MINIMAL)

@@ -27,7 +27,7 @@ from rkentropy.operators import (
     StateField,
     diff1,
 )
-from rkentropy.stepping import NewtonConfig, StepError, _step, run
+from rkentropy.stepping import NewtonConfig, StepError, _step, backward_solve, run
 from rkentropy.tableau import get_scheme
 
 
@@ -147,8 +147,7 @@ def test_production_is_minus_entropy_slope(pme32):
     h0 = evaluate(e, u, problem.grid)
 
     def err(tau):
-        from rkentropy.stepping import forward_step
-        u1 = forward_step(problem, scheme, u, tau)
+        u1 = run(problem, scheme, u, tau, tau).states[-1]
         return abs((evaluate(e, u1, problem.grid) - h0) / tau + prod)
 
     e1, e2 = err(1e-5), err(5e-6)
@@ -550,7 +549,6 @@ def test_dlss_dissipation_and_cross_oracle():
 
 def test_scalar_diffusion_stepping_dissipates():
     from rkentropy.operators import ScalarDiffusion
-    from rkentropy.stepping import backward_solve, forward_step, run as run_traj
 
     grid = Grid1D(32, 1.0)
     problem = ScalarDiffusion(grid, a=lambda u: 1.0 + u**2,
@@ -559,11 +557,11 @@ def test_scalar_diffusion_stepping_dissipates():
     e = PowerEntropy(1.0)
     cfg = NewtonConfig(tol=1e-13)
     scheme = get_scheme("trapezoidal")
-    traj = run_traj(problem, scheme, u0, 1e-5, 3e-4, cfg)
+    traj = run(problem, scheme, u0, 1e-5, 3e-4, cfg)
     entropies = [evaluate(e, s, grid) for s in traj.states]
     assert np.all(np.diff(entropies) <= 1e-14)
     v = backward_solve(problem, scheme, u0, 1e-5, cfg)
-    u_again = forward_step(problem, scheme, v, 1e-5, cfg)
+    u_again = run(problem, scheme, v, 1e-5, 1e-5, cfg).states[-1]
     assert np.max(np.abs(u_again.flat - u0.flat)) <= 100.0 * cfg.tol
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -89,9 +89,10 @@ def test_r0_membership_unit_point_all_cases():
             ok, w = r0_membership(RegionQuery(1.0, 1.0, d, c_rk))
             assert ok and w is not None
             if c_rk == 0.0:
-                assert w == Witness(c1=0.0, c2=0.0, lam=0.0)
-            else:
-                assert w.c1 <= 0.0 and 0.0 < w.lam < 1.0
+                assert w == Witness(c1=0.0, c2=0.0)
+            else:  # c1 = -k lambda with lambda in (0, 1)
+                k = (c_rk + 1.0) / (1.0 - 1.0 / d)
+                assert -k < w.c1 < 0.0
             assert certify_r0(RegionQuery(1.0, 1.0, d, c_rk), w) >= -1e-9
 
 
@@ -300,7 +301,7 @@ def test_implicit_euler_witness_is_a_perfect_square(a, b, d):
     # matrix is singular, so the certificate is exactly 0
     q = RegionQuery(a, b, d, 0.0)
     ok, w = r0_membership(q)
-    assert ok and w == Witness(c1=0.0, c2=0.0, lam=0.0)
+    assert ok and w == Witness(c1=0.0, c2=0.0)
     assert certify_r0(q, w) == 0.0
     assert sample_r0(q, w) >= -1e-9
 
@@ -375,7 +376,7 @@ def test_exact_certificate_accepts_a_singular_gram_matrix():
     # so the third pivot is 0 (its rest of row, towards the b5 block, is 0
     # too); any other c2 fails
     q = RegionQuery(0.5, 2.25, 2, 1.0)
-    w = Witness(c1=-0.5, c2=0.5, lam=0.125)
+    w = Witness(c1=-0.5, c2=0.5)  # lambda = 1/8
     assert (w.c1, w.c2) == (-0.5, 0.5)
     assert certify_r0(q, w) == 0.0
     for c2 in (0.5 - 2.0**-40, 0.5 + 2.0**-40):
@@ -631,10 +632,17 @@ def test_dlss_chain_residual_window():
     assert isinstance(rep.p, Fraction)
 
 
-def test_dlss_chain_float_fallback():
-    rep = dlss_chain(-0.029, 17.0 / 172.0)
-    assert isinstance(rep.p, float)
-    assert 0.004 < rep.p < 0.005
+def test_dlss_chain_float_input_is_exact():
+    # a float converts to the Fraction of its exact value, so a float input
+    # gives the exact chain of that value, not a rounded float chain
+    rep = dlss_chain(-0.029, 17 / 172)
+    assert rep == dlss_chain(Fraction(-0.029), Fraction(17 / 172))
+    values = [getattr(rep, f.name) for f in fields(rep) if f.name != "a"]
+    assert all(isinstance(v, Fraction) for v in values + list(rep.a))
+    assert Fraction(4, 1000) < rep.p < Fraction(5, 1000)
+    for c3, c8 in ((float("nan"), Fraction(17, 172)), (Fraction(0), float("nan"))):
+        with pytest.raises(ValueError):
+            dlss_chain(c3, c8)
 
 
 # -- masks -----------------------------------------------------------------------
@@ -708,14 +716,14 @@ def test_region_query_validation():
     ("alpha", lambda v: RegionQuery(v, 1.0), 0.0, False, "RegionQuery.alpha"),
     ("beta", lambda v: RegionQuery(1.0, v), 0.0, False, "RegionQuery.beta"),
     # an infinite end gave NaN nodes, which RegionQuery blamed on their sign
-    ("alpha_range", lambda v: emit_mask("pme0", (v, 1.0), (0.5, 1.0), 2, 2, d=2),
-     0.0, False, "alpha_min"),
-    ("alpha_range", lambda v: emit_mask("pme0", (0.5, v), (0.5, 1.0), 2, 2, d=2),
-     0.0, False, "alpha_max"),
-    ("beta_range", lambda v: emit_mask("pme0", (0.5, 1.0), (v, 1.0), 2, 2, d=2),
-     0.0, False, "beta_min"),
-    ("beta_range", lambda v: emit_mask("pme0", (0.5, 1.0), (0.5, v), 2, 2, d=2),
-     0.0, False, "beta_max"),
+    ("alpha_min", lambda v: emit_mask("pme0", (v, 1.0), (0.5, 1.0), 2, 2, d=2),
+     0.0, False),
+    ("alpha_max", lambda v: emit_mask("pme0", (0.5, v), (0.5, 1.0), 2, 2, d=2),
+     0.0, False),
+    ("beta_min", lambda v: emit_mask("pme0", (0.5, 1.0), (v, 1.0), 2, 2, d=2),
+     0.0, False),
+    ("beta_max", lambda v: emit_mask("pme0", (0.5, 1.0), (0.5, v), 2, 2, d=2),
+     0.0, False),
     # a NaN or negative exponent read as a non-member, an infinite one made
     # certify_r1's Fraction raise OverflowError
     ("alpha", lambda v: r1_membership(v, 1.0), 0.0, False, "r1_membership.alpha"),
@@ -740,9 +748,9 @@ def test_region_query_validation():
      0.0, False, "scalar_conditions.beta"),
     # a witness coordinate went straight to Fraction: OverflowError on an
     # infinity, Fraction's own unnamed ValueError on a NaN
-    ("c1", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(v, 0.0, lam=0.0)),
+    ("c1", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(v, 0.0)),
      -np.inf, False, "certify_r0.c1"),
-    ("c2", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(0.0, v, lam=0.0)),
+    ("c2", lambda v: certify_r0(RegionQuery(1.0, 1.0, 2, 1.0), Witness(0.0, v)),
      -np.inf, False, "certify_r0.c2"),
     ("c2", lambda v: certify_r1(1.0, 1.0, Witness(-1.0, v, 0.0)), -np.inf, False,
      "certify_r1.c2"),
@@ -765,13 +773,13 @@ def test_diagonal_takes_the_lambda_zero_witness(a, d):
     # on the diagonal the lambda = 0 witness certifies (exactly 0) where the
     # search over the open interval finds none
     q = RegionQuery(a, a, d, 1.0)
-    zero = Witness(c1=0.0, c2=0.0, lam=0.0)
+    zero = Witness(c1=0.0, c2=0.0)
     assert certify_r0(q, zero) == 0.0
     assert r0_membership(q) == (True, zero)
 
 
 def test_lambda_zero_witness_on_and_off_the_diagonal():
-    zero = Witness(c1=0.0, c2=0.0, lam=0.0)
+    zero = Witness(c1=0.0, c2=0.0)
     mask = emit_mask("pme0", (0.1, 4.0), (0.1, 4.0), 21, 21, d=3)
     assert mask.member[0, 0] and mask.witnesses[(0, 0)] == zero
     assert certify_r0(RegionQuery(0.1, 0.1 + 2.0**-40, 3, 1.0), zero) < 0.0

@@ -32,11 +32,10 @@ from rkentropy.stepping import (
     _layout,
     _step,
     backward_solve,
-    forward_step,
     run,
     step_count,
 )
-from rkentropy.tableau import ButcherTableau, Scheme, get_scheme, register
+from rkentropy.tableau import ButcherTableau, Scheme, get_scheme
 
 ALL_SCHEMES = ["explicit_euler", "implicit_euler", "trapezoidal", "simpson"]
 
@@ -49,16 +48,10 @@ def pme32():
     return problem, u
 
 
-@pytest.fixture
-def scratch_registry(monkeypatch):
-    """Registrations made by a test stay inside that test."""
-    monkeypatch.setattr(tableau, "_REGISTRY", dict(tableau._REGISTRY))
-
-
 def test_explicit_euler_is_one_apply(pme32):
     problem, u = pme32
     tau = 1e-4
-    got = forward_step(problem, get_scheme("explicit_euler"), u, tau)
+    got = run(problem, get_scheme("explicit_euler"), u, tau, tau).states[-1]
     want = u.values - tau * problem.apply(u).values
     assert np.array_equal(got.values, want)
 
@@ -67,7 +60,7 @@ def test_constant_state_is_fixed_point(pme32):
     problem, _ = pme32
     c = StateField.scalar(np.full(problem.grid.n, 0.8))
     for name in ALL_SCHEMES:
-        out = forward_step(problem, get_scheme(name), c, 1e-3)
+        out = run(problem, get_scheme(name), c, 1e-3, 1e-3).states[-1]
         assert np.array_equal(out.values, c.values), name
 
 
@@ -77,7 +70,7 @@ def test_step_mass_bound(pme32):
     tau = 1e-4
     dx = problem.grid.dx
     for name in ALL_SCHEMES:
-        out = forward_step(problem, get_scheme(name), u, tau, cfg)
+        out = run(problem, get_scheme(name), u, tau, tau, cfg).states[-1]
         drift = abs((out.flat - u.flat).sum()) * dx
         assert drift <= 10.0 * cfg.tol * tau, name
 
@@ -103,7 +96,7 @@ def test_round_trip(pme32):
             scheme = get_scheme(name)
             for tau in (1e-4, 1e-3):
                 v = backward_solve(problem, scheme, u, tau, cfg)
-                u_again = forward_step(problem, scheme, v, tau, cfg)
+                u_again = run(problem, scheme, v, tau, tau, cfg).states[-1]
                 err = np.max(np.abs(u_again.flat - u.flat))
                 assert err <= 100.0 * cfg.tol, (name, tau, err)
 
@@ -173,8 +166,8 @@ def test_run_single_step(pme32):
     traj = run(problem, scheme, u, tau, tau)
     assert len(traj) == 2
     assert np.array_equal(traj.states[0].values, u.values)
-    again = forward_step(problem, scheme, u, tau)
-    assert np.array_equal(traj.states[1].values, again.values)
+    again, _, _ = _step(problem, scheme, u.flat, tau, NewtonConfig())
+    assert np.array_equal(traj.states[1].flat, again)
     assert traj.times[1] == tau
     assert len(traj.newton_iters) == 1
 
@@ -212,7 +205,7 @@ def test_newton_failure_surfaces(pme32):
     problem, u = pme32
     cfg = NewtonConfig(tol=1e-15, max_iter=2)
     with pytest.raises(StepError) as exc:
-        forward_step(problem, get_scheme("implicit_euler"), u, 0.5, cfg)
+        run(problem, get_scheme("implicit_euler"), u, 0.5, 0.5, cfg)
     assert exc.value.residual > 0.0
     assert exc.value.iterations == 2
 
@@ -229,7 +222,7 @@ def test_two_species_stepping():
     problem = LinearSystem(grid, 1.0, 1.0, 1.0)
     rng = np.random.default_rng(13)
     u = StateField.pair(rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16))
-    out = forward_step(problem, get_scheme("trapezoidal"), u, 1e-4)
+    out = run(problem, get_scheme("trapezoidal"), u, 1e-4, 1e-4).states[-1]
     assert out.species == 2
     total0 = u.flat.sum() * grid.dx
     assert abs(out.flat.sum() * grid.dx - total0) <= 1e-12
@@ -238,7 +231,7 @@ def test_two_species_stepping():
 def test_invalid_arguments(pme32):
     problem, u = pme32
     with pytest.raises(ValueError):
-        forward_step(problem, get_scheme("implicit_euler"), u, 0.0)
+        run(problem, get_scheme("implicit_euler"), u, 0.0, 0.0)
     with pytest.raises(ValueError):
         backward_solve(problem, get_scheme("implicit_euler"), u, -1.0)
     with pytest.raises(ValueError):
@@ -249,7 +242,7 @@ def test_invalid_arguments(pme32):
         # not a StepError, which profile_g would take for a truncation; an
         # infinite tol would return the unconverged predictor
         with pytest.raises(ValueError, match="positive and finite"):
-            forward_step(problem, get_scheme("trapezoidal"), u, bad)
+            run(problem, get_scheme("trapezoidal"), u, bad, bad)
         with pytest.raises(ValueError, match="nonnegative and finite"):
             backward_solve(problem, get_scheme("trapezoidal"), u, bad)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -262,8 +255,8 @@ _U = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * _PME.grid.x()))
 
 @pytest.mark.parametrize("name, build, value", range_cases(
     ("tol", lambda v: NewtonConfig(tol=v), 0.0, False),
-    ("tau", lambda v: forward_step(_PME, get_scheme("trapezoidal"), _U, v), 0.0, False,
-     "forward_step"),
+    ("tau", lambda v: run(_PME, get_scheme("trapezoidal"), _U, v, v), 0.0, False,
+     "forward_step"),  # one forward step
     ("tau", lambda v: backward_solve(_PME, get_scheme("trapezoidal"), _U, v), 0.0,
      True, "backward_solve"),
     ("tau", lambda v: step_count(v, 1.0), 0.0, False, "step_count"),
@@ -332,7 +325,7 @@ def test_simpson_satisfies_the_composite_rule(pme32, case):
         a = problem.apply_flat
         return u1 - u0 + tau / 6.0 * (a(u0) + 4.0 * a(0.5 * (u0 + u1)) + a(u1))
 
-    u1 = forward_step(problem, scheme, u, tau, cfg)
+    u1 = run(problem, scheme, u, tau, tau, cfg).states[-1]
     v = backward_solve(problem, scheme, u, tau, cfg)
     for u_old, u_new in ((u.flat, u1.flat), (v.flat, u.flat)):
         assert np.max(np.abs(simpson_residual(u_old, u_new))) <= 100.0 * cfg.tol
@@ -352,49 +345,52 @@ def test_newton_solves_one_state_or_nothing(pme32):
             assert w.size == want, (name, backward)
 
 
-def test_registered_heun_is_its_closed_form(pme32, scratch_registry):
+def _gauss2():
+    """The two-stage Gauss scheme: a tableau outside the registry, which runs
+    as a Scheme of its own."""
+    r = np.sqrt(3.0) / 6.0
+    return Scheme("gauss2", ButcherTableau(
+        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
+        c=[0.5 - r, 0.5 + r]))
+
+
+def test_registered_heun_is_its_closed_form(pme32):
     problem, u = pme32
-    heun = register("heun", ButcherTableau(
+    heun = Scheme("heun", ButcherTableau(
         a=[[0.0, 0.0], [1.0, 0.0]], b=[0.5, 0.5], c=[0.0, 1.0]))
     tau = 1e-4
     a0 = problem.apply_flat(u.flat)
     want = u.flat - tau / 2.0 * (a0 + problem.apply_flat(u.flat - tau * a0))
-    got = forward_step(problem, heun, u, tau)
+    got = run(problem, heun, u, tau, tau).states[-1]
     assert np.array_equal(got.flat, want)
 
 
-def test_registered_gauss_keeps_every_stage(pme32, scratch_registry):
+def test_registered_gauss_keeps_every_stage(pme32):
     problem, u = pme32
-    r = np.sqrt(3.0) / 6.0
-    gauss = register("gauss2", ButcherTableau(
-        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
-        c=[0.5 - r, 0.5 + r]))
+    gauss = _gauss2()
     cfg = NewtonConfig(tol=1e-12)
     tau = 1e-3
     for backward in (False, True):
         _, _, w = _step(problem, gauss, u.flat, tau, cfg, backward=backward)
         assert w.size == 2 * u.flat.size
     v = backward_solve(problem, gauss, u, tau, cfg)
-    u_again = forward_step(problem, gauss, v, tau, cfg)
+    u_again = run(problem, gauss, v, tau, tau, cfg).states[-1]
     assert np.max(np.abs(u_again.flat - u.flat)) <= 100.0 * cfg.tol
 
 
-def test_registered_gauss_on_a_two_species_system(scratch_registry):
+def test_registered_gauss_on_a_two_species_system():
     # two kept stage rows times two species: four coupled blocks of bands
     grid = Grid1D(16, 1.0)
     problem = LinearSystem(grid, 1.0, 2.0, 0.7)
     rng = np.random.default_rng(17)
     u = StateField.pair(rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16))
-    r = np.sqrt(3.0) / 6.0
-    gauss = register("gauss2", ButcherTableau(
-        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
-        c=[0.5 - r, 0.5 + r]))
+    gauss = _gauss2()
     cfg = NewtonConfig(tol=1e-12)
     tau = 1e-3
     _, _, w = _step(problem, gauss, u.flat, tau, cfg, backward=True)
     assert w.size == 2 * u.flat.size
     v = backward_solve(problem, gauss, u, tau, cfg)
-    u_again = forward_step(problem, gauss, v, tau, cfg)
+    u_again = run(problem, gauss, v, tau, tau, cfg).states[-1]
     assert np.max(np.abs(u_again.flat - u.flat)) <= 100.0 * cfg.tol
 
 
@@ -414,8 +410,8 @@ def test_non_finite_residual_stops_newton_at_once():
     u[3] = 1e150
     with np.errstate(all="ignore"), pytest.raises(
             StepError, match="residual nan at Newton iteration 0") as exc:
-        forward_step(PorousMedium(Grid1D(16, 1.0), 2.0), get_scheme("trapezoidal"),
-                     StateField.scalar(u), 1e-3)
+        run(PorousMedium(Grid1D(16, 1.0), 2.0), get_scheme("trapezoidal"),
+            StateField.scalar(u), 1e-3, 1e-3)
     assert exc.value.iterations == 0
 
 
@@ -426,10 +422,10 @@ def test_overflowing_endpoint_is_a_step_error():
     problem = PorousMedium(grid, 2.0)
     u = StateField.scalar(1e154 + 1e153 * np.cos(2.0 * np.pi * grid.x()))
     with np.errstate(all="ignore"):
-        for solve, name in ((forward_step, "explicit_euler"),
-                            (backward_solve, "implicit_euler")):
-            with pytest.raises(StepError, match="non-finite values"):
-                solve(problem, get_scheme(name), u, 1e-3)
+        with pytest.raises(StepError, match="non-finite values"):
+            run(problem, get_scheme("explicit_euler"), u, 1e-3, 1e-3)
+        with pytest.raises(StepError, match="non-finite values"):
+            backward_solve(problem, get_scheme("implicit_euler"), u, 1e-3)
         for name in ("implicit_euler", "trapezoidal"):
             prof = profile_g(PowerEntropy(1.0), problem, get_scheme(name), u, 1e-4, 4)
             assert prof.failed_index == 1, name
@@ -499,16 +495,9 @@ def _moving(rel):
     return np.arange(rel.C.shape[0])[rel.moving]
 
 
-def _gauss2():
-    r = np.sqrt(3.0) / 6.0
-    return register("gauss2", ButcherTableau(
-        a=[[0.25, 0.25 - r], [0.25 + r, 0.25]], b=[0.5, 0.5],
-        c=[0.5 - r, 0.5 + r]))
-
-
 @pytest.mark.parametrize("case", ["pme", "simpson", "dlss4", "dlss32", "linear",
                                   "gauss4"])
-def test_band_solve_equals_the_dense_solve(case, scratch_registry):
+def test_band_solve_equals_the_dense_solve(case):
     # tau makes tau*J of order one; at n = 4 the Dlss offsets -2 and +2
     # name the same cell; Simpson has one kept row and two moving stages in
     # either direction, so its band sum adds the two stacked stage Jacobians
@@ -591,7 +580,7 @@ def test_band_lapack_meets_its_backward_error_bound(monkeypatch):
     grid = Grid1D(16, 1.0)
     u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
     for problem, tau in ((PorousMedium(grid, 2.0), 1e-3), (Dlss(grid), 1e-6)):
-        forward_step(problem, get_scheme("trapezoidal"), u, tau)
+        run(problem, get_scheme("trapezoidal"), u, tau, tau)
     assert sorted({(kl, ku) for kl, ku, *_ in calls}) == [(2, 2), (4, 4)]
     for kl, ku, ab, b, x, lu, piv in calls:
         n, m = b.size, kl + ku + 1
@@ -769,8 +758,8 @@ def test_stall_above_the_floor_names_it(pme32):
     # tol and the floor are both out of reach in two iterations
     problem, u = pme32
     with pytest.raises(StepError, match=r"rounding floor \d\.\de-\d+\)"):
-        forward_step(problem, get_scheme("implicit_euler"), u, 0.5,
-                     NewtonConfig(tol=1e-15, max_iter=2))
+        run(problem, get_scheme("implicit_euler"), u, 0.5, 0.5,
+            NewtonConfig(tol=1e-15, max_iter=2))
 
 
 def test_stalled_solve_builds_each_jacobian_once(pme32, monkeypatch):
@@ -829,7 +818,7 @@ def _gapped():
         c=[1.0, 0.0, 1.0]))
 
 
-def test_newton_work_per_solve(pme32, scratch_registry):
+def test_newton_work_per_solve(pme32):
     # A at the known endpoint once, then A at all moving stages in one call
     # per iterate and J there in one call per iteration, whatever their
     # number; the stages are never recomputed, and a quadratically
@@ -887,7 +876,7 @@ def _family_case(family, n, seed):
 @given(n=st.integers(8, 48), seed=st.integers(0, 2**32 - 1))
 def test_every_step_conserves_mass(family, name, n, seed):
     problem, u, tau = _family_case(family, n, seed)
-    out = forward_step(problem, get_scheme(name), u, tau)
+    out = run(problem, get_scheme(name), u, tau, tau).states[-1]
     mass0 = u.values.sum(axis=1)
     drift = np.abs(out.values.sum(axis=1) - mass0)
     assert np.all(drift <= 1e-13 * mass0), drift
@@ -901,6 +890,6 @@ def test_backward_solve_undoes_a_forward_step(family, name, n, seed):
     problem, u, tau = _family_case(family, n, seed)
     cfg = NewtonConfig(tol=1e-12)
     scheme = get_scheme(name)
-    v = backward_solve(problem, scheme, forward_step(problem, scheme, u, tau, cfg),
-                       tau, cfg)
+    u_new = run(problem, scheme, u, tau, tau, cfg).states[-1]
+    v = backward_solve(problem, scheme, u_new, tau, cfg)
     assert np.max(np.abs(v.flat - u.flat)) <= 100.0 * cfg.tol

@@ -7,7 +7,6 @@ from rkentropy.tableau import (
     TableauError,
     c_rk,
     get_scheme,
-    register,
     registry,
 )
 
@@ -41,11 +40,28 @@ def test_registry_unknown_name():
 
 
 def test_register_user_tableau():
-    # implicit midpoint: order 2, so the constant must be 1
+    # implicit midpoint: order 2, so the constant must be 1; a user tableau
+    # runs as a Scheme of its own and leaves the registry as it is
     mid = ButcherTableau(a=[[0.5]], b=[1.0], c=[0.5])
-    scheme = register("implicit_midpoint", mid)
-    assert scheme.c_rk_effective == 1.0
-    assert get_scheme("implicit_midpoint") is scheme
+    scheme = Scheme("implicit_midpoint", mid)
+    assert scheme.c_rk_effective == 1.0 and scheme.tableau is mid
+    assert "implicit_midpoint" not in registry()
+    with pytest.raises(KeyError, match="implicit_midpoint"):
+        get_scheme("implicit_midpoint")
+
+
+def test_registry_is_the_four_builtins_and_a_copy():
+    reg = registry()
+    assert list(reg) == ["explicit_euler", "implicit_euler", "trapezoidal", "simpson"]
+    assert all(scheme.name == name for name, scheme in reg.items())
+    reg["implicit_midpoint"] = Scheme("implicit_midpoint",
+                                      ButcherTableau(a=[[0.5]], b=[1.0], c=[0.5]))
+    del reg["simpson"]
+    assert list(registry()) == ["explicit_euler", "implicit_euler", "trapezoidal",
+                                "simpson"]
+    assert get_scheme("simpson").is_composite_simpson
+    with pytest.raises(KeyError):
+        get_scheme("implicit_midpoint")
 
 
 # a tableau is checked for consistency when it is built
