@@ -15,7 +15,6 @@ from .entropy import (
     PowerEntropy,
     d2g_at_zero,
     evaluate,
-    fit_decay_rate,
     fit_rate_series,
     i0,
     i1,
@@ -34,7 +33,6 @@ from .operators import (
     StateField,
     diff1,
     diff2,
-    diff2_matrix,
 )
 from .regions import (
     ConditionRow,

@@ -174,6 +174,14 @@ def _platform_meta() -> list[str]:
             f"blas_threads = {threads() if threads else 'unknown'}"]
 
 
+def _run_meta(cfg: RunConfig, **inputs) -> str:
+    """run_meta.txt: the config, the command's other inputs, the version and
+    the platform facts that change results."""
+    meta = [f"{key} = {value}" for key, value in {**vars(cfg), **inputs}.items()]
+    meta.append(f"rkentropy_version = {__version__}")
+    return "\n".join(meta + _platform_meta()) + "\n"
+
+
 def _inputs(cfg: RunConfig):
     """The problem, entropy, initial state and Newton settings of a config."""
     problem = _PROBLEMS[cfg.problem](cfg, Grid1D(n=cfg.n, length=cfg.length))
@@ -208,17 +216,14 @@ def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
         files[f"snapshot_t{t_snap:g}.csv"] = _csv(
             ["x", *(f"u{j + 1}" for j in range(state.species))],
             zip(x, *state.values))
-    meta = [f"{key} = {getattr(cfg, key)}" for key in vars(cfg)]
-    meta.append(f"rkentropy_version = {__version__}")
-    meta += _platform_meta()
-    files["run_meta.txt"] = "\n".join(meta) + "\n"
+    files["run_meta.txt"] = _run_meta(cfg)
     return files
 
 
 def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
                  schemes) -> dict[str, str]:
     """Freeze states at the base times; return one profile CSV per
-    (scheme, base time) pair by file name."""
+    (scheme, base time) pair, and run_meta.txt, by file name."""
     base_times = sorted(base_times)
     if not base_times or not schemes:
         raise ValueError("need at least one base time and one scheme")
@@ -235,6 +240,8 @@ def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
             files[f"gprofile_{name}_t{t_base:g}.csv"] = ent.profile_g(
                 e, problem, scheme, states[k], tau_max, m, ncfg,
                 base_time=k * cfg.tau).to_csv()
+    files["run_meta.txt"] = _run_meta(cfg, base_times=base_times, tau_max=tau_max, m=m,
+                                      schemes=[name for name, _ in schemes])
     return files
 
 
@@ -248,8 +255,11 @@ def cmd_check_conditions(preset: str, alpha: float, beta: float, u_min: float,
     _require_count("points", points, 1)
     _require_real("u_min", u_min, 0.0)
     _require_real("u_max", u_max, u_min, closed=points == 1)  # one point: u_max = u_min
-    rows = scalar_conditions(alpha, beta, np.linspace(u_min, u_max, points), d=d,
-                             c_rk=c_rk)
+    u_grid = np.linspace(u_min, u_max, points)
+    if not np.all(np.diff(u_grid) > 0.0):  # closer than the floats near u_min resolve
+        raise ValueError(f"u_max must be far enough above {u_min!r} for {points} "
+                         f"distinct points, got {u_max!r}")
+    rows = scalar_conditions(alpha, beta, u_grid, d=d, c_rk=c_rk)
     return _csv([f.name for f in fields(ConditionRow)], map(astuple, rows)).splitlines()
 
 

@@ -12,7 +12,7 @@ Two zeroth-order families (cell sums of h(u)) and one first-order family
                   exact at the spatially discrete level,
 * profile_g:      a tau sweep of G with discrete second derivative and
                   the normalized quotient Q,
-* decay-rate fitting for the exponential large-time regime.
+* fit_rate_series: the exponential decay rate of a positive series.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField, _csv,
                         _require_count, _require_positive, _require_real, diff1)
-from .stepping import NewtonConfig, StepError, Trajectory, _Linearization, _step
+from .stepping import NewtonConfig, StepError, _Linearization, _step
 from .tableau import Scheme
 
 
@@ -299,27 +299,3 @@ def fit_rate_series(times: np.ndarray, values: np.ndarray) -> float:
         raise ValueError("decay fit requires strictly positive values")
     slope = np.polyfit(times, np.log(values), 1)[0]
     return float(-slope)
-
-
-def fit_decay_rate(traj: Trajectory, e, window: tuple[float, float]) -> float:
-    """Fit the exponential decay rate of the entropy gap over a time window.
-
-    The gap is measured against the constant steady state with the same
-    mass as the initial datum (the periodic steady state of the diffusion
-    families in scope).
-    """
-    t0, t1 = window
-    mask = (traj.times >= t0) & (traj.times <= t1)
-    if mask.sum() < 2:
-        raise ValueError("window contains fewer than two trajectory samples")
-    steady_vals = traj.states[0].values.mean(axis=1, keepdims=True) * np.ones(
-        (1, traj.states[0].n)
-    )
-    h_steady = evaluate(e, StateField(steady_vals), traj.problem.grid)
-    gaps = np.array(
-        [evaluate(e, traj.states[k], traj.problem.grid) - h_steady
-         for k in np.flatnonzero(mask)]
-    )
-    if np.any(gaps <= 0.0):
-        raise ValueError("entropy gap is not positive on the window")
-    return fit_rate_series(traj.times[mask], gaps)

@@ -16,10 +16,10 @@ returns one band of n entries per species pair and offset, O(n) storage.
 The directional derivative DA[u](w) is the product of these bands with w,
 written once in ``Problem``.  The stepping Newton matrices keep the band
 structure, and Newton's rounding-error scale of A is the product of their
-absolute values with |u| (see ``stepping``); ``jacobian``, the same product
-on each unit vector, is the dense matrix for tests.  Where a family has a
-domain (Dlss; PorousMedium with beta < 1), every kernel checks it first
-(``_check_domain``, one reduction that a NaN cell fails too).
+absolute values with |u| (see ``stepping``); ``deriv_flat`` on the identity,
+one batch row per unit vector, is the transposed dense Jacobian.  Where a
+family has a domain (Dlss; PorousMedium with beta < 1), every kernel checks
+it first (``_check_domain``, one reduction that a NaN cell fails too).
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class StateField:
         return cls(np.asarray(values, dtype=float)[None, :])
 
     @classmethod
-    def pair(cls, u1, u2) -> "StateField":
-        return cls(np.stack([np.asarray(u1, float), np.asarray(u2, float)]))
-
-    @classmethod
     def from_flat(cls, flat: np.ndarray, species: int) -> "StateField":
         return cls(np.asarray(flat, float).reshape(species, -1))
 
@@ -167,15 +163,6 @@ def _band_matvec(bands: np.ndarray, offsets: tuple[int, ...], w: np.ndarray
     return (bands * near).sum(axis=-3).sum(axis=-2).reshape(w.shape)
 
 
-def diff2_matrix(n: int, dx: float) -> np.ndarray:
-    """Dense cyclic matrix D2 with diff2(w) == D2 @ w: the dense reference
-    that tests compare the Jacobian bands against; stepping never uses it."""
-    eye = np.eye(n)
-    up = np.roll(eye, 1, axis=1)  # picks w_{i+1}
-    dn = np.roll(eye, -1, axis=1)  # picks w_{i-1}
-    return (up - 2.0 * eye + dn) / dx**2
-
-
 class Problem:
     """Base for the equation families; subclasses fill in the flat kernels."""
 
@@ -200,17 +187,6 @@ class Problem:
         if w.values.shape != u.values.shape:
             raise ValueError("direction field shape does not match problem")
         return StateField.from_flat(self.deriv_flat(u.flat, w.flat), self.species)
-
-    def jacobian(self, u: StateField) -> np.ndarray:
-        """Exact Jacobian of apply at u, dense (species*n) x (species*n).
-
-        Column k is the band product of ``jacobian_flat`` with the k-th
-        unit vector, DA[u](e_k).  This is the dense reference
-        implementation that tests compare against; stepping never uses it.
-        """
-        self._check_state(u)
-        unit = np.eye(u.flat.size)  # one batch row per unit vector
-        return _band_matvec(self.jacobian_flat(u.flat), self.offsets, unit).T
 
     # -- flat kernels (stepping works on these) -------------------------
     def apply_flat(self, x: np.ndarray) -> np.ndarray:

@@ -350,6 +350,12 @@ def _psd_margin(m) -> float:
     return float(min(ratios))
 
 
+def _exact(name: str, x, low: float = -np.inf) -> Fraction:
+    """The exact value of an x that is finite and above low (``_require_real``)."""
+    _require_real(name, x, low)
+    return Fraction(x)
+
+
 def quad_form_nonneg(A: float, B: float, C: float, D: float, E: float,
                      F: float) -> bool:
     """Decide whether A + B x + C y + D x^2 + E xy + F y^2 >= 0 on R^2.
@@ -359,9 +365,8 @@ def quad_form_nonneg(A: float, B: float, C: float, D: float, E: float,
     positive semidefinite; decided exactly in Fraction by ``_psd_margin``, so
     the verdict has no tolerance and is invariant under positive rescaling.
     """
-    for name, value in zip("ABCDEF", (A, B, C, D, E, F)):
-        _require_real(name, value, 0.0 if name == "F" else -np.inf)
-    A, B, C, D, E, F = map(Fraction, (A, B, C, D, E, F))
+    A, B, C, D, E, F = (_exact(name, value, 0.0 if name == "F" else -np.inf)
+                        for name, value in zip("ABCDEF", (A, B, C, D, E, F)))
     return _psd_margin([[A, B / 2, C / 2], [B / 2, D, E / 2],
                         [C / 2, E / 2, F]]) >= 0
 
@@ -485,7 +490,7 @@ _C1_CUBIC = (
 def dlss_c1_of_c3(c3):
     """Multiplier c1 closing the two-square decomposition, as a cubic in c3
     (valid at the optimal c8 = 17/172)."""
-    c3 = Fraction(c3)
+    c3 = _exact("c3", c3)
     p3, p2, p1, p0 = _C1_CUBIC
     return p3 * c3**3 + p2 * c3**2 + p1 * c3 + p0
 
@@ -496,9 +501,10 @@ def dlss_chain(c3, c8) -> DlssChainReport:
     Eliminations fix c6, c5, c7, c4, c2 as polynomials in (c3, c8); c1
     comes from the cubic closing the square decomposition; the a and b
     coefficient tables follow, all in exact rational arithmetic: a float
-    input is the Fraction of its exact value, and NaN is a ValueError.
+    input is the Fraction of its exact value, and a NaN or infinite one is a
+    ValueError that names it.
     """
-    c3, c8 = Fraction(c3), Fraction(c8)
+    c3, c8 = _exact("c3", c3), _exact("c8", c8)
     c6 = -2 * c8
     c5 = 8 * c8**2 - 6 * c8
     c7 = Fraction(-20, 3) * c8**2 + Fraction(8, 3) * c8
@@ -547,7 +553,7 @@ def dlss_b12(c8):
 def dlss_b12_derivative(c8):
     """Exact derivative of b12 at c8 (b12 is quadratic in c8, so a central
     difference with unit step is exact in rational arithmetic)."""
-    c8 = Fraction(c8)
+    c8 = _exact("c8", c8)
     return (dlss_b12(c8 + 1) - dlss_b12(c8 - 1)) / 2
 
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -106,17 +106,11 @@ class NewtonConfig:
 
 @dataclass
 class Trajectory:
-    """Uniformly spaced states t^k = k*tau produced by ``run``."""
+    """States at t^k = k*tau from ``run``, and each step's Newton iterations."""
 
     times: np.ndarray
     states: list[StateField]
-    scheme: Scheme
-    problem: Problem
-    tau: float
-    newton_iters: list[int] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.states)
+    newton_iters: list[int]
 
 
 class _Linearization:
@@ -408,4 +402,4 @@ def run(problem: Problem, scheme: Scheme, u0: StateField, tau: float, t_end: flo
         iters.append(len(norms) - 1)
         states.append(StateField.from_flat(x, problem.species))
     return Trajectory(times=np.arange(n_steps + 1) * tau, states=states,
-                      scheme=scheme, problem=problem, tau=tau, newton_iters=iters)
+                      newton_iters=iters)

@@ -251,9 +251,9 @@ def test_criterion_10_linear_system():
     scheme = get_scheme("trapezoidal")
     cfg = NewtonConfig(tol=1e-13)
     rng = np.random.default_rng(7)
-    u0 = StateField.pair(rng.uniform(0.5, 1.5, 64), rng.uniform(0.5, 1.5, 64))
+    u0 = StateField([rng.uniform(0.5, 1.5, 64), rng.uniform(0.5, 1.5, 64)])
     traj = run(problem, scheme, u0, 1e-4, 0.02, cfg)
-    assert len(traj) == 201
+    assert len(traj.states) == 201
     e = LogEntropySum()
     entropies = np.array(
         [evaluate(e, state, problem.grid) for state in traj.states])
@@ -262,7 +262,7 @@ def test_criterion_10_linear_system():
     i0_min = min(i0(e, problem, state, 1.0) for state in traj.states[1:])
     assert i0_min > 0.0
     # equal initial species stay equal
-    same = StateField.pair(u0.values[0], u0.values[0].copy())
+    same = StateField([u0.values[0], u0.values[0].copy()])
     traj_eq = run(problem, scheme, same, 1e-4, 0.02, cfg)
     gap = max(np.max(np.abs(s.values[0] - s.values[1])) for s in traj_eq.states)
     assert gap <= 1e-12

@@ -263,7 +263,11 @@ def test_gprofile_minimal_grid(tmp_path):
                                                                    "n = 16")
     cfg = parse_config(write_config(tmp_path, text))
     files = cmd_gprofile(cfg, [5e-4], 1e-4, 3, ["implicit_euler"])
-    assert len(files) == 1
+    assert len(files) == 2
+    # run_meta.txt records the command's own inputs after the config's
+    assert ("\nbase_times = [0.0005]\ntau_max = 0.0001\nm = 3\n"
+            "schemes = ['implicit_euler']\nrkentropy_version = "
+            in files["run_meta.txt"])
     lines = files["gprofile_implicit_euler_t0.0005.csv"].strip().split("\n")
     assert lines[0] == "tau,G,d2G,Q"
     assert len(lines) == 5
@@ -397,7 +401,13 @@ def test_check_conditions_range_ends_must_be_finite(tmp_path, capsys, key, value
      "alpha_min must be positive and finite, got -1.0"),
     (["region", "--family", "pme0", "--beta-max=inf"],
      "beta_max must be positive and finite, got inf"),
-], ids=["u_min=0", "u_max<u_min", "u_max=u_min", "alpha_min=-1", "beta_max=inf"])
+    # above u_min, but by less than 3 distinct float nodes need: the grid
+    # repeats a node, which once blamed u_grid
+    (["check-conditions", "--u-min", "1", "--u-max", "1.0000000000000002", "--points",
+      "3"], "u_max must be far enough above 1.0 for 3 distinct points, "
+            "got 1.0000000000000002"),
+], ids=["u_min=0", "u_max<u_min", "u_max=u_min", "alpha_min=-1", "beta_max=inf",
+        "u_max=u_min+ulp"])
 def test_range_errors_name_the_option(tmp_path, capsys, argv, line):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
@@ -526,8 +536,11 @@ def test_main_simulate_and_gprofile(tmp_path, capsys):
                  "3e-4", "--tau-max", "1e-4", "--m", "4", "--schemes",
                  "implicit_euler,trapezoidal", "--out", str(out2)]) == 0
     assert capsys.readouterr().out == "".join(
-        f"wrote {out2 / f'gprofile_{name}_t0.0003.csv'}\n"
-        for name in ("implicit_euler", "trapezoidal"))
+        f"wrote {out2 / name}\n" for name in (
+            "gprofile_implicit_euler_t0.0003.csv", "gprofile_trapezoidal_t0.0003.csv",
+            "run_meta.txt"))
+    # the SIMD targets that made the profiles are on record beside them
+    assert "\nnumpy_simd = " in (out2 / "run_meta.txt").read_text()
     assert (out2 / "gprofile_implicit_euler_t0.0003.csv").exists()
     assert (out2 / "gprofile_trapezoidal_t0.0003.csv").exists()
 

@@ -10,7 +10,6 @@ from rkentropy.entropy import (
     PowerEntropy,
     d2g_at_zero,
     evaluate,
-    fit_decay_rate,
     fit_rate_series,
     i0,
     i1,
@@ -65,7 +64,7 @@ def test_evaluate_first_order_constant_is_zero():
 
 def test_evaluate_two_species_log_sum():
     grid = Grid1D(16, 2.0)
-    u = StateField.pair(np.full(16, np.e), np.ones(16))
+    u = StateField([np.full(16, np.e), np.ones(16)])
     # e (1 - 1) * 2 + 1 * (0 - 1) * 2 = -2
     assert evaluate(LogEntropySum(), u, grid) == pytest.approx(-2.0, abs=1e-14)
 
@@ -247,8 +246,8 @@ def test_two_species_i0_is_the_profile_curvature(name):
     grid = Grid1D(32, 1.0)
     x = grid.x()
     problem = LinearSystem(grid, 1.0, 2.0, 0.7)
-    u = StateField.pair(1.0 + 0.3 * np.cos(2.0 * np.pi * x),
-                        1.0 + 0.2 * np.sin(4.0 * np.pi * x))
+    u = StateField([1.0 + 0.3 * np.cos(2.0 * np.pi * x),
+                    1.0 + 0.2 * np.sin(4.0 * np.pi * x)])
     e, scheme = LogEntropySum(), get_scheme(name)
     target = i0(e, problem, u, scheme.c_rk_effective)
 
@@ -385,7 +384,7 @@ def test_q_denominator_variants(pme32):
 def test_q_nan_for_non_power_problems():
     grid = Grid1D(16, 1.0)
     problem = LinearSystem(grid, 1.0, 1.0, 1.0)
-    u = StateField.pair(np.full(16, 1.0), np.full(16, 2.0))
+    u = StateField([np.full(16, 1.0), np.full(16, 2.0)])
     prof = profile_g(LogEntropySum(), problem, get_scheme("implicit_euler"),
                      u, 1e-4, 4)
     assert np.all(np.isnan(prof.q))
@@ -510,19 +509,30 @@ def test_fit_rate_series_rejects_mismatched_shapes(times, values, shapes):
         fit_rate_series(times, values)
 
 
-def test_fit_decay_rate_on_barenblatt_run():
+def _gap_series(traj, e, grid):
+    """H[u_k] - H[c] along a trajectory, c the constant state of its mass."""
+    u0 = traj.states[0].values
+    steady = StateField(u0.mean(axis=1, keepdims=True) * np.ones_like(u0))
+    h_steady = evaluate(e, steady, grid)
+    return np.array([evaluate(e, state, grid) - h_steady for state in traj.states])
+
+
+def test_fit_rate_series_on_barenblatt_gap():
     grid = Grid1D(64, 1.0)
     problem = PorousMedium(grid, 2.0)
     traj = run(problem, get_scheme("implicit_euler"), barenblatt(grid), 1e-4,
                0.01, NewtonConfig(tol=1e-12))
-    e = ExperimentPower(5.0)
-    rate = fit_decay_rate(traj, e, (0.005, 0.01))
-    assert rate > 0.0
+    gaps = _gap_series(traj, ExperimentPower(5.0), grid)
+
+    def rate(t0, t1):
+        window = (traj.times >= t0) & (traj.times <= t1)
+        return fit_rate_series(traj.times[window], gaps[window])
+
+    full = rate(0.005, 0.01)
+    assert full > 0.0
     # sliding 80% sub-windows stay within 5% of the full-window fit
-    r1 = fit_decay_rate(traj, e, (0.005, 0.009))
-    r2 = fit_decay_rate(traj, e, (0.006, 0.01))
-    assert abs(r1 - rate) <= 0.05 * rate
-    assert abs(r2 - rate) <= 0.05 * rate
+    assert abs(rate(0.005, 0.009) - full) <= 0.05 * full
+    assert abs(rate(0.006, 0.01) - full) <= 0.05 * full
 
 
 def test_dlss_dissipation_and_cross_oracle():
@@ -565,10 +575,11 @@ def test_scalar_diffusion_stepping_dissipates():
     assert np.max(np.abs(u_again.flat - u0.flat)) <= 100.0 * cfg.tol
 
 
-def test_fit_decay_rate_rejects_constant_trajectory():
+def test_fit_rate_series_rejects_constant_trajectory_gap():
     grid = Grid1D(16, 1.0)
     problem = PorousMedium(grid, 2.0)
     c = StateField.scalar(np.full(16, 1.0))
     traj = run(problem, get_scheme("implicit_euler"), c, 1e-4, 1e-3)
-    with pytest.raises(ValueError):
-        fit_decay_rate(traj, ExperimentPower(5.0), (0.0, 1e-3))
+    gaps = _gap_series(traj, ExperimentPower(5.0), grid)
+    with pytest.raises(ValueError, match="strictly positive"):
+        fit_rate_series(traj.times, gaps)

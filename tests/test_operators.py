@@ -16,7 +16,6 @@ from rkentropy.operators import (
     StateField,
     diff1,
     diff2,
-    diff2_matrix,
     _require_real,
 )
 from rkentropy.stepping import _magnitude
@@ -36,7 +35,7 @@ def _problems(grid, rng):
         (ScalarDiffusion(grid, a=lambda u: 1.0 + u**2, da=lambda u: 2.0 * u),
          StateField.scalar(u_pos)),
         (LinearSystem(grid, 1.0, 2.0, 0.7),
-         StateField.pair(u_pos, rng.uniform(0.5, 2.0, grid.n))),
+         StateField([u_pos, rng.uniform(0.5, 2.0, grid.n)])),
         (Dlss(grid), StateField.scalar(u_pos)),
     ]
 
@@ -122,7 +121,7 @@ def test_grid_spacing_squared_must_be_a_normal_float(length):
 def test_state_field_shapes():
     u = StateField.scalar(np.ones(8))
     assert u.species == 1 and u.n == 8 and u.flat.shape == (8,)
-    w = StateField.pair(np.ones(8), np.zeros(8))
+    w = StateField([np.ones(8), np.zeros(8)])
     assert w.species == 2 and w.flat.shape == (16,)
     assert np.array_equal(StateField.from_flat(w.flat, 2).values, w.values)
     with pytest.raises(ValueError, match="finite"):
@@ -153,7 +152,7 @@ def test_constant_states_are_steady(grid32):
         assert np.all(p.apply(c).values == 0.0)
     # the coupled system is steady only when both species share the constant
     sys = LinearSystem(grid32, 1.0, 1.0, 1.0)
-    both = StateField.pair(np.full(grid32.n, 1.7), np.full(grid32.n, 1.7))
+    both = StateField([np.full(grid32.n, 1.7), np.full(grid32.n, 1.7)])
     assert np.all(sys.apply(both).values == 0.0)
 
 
@@ -188,8 +187,8 @@ def test_deriv_apply_zero_direction(grid32):
 def test_linear_system_deriv_is_apply(grid32):
     rng = np.random.default_rng(5)
     p = LinearSystem(grid32, 1.0, 2.0, 0.3)
-    u = StateField.pair(rng.uniform(0.5, 2, grid32.n), rng.uniform(0.5, 2, grid32.n))
-    w = StateField.pair(rng.normal(size=grid32.n), rng.normal(size=grid32.n))
+    u = StateField([rng.uniform(0.5, 2, grid32.n), rng.uniform(0.5, 2, grid32.n)])
+    w = StateField([rng.normal(size=grid32.n), rng.normal(size=grid32.n)])
     assert np.array_equal(p.deriv_apply(u, w).flat, p.apply(w).flat)
 
 
@@ -199,7 +198,7 @@ def test_jacobian_matches_deriv_apply(grid32):
     # test_linear_system_apply_closed_form checks it by its formula
     rng = np.random.default_rng(6)
     for p, u in _problems(grid32, rng):
-        jac = p.jacobian(u)
+        jac = p.deriv_flat(u.flat, np.eye(u.flat.size)).T
         for _ in range(20):
             w = StateField(rng.uniform(-1.0, 1.0, u.values.shape))
             ref = _complex_step(p, u.flat, w.flat)
@@ -223,16 +222,17 @@ def test_linear_system_apply_closed_form(grid32):
 def test_pme_jacobian_at_unit_state(grid32):
     p = PorousMedium(grid32, 2.0)
     u = StateField.scalar(np.ones(grid32.n))
-    assert np.allclose(p.jacobian(u), -2.0 * diff2_matrix(grid32.n, grid32.dx),
+    jac = p.deriv_flat(u.flat, np.eye(grid32.n)).T
+    assert np.allclose(jac, -2.0 * diff2(np.eye(grid32.n), grid32.dx),
                        rtol=0.0, atol=0.0)
 
 
 def test_linear_system_jacobian_decoupled(grid32):
     p = LinearSystem(grid32, 1.5, 2.5, 0.0)
-    u = StateField.pair(np.ones(grid32.n), np.ones(grid32.n))
-    jac = p.jacobian(u)
+    u = StateField([np.ones(grid32.n), np.ones(grid32.n)])
+    jac = p.deriv_flat(u.flat, np.eye(u.flat.size)).T
     n = grid32.n
-    d2m = diff2_matrix(n, grid32.dx)
+    d2m = diff2(np.eye(n), grid32.dx)
     assert np.array_equal(jac[:n, :n], -1.5 * d2m)
     assert np.array_equal(jac[n:, n:], -2.5 * d2m)
     assert np.all(jac[:n, n:] == 0.0) and np.all(jac[n:, :n] == 0.0)
@@ -319,14 +319,14 @@ def test_jacobian_bands(n, seed):
     # n = 4 makes the Dlss offsets -2 and +2 name the same column
     grid = Grid1D(n, 1.0)
     rng = np.random.default_rng(seed)
-    d2m = diff2_matrix(n, grid.dx)
+    d2m = diff2(np.eye(n), grid.dx)
     for p, u in _problems(grid, rng):
         name = type(p).__name__
         x = u.flat
         bands = p.jacobian_flat(x)
         assert isinstance(bands, np.ndarray), name
         assert bands.nbytes == 8 * p.species**2 * len(p.offsets) * n, name
-        jac = p.jacobian(u)
+        jac = p.deriv_flat(u.flat, np.eye(u.flat.size)).T
         w = rng.uniform(-1.0, 1.0, x.size)
         ref = _complex_step(p, x, w)
         scale = 1e-13 * max(np.max(np.abs(ref)), 1.0)

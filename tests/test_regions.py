@@ -640,9 +640,21 @@ def test_dlss_chain_float_input_is_exact():
     values = [getattr(rep, f.name) for f in fields(rep) if f.name != "a"]
     assert all(isinstance(v, Fraction) for v in values + list(rep.a))
     assert Fraction(4, 1000) < rep.p < Fraction(5, 1000)
-    for c3, c8 in ((float("nan"), Fraction(17, 172)), (Fraction(0), float("nan"))):
-        with pytest.raises(ValueError):
-            dlss_chain(c3, c8)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: dlss_chain(x, Fraction(17, 172)), "c3"),
+    (lambda x: dlss_chain(Fraction(0), x), "c8"),
+    (dlss_c1_of_c3, "c3"),
+    (dlss_b12_derivative, "c8"),
+], ids=["chain-c3", "chain-c8", "c1_of_c3", "b12_derivative"])
+def test_dlss_chain_names_a_non_finite_input(call, name, value):
+    # Fraction raised OverflowError for +-inf, and for NaN a ValueError
+    # that named no argument
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        call(value)
 
 
 # -- masks -----------------------------------------------------------------------

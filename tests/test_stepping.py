@@ -164,7 +164,7 @@ def test_run_single_step(pme32):
     tau = 1e-4
     scheme = get_scheme("implicit_euler")
     traj = run(problem, scheme, u, tau, tau)
-    assert len(traj) == 2
+    assert len(traj.states) == 2
     assert np.array_equal(traj.states[0].values, u.values)
     again, _, _ = _step(problem, scheme, u.flat, tau, NewtonConfig())
     assert np.array_equal(traj.states[1].flat, again)
@@ -221,7 +221,7 @@ def test_two_species_stepping():
     grid = Grid1D(16, 1.0)
     problem = LinearSystem(grid, 1.0, 1.0, 1.0)
     rng = np.random.default_rng(13)
-    u = StateField.pair(rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16))
+    u = StateField([rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16)])
     out = run(problem, get_scheme("trapezoidal"), u, 1e-4, 1e-4).states[-1]
     assert out.species == 2
     total0 = u.flat.sum() * grid.dx
@@ -383,7 +383,7 @@ def test_registered_gauss_on_a_two_species_system():
     grid = Grid1D(16, 1.0)
     problem = LinearSystem(grid, 1.0, 2.0, 0.7)
     rng = np.random.default_rng(17)
-    u = StateField.pair(rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16))
+    u = StateField([rng.uniform(0.5, 1.5, 16), rng.uniform(0.5, 1.5, 16)])
     gauss = _gauss2()
     cfg = NewtonConfig(tol=1e-12)
     tau = 1e-3
@@ -474,8 +474,8 @@ def _dense_newton_matrix(problem, rel, g, tau):
     r, m = rel.C.shape[1], g.shape[1]
     dense = np.eye(r * m)
     for i in _moving(rel):
-        gi = StateField.from_flat(g[i], problem.species)
-        dense += tau * np.kron(np.outer(rel.B[:, i], rel.C[i]), problem.jacobian(gi))
+        jac = problem.deriv_flat(g[i], np.eye(m)).T  # dense: one row per unit vector
+        dense += tau * np.kron(np.outer(rel.B[:, i], rel.C[i]), jac)
     return dense
 
 
@@ -507,7 +507,7 @@ def test_band_solve_equals_the_dense_solve(case):
     scheme, tau = get_scheme("simpson" if case == "simpson" else "trapezoidal"), 1e-3
     if case in ("linear", "gauss4"):
         problem = LinearSystem(grid, 1.0, 2.0, 0.7)
-        u = StateField.pair(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n))
+        u = StateField([rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)])
         if case == "gauss4":
             scheme = _gauss2()  # two kept stage rows x two species
     else:
@@ -865,7 +865,7 @@ def _family_case(family, n, seed):
         return problem, u, 0.02 * dx2
     if family == "linear":
         other = _smooth_random_field(grid, rng)
-        return (LinearSystem(grid, 1.0, 2.0, 0.7), StateField.pair(u.flat, other.flat),
+        return (LinearSystem(grid, 1.0, 2.0, 0.7), StateField([u.flat, other.flat]),
                 0.02 * dx2)
     return Dlss(grid), u, 0.005 * dx2**2
 
