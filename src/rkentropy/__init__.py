@@ -64,7 +64,6 @@ from .tableau import (
     ButcherTableau,
     Scheme,
     TableauError,
-    c_rk,
     get_scheme,
     registry,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -98,7 +98,7 @@ def _validate(cfg: RunConfig):
 
 def parse_config(path) -> RunConfig:
     """Read a flat key=value config file into a validated RunConfig."""
-    raw, types = vars(RunConfig()), get_type_hints(RunConfig)
+    raw, types, first = vars(RunConfig()), get_type_hints(RunConfig), {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -109,6 +109,9 @@ def parse_config(path) -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in raw:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if first.setdefault(key, lineno) != lineno:
+            raise ValueError(f"line {lineno}: duplicate key {key!r} "
+                             f"(first set on line {first[key]})")
         try:
             raw[key] = ([float(tok) for tok in value.split(",") if tok]
                         if key == "snapshot_times" else types[key](value))
@@ -189,19 +192,22 @@ def _inputs(cfg: RunConfig):
             NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter))
 
 
-def _state_index(t: float, cfg: RunConfig, what: str) -> int:
-    """Index k of the step time k*tau nearest to t, which must lie on the
-    configured trajectory of step_count(tau, t_end) steps."""
-    k = np.rint(t / cfg.tau)  # NaN for a NaN time
-    if not 0 <= k <= step_count(cfg.tau, cfg.t_end):
-        raise ValueError(f"{what} {t} outside the trajectory")
-    return int(k)
+def _steps(times, cfg: RunConfig, what: str) -> list[int]:
+    """Sorted distinct indices k of the step times k*tau nearest to the times,
+    which must lie on the trajectory of step_count(tau, t_end) steps."""
+    ks, last = set(), step_count(cfg.tau, cfg.t_end)
+    for t in times:
+        k = np.rint(t / cfg.tau)  # NaN for a NaN time
+        if not 0 <= k <= last:
+            raise ValueError(f"{what} {t} outside the trajectory")
+        ks.add(int(k))
+    return sorted(ks)
 
 
 def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
-    """Run the configured trajectory; return entropy.csv, the snapshots and
-    run_meta.txt by file name."""
-    ks = [_state_index(t, cfg, "snapshot time") for t in cfg.snapshot_times]
+    """Run the configured trajectory; return entropy.csv, one snapshot per
+    distinct step, named by its step time, and run_meta.txt by file name."""
+    ks = _steps(cfg.snapshot_times, cfg, "snapshot time")
     problem, e, u0, ncfg = _inputs(cfg)
     ent.evaluate(e, u0, problem.grid)  # the entropy's domain, before any step
     traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
@@ -211,37 +217,36 @@ def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
          state.flat.max(), traj.newton_iters[k - 1] if k else 0)
         for k, state in enumerate(traj.states)))}
     x = problem.grid.x()
-    for t_snap, k in zip(cfg.snapshot_times, ks):
+    for k in ks:
         state = traj.states[k]
-        files[f"snapshot_t{t_snap:g}.csv"] = _csv(
+        files[f"snapshot_t{traj.times[k]:g}.csv"] = _csv(
             ["x", *(f"u{j + 1}" for j in range(state.species))],
             zip(x, *state.values))
-    files["run_meta.txt"] = _run_meta(cfg)
+    files["run_meta.txt"] = _run_meta(replace(
+        cfg, snapshot_times=[float(traj.times[k]) for k in ks]))
     return files
 
 
 def cmd_gprofile(cfg: RunConfig, base_times, tau_max: float, m: int,
                  schemes) -> dict[str, str]:
-    """Freeze states at the base times; return one profile CSV per
-    (scheme, base time) pair, and run_meta.txt, by file name."""
-    base_times = sorted(base_times)
+    """Freeze states at the base times; return one profile CSV per distinct
+    (scheme, step), named by its step time, and run_meta.txt, by file name."""
     if not base_times or not schemes:
         raise ValueError("need at least one base time and one scheme")
-    _require_real("tau_max", tau_max, 0.0)  # profile_g's checks, before any step
-    _require_count("m", m, 3)
-    schemes = [(name, get_scheme(name)) for name in schemes]
-    ks = [_state_index(t, cfg, "base time") for t in base_times]
+    ent._check_sweep(tau_max, m)  # before any step
+    schemes = {name: get_scheme(name) for name in schemes}
+    ks = _steps(base_times, cfg, "base time")
     problem, e, u0, ncfg = _inputs(cfg)
     files = {}
-    for name, scheme in schemes:
-        states = (run(problem, scheme, u0, cfg.tau, max(ks) * cfg.tau,
-                      ncfg).states if max(ks) else [u0])
-        for t_base, k in zip(base_times, ks):
-            files[f"gprofile_{name}_t{t_base:g}.csv"] = ent.profile_g(
-                e, problem, scheme, states[k], tau_max, m, ncfg,
-                base_time=k * cfg.tau).to_csv()
-    files["run_meta.txt"] = _run_meta(cfg, base_times=base_times, tau_max=tau_max, m=m,
-                                      schemes=[name for name, _ in schemes])
+    for name, scheme in schemes.items():
+        states = (run(problem, scheme, u0, cfg.tau, ks[-1] * cfg.tau,
+                      ncfg).states if ks[-1] else [u0])
+        for k in ks:
+            prof = ent.profile_g(e, problem, scheme, states[k], tau_max, m, ncfg,
+                                 base_time=k * cfg.tau)
+            files[f"gprofile_{name}_t{prof.base_time:g}.csv"] = prof.to_csv()
+    files["run_meta.txt"] = _run_meta(cfg, base_times=[k * cfg.tau for k in ks],
+                                      tau_max=tau_max, m=m, schemes=list(schemes))
     return files
 
 

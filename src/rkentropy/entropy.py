@@ -222,6 +222,12 @@ def q_denominator(e, problem: Problem, u: StateField) -> float:
     return float(np.sum(uu**p * diff1(uu, dx) ** 4) * dx)
 
 
+def _check_sweep(tau_max: float, m: int):
+    """profile_g's checks of its sweep, which callers may make before any step."""
+    _require_real("tau_max", tau_max, 0.0)
+    _require_count("m", m, 3)
+
+
 def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float,
               m: int, cfg: NewtonConfig | None = None,
               base_time: float = 0.0) -> GProfile:
@@ -237,8 +243,7 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     (DomainError), truncates the sweep at that node and records it in
     ``failed_index``; everything computed so far is kept.
     """
-    _require_real("tau_max", tau_max, 0.0)
-    _require_count("m", m, 3)
+    _check_sweep(tau_max, m)
     _require_real("base_time", base_time)
     cfg = cfg or NewtonConfig()
     problem._check_state(u)

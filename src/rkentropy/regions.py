@@ -159,8 +159,9 @@ def _quadratic(f, mid=0, h=1):
     return a, b, f_0 - (a * mid + b) * mid
 
 
-def _best_point(inner, lo: float, hi: float):
-    """Multipliers (t, s) with inner(t, s) >= 0 up to rounding, or None.
+def _best_point(inner, window):
+    """Multipliers (t, s) with inner(t, s) >= 0 up to rounding in the window()
+    (lo, hi), or None, also where a float ** in window or inner overflows.
 
     inner opens downward in s, so s is its vertex, >= 0 iff the
     discriminant in s is.  That vanishes at each finite end of (lo, hi);
@@ -177,20 +178,24 @@ def _best_point(inner, lo: float, hi: float):
         ends = (t - lo) * (hi - t) if hi < math.inf else t - lo
         return (b * b - 4.0 * a * c) / ends
 
-    span = hi - lo if hi < math.inf else 4.0
-    a, b, c = _quadratic(reduced, lo + span / 2, span / 4)
-    # the stable root pair r / a, c / r, also for a = 0; without real roots
-    # p has one sign throughout, so the two spurious cuts do no harm
-    r = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
-    roots = [x / y for x, y in ((r, a), (c, r)) if y]
-    cuts = sorted(x for x in (lo, hi, *roots) if lo <= x <= hi)
-    points = [(x + y) / 2.0 for x, y in zip(cuts, cuts[1:])]
-    points += [-b / (2.0 * a)] if a else []
-    inside = [((a * x + b) * x + c, x) for x in points if lo < x < hi]
-    value, t = max(inside, default=(-math.inf, None))
-    if not value >= 0.0:  # also NaN, from overflowing coefficients
+    try:
+        lo, hi = window()
+        span = hi - lo if hi < math.inf else 4.0
+        a, b, c = _quadratic(reduced, lo + span / 2, span / 4)
+        # the stable root pair r / a, c / r, also for a = 0; without real
+        # roots p has one sign throughout, so the two spurious cuts do no harm
+        r = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+        roots = [x / y for x, y in ((r, a), (c, r)) if y]
+        cuts = sorted(x for x in (lo, hi, *roots) if lo <= x <= hi)
+        points = [(x + y) / 2.0 for x, y in zip(cuts, cuts[1:])]
+        points += [-b / (2.0 * a)] if a else []
+        inside = [((a * x + b) * x + c, x) for x in points if lo < x < hi]
+        value, t = max(inside, default=(-math.inf, None))
+        if not value >= 0.0:  # also NaN, from overflowing coefficients
+            return None
+        a, b, _ = fit(t)
+    except OverflowError:
         return None
-    a, b, _ = fit(t)
     return (t, -b / (2.0 * a)) if a else None  # a rounded to 0: no vertex
 
 
@@ -212,11 +217,8 @@ def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
         return True, Witness(c1=0.0, c2=0.0)
 
     k = (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)  # c1 = -k lambda
-    try:
-        best = _best_point(lambda lam, c2: _det4(_r0_gram(
-            q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2)), 0.0, 1.0)
-    except OverflowError:  # float ** overflowed: no witness
-        best = None
+    best = _best_point(lambda lam, c2: _det4(_r0_gram(
+        q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2)), lambda: (0.0, 1.0))
     if best is not None:
         w = Witness(c1=-k * best[0], c2=best[1])
         if certify_r0(q, w) >= 0.0:
@@ -232,10 +234,9 @@ def certify_r0(q: RegionQuery, w: Witness) -> float:
     """Exact certificate that Q(eta) >= 0 everywhere at the witness: the
     ``_psd_margin`` (>= 0, or -1.0 if not positive semidefinite) of Q's
     Gram matrix, built in Fraction from the exact values of the inputs."""
-    for name in ("c1", "c2"):
-        _require_real(name, getattr(w, name))
-    return _psd_margin(_r0_gram(*map(Fraction, (q.alpha, q.beta, q.d, q.c_rk,
-                                                w.c1, w.c2))))
+    return _psd_margin(_r0_gram(*(_exact(name, getattr(q, name))
+                                  for name in ("alpha", "beta", "d", "c_rk")),
+                                _exact("c1", w.c1), _exact("c2", w.c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +303,8 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
     _require_real("beta", beta, 0.0)
     if not (-2.0 <= alpha - 2.0 * beta <= 1.0):
         return False, None
-    try:
-        best = _best_point(lambda c2, c3: _det4(_r1_gram(alpha, beta, c2, c3)),
-                           r1_c2_lower_bound(alpha, beta), math.inf)
-    except OverflowError:  # float ** overflowed: no witness
-        best = None
+    best = _best_point(lambda c2, c3: _det4(_r1_gram(alpha, beta, c2, c3)),
+                       lambda: (r1_c2_lower_bound(alpha, beta), math.inf))
     if best is None:
         return False, None
     w = Witness(c1=-(2.0 - alpha), c2=best[0], c3=best[1])
@@ -316,11 +314,8 @@ def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
 def certify_r1(alpha: float, beta: float, w: Witness) -> float:
     """Exact certificate that P(xi) >= 0 everywhere at the witness, scored
     like ``certify_r0``.  It reads c2 and c3 only: c1 is fixed at -(2 - alpha)."""
-    _require_real("alpha", alpha, 0.0)
-    _require_real("beta", beta, 0.0)
-    for name in ("c2", "c3"):
-        _require_real(name, getattr(w, name))
-    return _psd_margin(_r1_gram(*map(Fraction, (alpha, beta, w.c2, w.c3))))
+    return _psd_margin(_r1_gram(_exact("alpha", alpha, 0.0), _exact("beta", beta, 0.0),
+                                _exact("c2", w.c2), _exact("c3", w.c3)))
 
 
 # ---------------------------------------------------------------------------

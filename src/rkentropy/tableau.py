@@ -7,7 +7,7 @@ rank-one, stiffly accurate tableau
     a = [[0, 0, 0], [1/12, 1/3, 1/12], [1/6, 2/3, 1/6]],
     b = [1/6, 2/3, 1/6],  c = [0, 1/2, 1].
 
-Every scheme carries the constant
+Every scheme carries the constant (``Scheme.c_rk_effective``)
 
     c_rk = 2 * sum_i b_i * (1 - c_i)
 
@@ -64,11 +64,6 @@ class ButcherTableau:
         return f"ButcherTableau(s={self.s}, b={self.b.tolist()}, c={self.c.tolist()})"
 
 
-def c_rk(tableau: ButcherTableau) -> float:
-    """Structural constant 2 * sum_i b_i (1 - c_i) of a tableau."""
-    return 2.0 * float(np.dot(tableau.b, 1.0 - tableau.c))
-
-
 SIMPSON = ButcherTableau(
     a=[[0.0, 0.0, 0.0], [1 / 12, 1 / 3, 1 / 12], [1 / 6, 2 / 3, 1 / 6]],
     b=[1 / 6, 2 / 3, 1 / 6],
@@ -85,7 +80,7 @@ class Scheme:
 
     @property
     def c_rk_effective(self) -> float:
-        return c_rk(self.tableau)
+        return 2.0 * float(np.dot(self.tableau.b, 1.0 - self.tableau.c))
 
     @property
     def is_composite_simpson(self) -> bool:

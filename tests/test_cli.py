@@ -75,6 +75,19 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_rejects_a_repeated_key(tmp_path, capsys):
+    # the second n once silently won, and run_meta.txt showed only it
+    path = write_config(tmp_path, "problem = pme\nn = 16\nn = 32\n")
+    with pytest.raises(ValueError, match=r"^line 3: duplicate key 'n' "
+                                         r"\(first set on line 2\)$"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error:config: line 3: duplicate key 'n' "
+                                       "(first set on line 2)\n")
+    assert not out.exists()
+
+
 def test_parse_config_rejects_bad_value(tmp_path):
     path = write_config(tmp_path, MINIMAL.replace("tau = 1e-4", "tau = fast"))
     with pytest.raises(ValueError, match="tau"):
@@ -370,8 +383,11 @@ def test_main_rejects_out_of_range_arguments(tmp_path, capsys, argv):
     for value in ("nan", "inf", "-inf", "0.0", "-1")
 ] + [pytest.param("n", "3", id="n=3")])
 def test_config_reals_are_range_checked(tmp_path, capsys, key, value):
-    # each through the library's own check, reported as a config error
-    cfg_path = write_config(tmp_path, MINIMAL + f"{key} = {value}\n")
+    # each through the library's own check, reported as a config error; the
+    # value replaces MINIMAL's own line, since a repeated key is an error too
+    text = "".join(line for line in MINIMAL.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ="))
+    cfg_path = write_config(tmp_path, text + f"{key} = {value}\n")
     assert main(["simulate", "--config", str(cfg_path), "--out",
                  str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -618,6 +634,71 @@ def test_gprofile_steps_only_to_the_last_base_time(tmp_path, monkeypatch):
         csv[times] = (out / "gprofile_implicit_euler_t0.csv").read_text()
     assert csv["0"] == csv["0,3e-4"]
     assert [step_count(*call) for call in calls] == [3]
+
+
+def _count_profiles(monkeypatch):
+    """Record the (scheme name, base time) of every profile_g call."""
+    calls, real = [], cli.ent.profile_g
+
+    def counted(e, problem, scheme, *rest, base_time):
+        calls.append((scheme.name, base_time))
+        return real(e, problem, scheme, *rest, base_time=base_time)
+
+    monkeypatch.setattr(cli.ent, "profile_g", counted)
+    return calls
+
+
+def test_gprofile_files_are_named_by_their_step_time(tmp_path):
+    # 1.5e-4 and 2.5e-4 snap to the steps at 1e-4 and 2e-4 (tau = 1e-4);
+    # the files once carried the requested times
+    text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
+                                                                   "n = 16")
+    cfg = parse_config(write_config(tmp_path, text))
+    files = cmd_gprofile(cfg, [2.5e-4, 1.5e-4], 1e-4, 3, ["implicit_euler"])
+    assert list(files) == ["gprofile_implicit_euler_t0.0001.csv",
+                           "gprofile_implicit_euler_t0.0002.csv", "run_meta.txt"]
+    assert "\nbase_times = [0.0001, 0.0002]\n" in files["run_meta.txt"]
+
+
+def test_gprofile_computes_each_step_and_scheme_once(tmp_path, capsys, monkeypatch):
+    # three base times on one step and a repeated scheme once made three
+    # sweeps per march, two marches and two files named by the requests
+    runs, profiles = _count_runs(monkeypatch), _count_profiles(monkeypatch)
+    text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
+                                                                   "n = 16")
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["gprofile", "--config", str(cfg_path), "--base-times",
+                 "0.0002,0.0002,0.00021", "--tau-max", "1e-4", "--m", "3",
+                 "--schemes", "trapezoidal,trapezoidal,implicit_euler",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"wrote {out / name}\n" for name in (
+            "gprofile_trapezoidal_t0.0002.csv", "gprofile_implicit_euler_t0.0002.csv",
+            "run_meta.txt"))
+    assert runs == [(1e-4, 2e-4)] * 2
+    assert profiles == [("trapezoidal", 2e-4), ("implicit_euler", 2e-4)]
+    meta = (out / "run_meta.txt").read_text()
+    assert ("\nbase_times = [0.0002]\ntau_max = 0.0001\nm = 3\n"
+            "schemes = ['trapezoidal', 'implicit_euler']\n") in meta
+
+
+def test_simulate_snapshots_are_named_by_their_step_time(tmp_path, monkeypatch):
+    calls = _count_runs(monkeypatch)
+    text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64", "n = 16")
+    cfg = parse_config(write_config(
+        tmp_path, text + "snapshot_times = 2.5e-4,1.5e-4,2e-4,2.1e-4\n"))
+    files = cmd_simulate(cfg)
+    assert len(calls) == 1
+    assert list(files) == ["entropy.csv", "snapshot_t0.0001.csv",
+                           "snapshot_t0.0002.csv", "run_meta.txt"]
+    assert "\nsnapshot_times = [0.0001, 0.0002]\n" in files["run_meta.txt"]
+    problem, _, u0, ncfg = cli._inputs(cfg)
+    state = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end,
+                ncfg).states[1]
+    table = np.array([[float(cell) for cell in line.split(",")]
+                      for line in files["snapshot_t0.0001.csv"].splitlines()[1:]])
+    assert np.array_equal(table[:, 1], state.values[0])
 
 
 def test_main_region_command(tmp_path):

@@ -312,7 +312,7 @@ def test_best_point_finds_narrow_and_one_sided_windows():
     def search(q, lo=0.0, hi=1.0):
         def ends(t):
             return (t - lo) * (hi - t) if hi < np.inf else t - lo
-        return _best_point(lambda t, s: ends(t) * q(t) - s * s, lo, hi)
+        return _best_point(lambda t, s: ends(t) * q(t) - s * s, lambda: (lo, hi))
 
     t, s = search(lambda t: -(t - 0.9) * (t - 0.95))  # vertex inside
     assert t == pytest.approx(0.925) and s == 0.0
@@ -324,6 +324,20 @@ def test_best_point_finds_narrow_and_one_sided_windows():
     assert search(lambda t: -(t - 0.5) ** 2 - 1e-3) is None
     t, _ = search(lambda t: -(t - 3.0) * (t + 1.0), 2.0, np.inf)
     assert 2.0 < t < 3.0
+
+
+def test_best_point_has_no_witness_where_a_float_power_overflows():
+    # one rule for the window and the objective: a float ** that overflows
+    # leaves no witness, in the r1 lower bound c2* as in the Gram entries
+    def inner(t, s):
+        return -(t - 0.5) ** 2 + 1.0 - s * s
+
+    assert _best_point(inner, lambda: (0.0, 1.0)) is not None
+    assert _best_point(lambda t, s: inner(t, s) * 1e200 ** 2,
+                       lambda: (0.0, 1.0)) is None
+    assert _best_point(inner, lambda: (r1_c2_lower_bound(2e200, 1e200), np.inf)) is None
+    assert r1_membership(2e200, 1e200) == (False, None)
+    assert r0_membership(RegionQuery(1e300, 0.5, 2, 1.0)) == (False, None)
 
 
 # -- exact certificates against the sampling oracle ------------------------------

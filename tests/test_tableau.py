@@ -5,17 +5,16 @@ from rkentropy.tableau import (
     ButcherTableau,
     Scheme,
     TableauError,
-    c_rk,
     get_scheme,
     registry,
 )
 
 
 def test_c_rk_reference_values():
-    assert c_rk(ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0])) == 0.0
-    assert c_rk(ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0])) == 2.0
+    assert Scheme("ie", ButcherTableau(a=[[1.0]], b=[1.0], c=[1.0])).c_rk_effective == 0.0
+    assert Scheme("ee", ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0])).c_rk_effective == 2.0
     trap = ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5], c=[0.0, 1.0])
-    assert c_rk(trap) == 1.0
+    assert Scheme("trap", trap).c_rk_effective == 1.0
 
 
 def test_registry_builtins():
@@ -99,7 +98,7 @@ def test_order_two_identity_exact_dyadic():
         assert abs(np.dot(b, c) - 0.5) == 0.0
         a = np.zeros((len(b), len(b)))
         a[:, 0] = c  # rows sum to c_i
-        assert c_rk(ButcherTableau(a=a, b=b, c=c)) == 1.0
+        assert Scheme("dyadic", ButcherTableau(a=a, b=b, c=c)).c_rk_effective == 1.0
 
 
 def test_order_two_identity_random():
@@ -112,7 +111,8 @@ def test_order_two_identity_random():
         c = c + (0.5 - np.dot(b, c))  # shift the knots so sum(b c) = 1/2
         a = np.zeros((s, s))
         a[:, 0] = c
-        assert abs(c_rk(ButcherTableau(a=a, b=b, c=c)) - 1.0) < 1e-12
+        assert abs(Scheme("random", ButcherTableau(a=a, b=b, c=c)).c_rk_effective
+                   - 1.0) < 1e-12
 
 
 def test_tableau_shape_mismatch():
