@@ -1,7 +1,8 @@
 """Discrete entropy functionals and dissipation diagnostics.
 
-Two zeroth-order families (cell sums of h(u)) and one first-order family
-(cell sum of the squared gradient of f(u)) are provided, together with:
+Two zeroth-order families (cell sums of h(u)) and one first-order family,
+``FirstOrder`` (cell sum of the squared gradient of f(u)), are provided;
+an entropy is first order iff it is a ``FirstOrder``.  The diagnostics:
 
 * production:     the instantaneous dissipation rate -dH/dt = DH[u](A[u])
                   along the semi-discrete flow,
@@ -35,8 +36,6 @@ class PowerEntropy:
     positive axis for every alpha >= 0.
     """
 
-    kind = "zeroth"
-
     def __init__(self, alpha: float):
         _require_real("alpha", alpha, 0.0, closed=True)
         self.alpha = float(alpha)
@@ -69,10 +68,11 @@ class LogEntropySum(PowerEntropy):
 
 
 class ExperimentPower:
-    """Plain power sum H_d[u] = sum_i u_i^alpha dx (no normalization)."""
+    """Plain power sum H_d[u] = sum_i u_i^alpha dx (no normalization).
 
-    kind = "zeroth"
-    needs_positive = False
+    A negative alpha requires strictly positive states: h is infinite at 0,
+    and not convex on the negative axis.
+    """
 
     def __init__(self, alpha: float):
         _require_real("alpha", alpha)
@@ -87,15 +87,16 @@ class ExperimentPower:
     def hpp(self, u):
         return self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
 
+    @property
+    def needs_positive(self) -> bool:
+        return self.alpha < 0.0
+
 
 class FirstOrder:
     """Gradient functional with f(u) = u^(alpha/2), e.g. Fisher information.
 
     Single species, strictly positive states only.
     """
-
-    kind = "first"
-    needs_positive = True
 
     def __init__(self, alpha: float):
         _require_real("alpha", alpha, 0.0)
@@ -112,68 +113,77 @@ class FirstOrder:
         return e * (e - 1.0) * u ** (e - 2.0)
 
 
-def _check_state(e, u: StateField):
-    if e.kind == "first" and u.species != 1:
+def _check_state(e, u: np.ndarray):
+    if isinstance(e, FirstOrder) and u.shape[0] != 1:
         raise ValueError("first-order entropies are single-species")
-    if getattr(e, "needs_positive", False):
-        _require_positive(u.flat, "entropy")
-    elif e.kind == "zeroth" and not e.alpha.is_integer() and np.fmin.reduce(u.flat) < 0.0:
+    if isinstance(e, FirstOrder) or e.needs_positive:
+        _require_positive(u, "entropy")
+    elif not e.alpha.is_integer() and np.fmin.reduce(u, axis=None) < 0.0:
         # a negative base has no real power with a non-integer exponent
-        bad = int(np.argmax(u.flat < 0.0))
+        bad = np.unravel_index(np.argmax(u < 0.0), u.shape)
         raise DomainError(f"entropy with non-integer alpha={e.alpha!r} requires "
-                          f"nonnegative values; cell {bad % u.n} has u={u.flat[bad]:.6g}")
+                          f"nonnegative values; cell {bad[1]} has u={u[bad]:.6g}")
+
+
+def _total(e, u: np.ndarray, dx: float) -> float:
+    """H of a species x n array of cells; a zeroth-order entropy calls h once."""
+    _check_state(e, u)
+    if isinstance(e, FirstOrder):
+        grad = diff1(e.f(u[0]), dx)
+        return float(np.sum(grad**2) * dx)
+    return float(np.sum(e.h(u)) * dx)
 
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:
     """Discrete entropy of the state (species-summed cell sum)."""
     if u.n != grid.n:
         raise ValueError(f"state has {u.n} cells but the grid has {grid.n}")
-    _check_state(e, u)
-    if e.kind == "first":
-        grad = diff1(e.f(u.values[0]), grid.dx)
-        return float(np.sum(grad**2) * grid.dx)
-    return float(np.sum(e.h(u.values)) * grid.dx)
+    return _total(e, u.values, grid.dx)
 
 
-def _variations(e, u: StateField, dx: float):
+def _variations(e, u: np.ndarray, dx: float):
     """DH[u] per cell (DH[u](w) = sum_i DH[u]_i w_i dx) and w -> D^2H[u] w.
 
     Zeroth order: h'(u) and h''(u) w.  First order: D1 is antisymmetric on
     the periodic grid, so DH[u](w) = 2 sum (D1 f(u)) D1(f'(u) w) dx gives
     DH[u] = -2 f'(u) D1 D1 f(u); D^2H[u] w is its derivative along w.
+    Both are species x n arrays, as u is.
     """
     _check_state(e, u)
-    if e.kind == "zeroth":
-        hpp = e.hpp(u.values)
-        return e.hp(u.values), lambda w: hpp * w
-    uu = u.values[0]
-    fp, fpp = e.fp(uu), e.fpp(uu)
-    curv = diff1(diff1(e.f(uu), dx), dx)
+    if not isinstance(e, FirstOrder):
+        hpp = e.hpp(u)
+        return e.hp(u), lambda w: hpp * w
+    fp, fpp = e.fp(u), e.fpp(u)
+    curv = diff1(diff1(e.f(u), dx), dx)
     return -2.0 * fp * curv, lambda w: -2.0 * (
-        fpp * curv * w[0] + fp * diff1(diff1(fp * w[0], dx), dx))
+        fpp * curv * w + fp * diff1(diff1(fp * w, dx), dx))
 
 
 def production(e, problem: Problem, u: StateField) -> float:
     """Dissipation rate -dH/dt = -G'(0) = DH[u](A[u]) along du/dt = -A[u],
     nonnegative in dissipating regimes."""
-    dh, _ = _variations(e, u, problem.grid.dx)
-    return float(np.sum(dh * problem.apply(u).values) * problem.grid.dx)
+    problem._check_state(u)
+    dh, _ = _variations(e, u.values, problem.grid.dx)
+    au = problem.apply_flat(u.flat).reshape(dh.shape)
+    return float(np.sum(dh * au) * problem.grid.dx)
 
 
 def _second_variation(e, problem: Problem, u: StateField, c_rk: float) -> float:
     """-G''(0) = c_rk DH[u](DA[u](A[u])) + D^2H[u](A[u], A[u]), exactly at
     the spatially discrete level."""
-    dh, second = _variations(e, u, problem.grid.dx)
-    au_field = problem.apply(u)
-    daa = problem.deriv_apply(u, au_field).values
-    au = au_field.values
+    _require_real("c_rk", c_rk)
+    problem._check_state(u)
+    dh, second = _variations(e, u.values, problem.grid.dx)
+    au = problem.apply_flat(u.flat)
+    daa = problem.deriv_flat(u.flat, au).reshape(dh.shape)
+    au = au.reshape(dh.shape)
     return float(np.sum(c_rk * dh * daa + second(au) * au) * problem.grid.dx)
 
 
 def i0(e, problem: Problem, u: StateField, c_rk: float) -> float:
     """Condition integral -G''(0) for zeroth-order entropies (diagonal
     Hessians): sum_i [c_rk h'(u_i) DA[u](A[u])_i + h''(u_i) A[u]_i^2] dx."""
-    if e.kind != "zeroth":
+    if isinstance(e, FirstOrder):
         raise ValueError("i0 takes a zeroth-order entropy")
     return _second_variation(e, problem, u, c_rk)
 
@@ -182,7 +192,7 @@ def i1(e, problem: Problem, u: StateField, c_rk: float) -> float:
     """Condition integral -G''(0) for first-order entropies; summation by
     parts makes it the gradient form of the continuous condition integral,
     2 sum_i [(D1(f' A))^2 + D1 f D1(f'' A^2 + c_rk f' DA[u](A))]_i dx."""
-    if e.kind != "first":
+    if not isinstance(e, FirstOrder):
         raise ValueError("i1 takes a first-order entropy")
     return _second_variation(e, problem, u, c_rk)
 
@@ -214,7 +224,7 @@ def q_denominator(e, problem: Problem, u: StateField) -> float:
     with p = alpha + 2 beta - 2.  Returns NaN for problems without a power
     nonlinearity.
     """
-    if not isinstance(problem, PorousMedium) or not hasattr(e, "alpha"):
+    if not isinstance(problem, PorousMedium):
         return float("nan")
     p = e.alpha + 2.0 * problem.beta - 2.0
     uu = u.values[0]
@@ -250,7 +260,8 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     taus = np.linspace(0.0, tau_max, m + 1)
     g = np.full(m + 1, np.nan)
     g[0] = 0.0
-    h_u = evaluate(e, u, problem.grid)
+    dx = problem.grid.dx
+    h_u = _total(e, u.values, dx)
     failed: int | None = None
     w_prev = None
     base = _Linearization(problem, u.flat)
@@ -258,8 +269,7 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
         try:
             v, _, w_prev = _step(problem, scheme, u.flat, taus[j], cfg,
                                  backward=True, w_init=w_prev, base=base)
-            g[j] = h_u - evaluate(e, StateField.from_flat(v, problem.species),
-                                  problem.grid)
+            g[j] = h_u - _total(e, v.reshape(u.values.shape), dx)
         except (StepError, DomainError):
             failed = j
             break

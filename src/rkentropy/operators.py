@@ -175,20 +175,7 @@ class Problem:
         self._d2 = np.array([1.0, -2.0, 1.0]) / grid.dx**2
         self._neighbours = _cells_at((-1, 0, 1), grid.n)
 
-    # -- StateField API -------------------------------------------------
-    def apply(self, u: StateField) -> StateField:
-        """Evaluate A[u] on the same grid."""
-        self._check_state(u)
-        return StateField.from_flat(self.apply_flat(u.flat), self.species)
-
-    def deriv_apply(self, u: StateField, w: StateField) -> StateField:
-        """Exact Jacobian-vector product DA[u](w)."""
-        self._check_state(u)
-        if w.values.shape != u.values.shape:
-            raise ValueError("direction field shape does not match problem")
-        return StateField.from_flat(self.deriv_flat(u.flat, w.flat), self.species)
-
-    # -- flat kernels (stepping works on these) -------------------------
+    # -- flat kernels ----------------------------------------------------
     def apply_flat(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

@@ -107,8 +107,13 @@ def r0_strip_discriminant(alpha: float, beta: float, c_rk: float) -> float:
 
         ((c_rk - 2) z + 2 (c_rk + 1))^2 - 9 c_rk^2 z^2,   z = alpha - beta.
 
-    Positive strictly inside the strips, zero on their boundary.
+    Positive strictly inside the strips, zero on their boundary.  alpha
+    and beta must be positive and finite, as in a ``RegionQuery``, and
+    c_rk finite.
     """
+    _require_real("alpha", alpha, 0.0)
+    _require_real("beta", beta, 0.0)
+    _require_real("c_rk", c_rk)
     z = alpha - beta
     return ((c_rk - 2.0) * z + 2.0 * (c_rk + 1.0)) ** 2 - 9.0 * c_rk**2 * z**2
 

@@ -516,6 +516,21 @@ def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["gprofile", "--base-times", "3e-4"]])
+def test_negative_power_rejects_the_zero_cells(tmp_path, capsys, argv):
+    # u^-1 is infinite outside the Barenblatt support: simulate wrote H = inf
+    # rows, gprofile inf and NaN G columns, both with exit 0
+    text = (MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64", "n = 16")
+            + "entropy = experiment_power\nalpha = -1.0\n")
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, text)
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:domain: entropy requires strictly positive values; "
+                          "cell ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     # its UnicodeDecodeError is a ValueError: once a traceback and exit 1
     cfg_path = tmp_path / "latin1.cfg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from range_cases import range_cases
-from rkentropy import stepping
+from rkentropy import entropy, stepping
 from rkentropy.entropy import (
     ExperimentPower,
     FirstOrder,
@@ -95,6 +95,10 @@ def test_evaluate_rejects_nonpositive_for_log_kinds():
     for e in (PowerEntropy(0.0), FirstOrder(2.0)):
         with pytest.raises(DomainError):
             evaluate(e, u, grid)
+    # a cell of the second species is named by its place in that species
+    both = StateField([np.ones(16), u.values[0]])
+    with pytest.raises(DomainError, match="cell 0 has u=-0.5$"):
+        evaluate(LogEntropySum(), both, grid)
 
 
 def test_evaluate_rejects_negative_cells_for_non_integer_powers():
@@ -111,6 +115,26 @@ def test_evaluate_rejects_negative_cells_for_non_integer_powers():
                                                             * grid.dx)
     assert evaluate(PowerEntropy(1.0), u, grid) == float(np.sum(u.values**2.0 / 2.0)
                                                          * grid.dx)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5])
+def test_negative_powers_need_positive_cells(pme32, alpha):
+    # u^alpha is infinite at a zero cell and not convex at a negative one:
+    # H = inf once came back with a RuntimeWarning
+    problem, v = pme32
+    e = ExperimentPower(alpha)
+    assert e.needs_positive and not ExperimentPower(0.0).needs_positive
+    for bad in (0.0, -0.25):
+        u = StateField(v.values.copy())
+        u.values[0, 7] = bad
+        for diagnose in (lambda: evaluate(e, u, problem.grid),
+                         lambda: production(e, problem, u),
+                         lambda: i0(e, problem, u, 1.0)):
+            with pytest.raises(DomainError, match=rf"^entropy requires strictly "
+                               rf"positive values; cell 7 has u={bad:g}$"):
+                diagnose()
+    assert evaluate(e, v, problem.grid) == float(np.sum(v.values**alpha)
+                                                 * problem.grid.dx)
 
 
 # -- production -------------------------------------------------------------
@@ -329,6 +353,28 @@ def _chained_profile(e, problem, scheme, u, tau_max, m, cfg):
     return g, None
 
 
+@pytest.mark.parametrize("e", [ExperimentPower(5.0), FirstOrder(1.0)],
+                         ids=["zeroth", "first"])
+def test_each_node_is_the_entropy_of_its_endpoint(pme32, e, monkeypatch):
+    # profile_g sums H straight from each flat endpoint _step returns, bit for
+    # bit the entropy of that endpoint as a state
+    problem, u = pme32
+    ends = []
+
+    def recorded(*args, **kwargs):
+        out = _step(*args, **kwargs)
+        ends.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(entropy, "_step", recorded)
+    prof = profile_g(e, problem, get_scheme("simpson"), u, 1e-4, 6)
+    h_u = evaluate(e, u, problem.grid)
+    want = [h_u - evaluate(e, StateField.from_flat(v, problem.species), problem.grid)
+            for v in ends]
+    assert prof.failed_index is None and len(ends) == 6
+    assert prof.g[0] == 0.0 and prof.g[1:].tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("family", ["dlss", "pme"])
 def test_sweep_equals_a_chain_of_solves(family):
     # sharing A[u] and J(u) across the nodes changes no bit: the Dlss n = 256
@@ -441,6 +487,9 @@ def _profile(tau_max=1e-4, base_time=0.0):
     ("alpha", FirstOrder, 0.0, False, "FirstOrder"),
     ("tau_max", lambda v: _profile(tau_max=v), 0.0, False),
     ("base_time", lambda v: _profile(base_time=v), -np.inf, False),
+    # a NaN or infinite c_rk gave a NaN condition integral
+    ("c_rk", lambda v: i0(ExperimentPower(5.0), _PME, _U, v), -np.inf, False, "i0"),
+    ("c_rk", lambda v: i1(FirstOrder(1.0), _PME, _U, v), -np.inf, False, "i1"),
 ))
 def test_entropy_reals_are_range_checked(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be "):

@@ -109,13 +109,13 @@ def test_operator_reals_are_range_checked(name, build, value):
 
 @pytest.mark.parametrize("length", [1e200, 1e-200])
 def test_grid_spacing_squared_must_be_a_normal_float(length):
-    # dx**2 raised OverflowError at 1e200 and was 0 at 1e-200, where apply
+    # dx**2 raised OverflowError at 1e200 and was 0 at 1e-200, where A[u]
     # then divided by zero; just inside both ends the kernels run cleanly
     with pytest.raises(ValueError, match=re.escape(f"dx * dx (length {length!r}, n 8)")):
         Grid1D(8, length)
     inside = Grid1D(8, length ** 0.75)
     u = StateField.scalar(1.0 + 0.5 * np.cos(2.0 * np.pi * inside.x() / inside.length))
-    assert np.all(np.isfinite(PorousMedium(inside, 2.0).apply(u).values))
+    assert np.all(np.isfinite(PorousMedium(inside, 2.0).apply_flat(u.flat)))
 
 
 def test_state_field_shapes():
@@ -140,8 +140,8 @@ def test_pme_stencil_hand_value():
     # A[u]_i = -(w_{i+1} - 2 w_i + w_{i-1}) * 16
     g = Grid1D(4, 1.0)
     p = PorousMedium(g, 2.0)
-    out = p.apply(StateField.scalar([1.0, 2.0, 1.0, 2.0]))
-    assert np.array_equal(out.values[0], [-96.0, 96.0, -96.0, 96.0])
+    out = p.apply_flat(np.array([1.0, 2.0, 1.0, 2.0]))
+    assert np.array_equal(out, [-96.0, 96.0, -96.0, 96.0])
 
 
 def test_constant_states_are_steady(grid32):
@@ -149,17 +149,17 @@ def test_constant_states_are_steady(grid32):
     for p in [PorousMedium(grid32, 2.0),
               ScalarDiffusion(grid32, a=lambda u: 1.0 + u, da=lambda u: 1.0),
               Dlss(grid32)]:
-        assert np.all(p.apply(c).values == 0.0)
+        assert np.all(p.apply_flat(c.flat) == 0.0)
     # the coupled system is steady only when both species share the constant
     sys = LinearSystem(grid32, 1.0, 1.0, 1.0)
     both = StateField([np.full(grid32.n, 1.7), np.full(grid32.n, 1.7)])
-    assert np.all(sys.apply(both).values == 0.0)
+    assert np.all(sys.apply_flat(both.flat) == 0.0)
 
 
 def test_zero_sum(grid32):
     rng = np.random.default_rng(3)
     for p, u in _problems(grid32, rng):
-        au = p.apply(u).flat
+        au = p.apply_flat(u.flat)
         bound = 1e-12 * grid32.n * max(np.max(np.abs(au)), 1.0)
         assert abs(au.sum()) <= bound, type(p).__name__
 
@@ -169,10 +169,10 @@ def test_deriv_apply_matches_finite_differences(grid32):
     eps = 1e-6
     for p, u in _problems(grid32, rng):
         w = StateField(rng.uniform(-1.0, 1.0, u.values.shape))
-        exact = p.deriv_apply(u, w).flat
+        exact = p.deriv_flat(u.flat, w.flat)
         up = StateField(u.values + eps * w.values)
         dn = StateField(u.values - eps * w.values)
-        approx = (p.apply(up).flat - p.apply(dn).flat) / (2.0 * eps)
+        approx = (p.apply_flat(up.flat) - p.apply_flat(dn.flat)) / (2.0 * eps)
         scale = max(np.max(np.abs(exact)), 1.0)
         assert np.max(np.abs(exact - approx)) <= 1e-6 * scale, type(p).__name__
 
@@ -181,7 +181,7 @@ def test_deriv_apply_zero_direction(grid32):
     p = PorousMedium(grid32, 2.0)
     u = StateField.scalar(np.linspace(0.5, 1.5, grid32.n))
     zero = StateField.scalar(np.zeros(grid32.n))
-    assert np.all(p.deriv_apply(u, zero).values == 0.0)
+    assert np.all(p.deriv_flat(u.flat, zero.flat) == 0.0)
 
 
 def test_linear_system_deriv_is_apply(grid32):
@@ -189,11 +189,11 @@ def test_linear_system_deriv_is_apply(grid32):
     p = LinearSystem(grid32, 1.0, 2.0, 0.3)
     u = StateField([rng.uniform(0.5, 2, grid32.n), rng.uniform(0.5, 2, grid32.n)])
     w = StateField([rng.normal(size=grid32.n), rng.normal(size=grid32.n)])
-    assert np.array_equal(p.deriv_apply(u, w).flat, p.apply(w).flat)
+    assert np.array_equal(p.deriv_flat(u.flat, w.flat), p.apply_flat(w.flat))
 
 
 def test_jacobian_matches_deriv_apply(grid32):
-    # deriv_apply is the product of the bands, so both are checked against
+    # deriv_flat is the product of the bands, so both are checked against
     # the complex step; LinearSystem's A is its bands too, and
     # test_linear_system_apply_closed_form checks it by its formula
     rng = np.random.default_rng(6)
@@ -204,7 +204,7 @@ def test_jacobian_matches_deriv_apply(grid32):
             ref = _complex_step(p, u.flat, w.flat)
             scale = 1e-13 * max(np.max(np.abs(ref)), 1.0)
             name = type(p).__name__
-            assert np.max(np.abs(p.deriv_apply(u, w).flat - ref)) <= scale, name
+            assert np.max(np.abs(p.deriv_flat(u.flat, w.flat) - ref)) <= scale, name
             assert np.max(np.abs(jac @ w.flat - ref)) <= scale, name
 
 
@@ -242,8 +242,9 @@ def test_translation_equivariance(grid32):
     rng = np.random.default_rng(7)
     for p, u in _problems(grid32, rng):
         shifted = StateField(np.roll(u.values, 5, axis=1))
-        assert np.array_equal(p.apply(shifted).values,
-                              np.roll(p.apply(u).values, 5, axis=1)), type(p).__name__
+        au = p.apply_flat(u.flat).reshape(u.values.shape)
+        assert np.array_equal(p.apply_flat(shifted.flat).reshape(u.values.shape),
+                              np.roll(au, 5, axis=1)), type(p).__name__
 
 
 def test_constant_coefficient_reduces_to_laplacian(grid32):
@@ -252,7 +253,7 @@ def test_constant_coefficient_reduces_to_laplacian(grid32):
     p = ScalarDiffusion(grid32, a=lambda u: rho + 0.0 * u, da=lambda u: 0.0 * u)
     rng = np.random.default_rng(8)
     u = rng.uniform(0.5, 2.0, grid32.n)
-    got = p.apply(StateField.scalar(u)).values[0]
+    got = p.apply_flat(u)
     want = -rho * diff2(u, grid32.dx)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -262,25 +263,25 @@ def test_dlss_rejects_nonpositive(grid32):
     u = np.ones(grid32.n)
     u[10] = 0.0
     with pytest.raises(DomainError, match="cell 10"):
-        p.apply(StateField.scalar(u))
+        p.apply_flat(u)
 
 
 def test_pme_zero_cells(grid32):
     u = np.ones(grid32.n)
     u[3] = 0.0
     # beta >= 1: degenerate cells are fine
-    out = PorousMedium(grid32, 2.0).apply(StateField.scalar(u))
-    assert np.all(np.isfinite(out.values))
+    out = PorousMedium(grid32, 2.0).apply_flat(u)
+    assert np.all(np.isfinite(out))
     # beta < 1: the mobility blows up at zero
     with pytest.raises(DomainError):
-        PorousMedium(grid32, 0.5).apply(StateField.scalar(u))
+        PorousMedium(grid32, 0.5).apply_flat(u)
 
 
 def test_problem_shape_checks(grid32):
     p = PorousMedium(grid32, 2.0)
     wrong = StateField.scalar(np.ones(16))
     with pytest.raises(ValueError, match="does not match"):
-        p.apply(wrong)
+        p._check_state(wrong)
 
 
 def test_parameter_validation(grid32):

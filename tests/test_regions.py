@@ -782,6 +782,14 @@ def test_region_query_validation():
      "certify_r1.c2"),
     ("c3", lambda v: certify_r1(1.0, 1.0, Witness(-1.0, 1.0, v)), -np.inf, False,
      "certify_r1.c3"),
+    # a NaN or infinite argument gave NaN (an infinity with a RuntimeWarning),
+    # and a nonpositive exponent a discriminant of no strip
+    ("alpha", lambda v: r0_strip_discriminant(v, 1.0, 1.0), 0.0, False,
+     "r0_strip_discriminant.alpha"),
+    ("beta", lambda v: r0_strip_discriminant(1.0, v, 1.0), 0.0, False,
+     "r0_strip_discriminant.beta"),
+    ("c_rk", lambda v: r0_strip_discriminant(1.0, 1.0, v), -np.inf, False,
+     "r0_strip_discriminant.c_rk"),
 ) + [
     # a witness without c3 made certify_r1 raise TypeError
     pytest.param("c3", lambda v: certify_r1(1.0, 1.0, Witness(-1.0, 1.0, v)),
