@@ -186,10 +186,11 @@ def _run_meta(cfg: RunConfig, **inputs) -> str:
 
 
 def _inputs(cfg: RunConfig):
-    """The problem, entropy, initial state and Newton settings of a config."""
+    """Problem, entropy (checked at the initial state), state and Newton settings."""
     problem = _PROBLEMS[cfg.problem](cfg, Grid1D(n=cfg.n, length=cfg.length))
-    return (problem, _ENTROPIES[cfg.entropy](cfg), make_initial(cfg, problem.grid),
-            NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter))
+    e, u0 = _ENTROPIES[cfg.entropy](cfg), make_initial(cfg, problem.grid)
+    ent.evaluate(e, u0, problem.grid)
+    return problem, e, u0, NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
 
 
 def _steps(times, cfg: RunConfig, what: str) -> list[int]:
@@ -209,7 +210,6 @@ def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
     distinct step, named by its step time, and run_meta.txt by file name."""
     ks = _steps(cfg.snapshot_times, cfg, "snapshot time")
     problem, e, u0, ncfg = _inputs(cfg)
-    ent.evaluate(e, u0, problem.grid)  # the entropy's domain, before any step
     traj = run(problem, get_scheme(cfg.scheme), u0, cfg.tau, cfg.t_end, ncfg)
     files = {"entropy.csv": _csv(("t", "H", "mass", "min", "max", "iters"), (
         (traj.times[k], ent.evaluate(e, state, problem.grid),
@@ -346,6 +346,7 @@ _CATEGORIES = {KeyError: "lookup", DomainError: "domain", StepError: "step",
                OSError: "io", ValueError: "config"}
 
 
+@np.errstate(all="ignore")  # a non-finite result is an error line, never a warning
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out, files, shown = Path(), {}, None  # shown: printed in place of "wrote" lines

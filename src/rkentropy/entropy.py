@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (DomainError, Grid1D, PorousMedium, Problem, StateField, _csv,
-                        _require_count, _require_positive, _require_real, diff1)
+                        _power, _require_count, _require_positive, _require_real, diff1)
 from .stepping import NewtonConfig, StepError, _Linearization, _step
 from .tableau import Scheme
 
@@ -31,9 +31,9 @@ from .tableau import Scheme
 class PowerEntropy:
     """h(u) = u^(alpha+1) / (alpha (alpha+1)) for alpha > 0.
 
-    At alpha = 0 the family degenerates to h(u) = u (log u - 1), which
-    requires strictly positive states.  h''(u) = u^(alpha - 1) > 0 on the
-    positive axis for every alpha >= 0.
+    At alpha = 0 the family degenerates to h(u) = u (log u - 1).  h''(u) =
+    u^(alpha - 1) > 0 on the positive axis for every alpha >= 0.  h, h' and
+    h'' each pass ``operators._require_positive`` for their log or power.
     """
 
     def __init__(self, alpha: float):
@@ -42,21 +42,18 @@ class PowerEntropy:
 
     def h(self, u):
         if self.alpha == 0.0:
-            return u * (np.log(u) - 1.0)
+            return u * (self.hp(u) - 1.0)
         a = self.alpha
-        return u ** (a + 1.0) / (a * (a + 1.0))
+        return _power(u, a + 1.0) / (a * (a + 1.0))
 
     def hp(self, u):
         if self.alpha == 0.0:
+            _require_positive(u, "entropy")
             return np.log(u)
-        return u**self.alpha / self.alpha
+        return _power(u, self.alpha) / self.alpha
 
     def hpp(self, u):
-        return u ** (self.alpha - 1.0)
-
-    @property
-    def needs_positive(self) -> bool:
-        return self.alpha == 0.0
+        return _power(u, self.alpha - 1.0)
 
 
 class LogEntropySum(PowerEntropy):
@@ -68,28 +65,21 @@ class LogEntropySum(PowerEntropy):
 
 
 class ExperimentPower:
-    """Plain power sum H_d[u] = sum_i u_i^alpha dx (no normalization).
-
-    A negative alpha requires strictly positive states: h is infinite at 0,
-    and not convex on the negative axis.
-    """
+    """Plain power sum H_d[u] = sum_i u_i^alpha dx (no normalization); h, h'
+    and h'' each take their power through ``operators._power``."""
 
     def __init__(self, alpha: float):
         _require_real("alpha", alpha)
         self.alpha = float(alpha)
 
     def h(self, u):
-        return u**self.alpha
+        return _power(u, self.alpha)
 
     def hp(self, u):
-        return self.alpha * u ** (self.alpha - 1.0)
+        return _power(u, self.alpha - 1.0, self.alpha)
 
     def hpp(self, u):
-        return self.alpha * (self.alpha - 1.0) * u ** (self.alpha - 2.0)
-
-    @property
-    def needs_positive(self) -> bool:
-        return self.alpha < 0.0
+        return _power(u, self.alpha - 2.0, self.alpha * (self.alpha - 1.0))
 
 
 class FirstOrder:
@@ -114,24 +104,24 @@ class FirstOrder:
 
 
 def _check_state(e, u: np.ndarray):
-    if isinstance(e, FirstOrder) and u.shape[0] != 1:
-        raise ValueError("first-order entropies are single-species")
-    if isinstance(e, FirstOrder) or e.needs_positive:
+    if isinstance(e, FirstOrder):
+        if u.shape[0] != 1:
+            raise ValueError("first-order entropies are single-species")
         _require_positive(u, "entropy")
-    elif not e.alpha.is_integer() and np.fmin.reduce(u, axis=None) < 0.0:
-        # a negative base has no real power with a non-integer exponent
-        bad = np.unravel_index(np.argmax(u < 0.0), u.shape)
-        raise DomainError(f"entropy with non-integer alpha={e.alpha!r} requires "
-                          f"nonnegative values; cell {bad[1]} has u={u[bad]:.6g}")
 
 
 def _total(e, u: np.ndarray, dx: float) -> float:
-    """H of a species x n array of cells; a zeroth-order entropy calls h once."""
+    """H of a species x n array of cells; a zeroth-order entropy calls h once.
+    A non-finite H is a DomainError that names its first non-finite term."""
     _check_state(e, u)
-    if isinstance(e, FirstOrder):
-        grad = diff1(e.f(u[0]), dx)
-        return float(np.sum(grad**2) * dx)
-    return float(np.sum(e.h(u)) * dx)
+    terms = diff1(e.f(u[0]), dx) ** 2 if isinstance(e, FirstOrder) else e.h(u)
+    total = float(np.sum(terms) * dx)
+    if not -np.inf < total < np.inf:  # name the first non-finite term, if any
+        bad = int(np.argmin(np.isfinite(terms)))
+        raise DomainError(f"entropy is not finite at cell {bad % u.shape[-1]}, where "
+                          f"u={u.flat[bad]:.6g}" if not np.isfinite(terms.flat[bad])
+                          else "entropy overflows: its cell sum is not finite")
+    return total
 
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:
@@ -150,13 +140,12 @@ def _variations(e, u: np.ndarray, dx: float):
     Both are species x n arrays, as u is.
     """
     _check_state(e, u)
-    if not isinstance(e, FirstOrder):
-        hpp = e.hpp(u)
-        return e.hp(u), lambda w: hpp * w
-    fp, fpp = e.fp(u), e.fpp(u)
+    if not isinstance(e, FirstOrder):  # h'' only for D^2H: the rate needs h' alone
+        return e.hp(u), lambda w: e.hpp(u) * w
+    fp = e.fp(u)
     curv = diff1(diff1(e.f(u), dx), dx)
     return -2.0 * fp * curv, lambda w: -2.0 * (
-        fpp * curv * w + fp * diff1(diff1(fp * w, dx), dx))
+        e.fpp(u) * curv * w + fp * diff1(diff1(fp * w, dx), dx))
 
 
 def production(e, problem: Problem, u: StateField) -> float:

@@ -18,8 +18,8 @@ written once in ``Problem``.  The stepping Newton matrices keep the band
 structure, and Newton's rounding-error scale of A is the product of their
 absolute values with |u| (see ``stepping``); ``deriv_flat`` on the identity,
 one batch row per unit vector, is the transposed dense Jacobian.  Where a
-family has a domain (Dlss; PorousMedium with beta < 1), every kernel checks
-it first (``_check_domain``, one reduction that a NaN cell fails too).
+family takes a log or a power of the state (Dlss; PorousMedium), every
+kernel first checks the one rule of ``_require_positive`` (``_check_domain``).
 """
 
 from __future__ import annotations
@@ -203,29 +203,42 @@ class Problem:
         """DomainError for a state the kernels do not accept."""
 
 
-def _require_positive(x: np.ndarray, what: str):
-    if not np.minimum.reduce(x, axis=None) > 0.0:  # one reduction; NaN fails it too
-        bad = int(np.argmin(x > 0.0))  # in the first batch row that has one
-        raise DomainError(f"{what} requires strictly positive values; "
-                          f"cell {bad % x.shape[-1]} has u={x.flat[bad]:.6g}")
+def _require_positive(x: np.ndarray, what: str, p: float = -1.0):
+    """DomainError unless every cell lies in the domain of x**p: x > 0 for a
+    p < 0 and for a log (the default), x >= 0 for any other non-integer p, and
+    any x for an integer p >= 0.  One reduction, which a NaN cell fails too."""
+    if p >= 0.0 and float(p).is_integer():
+        return
+    low, neg = np.minimum.reduce(x, axis=None), p < 0.0
+    if not (low > 0.0 if neg else low >= 0.0):
+        bad = int(np.argmin(x > 0.0 if neg else x >= 0.0))  # in the first bad batch row
+        raise DomainError(f"{what} requires {'strictly positive' if neg else 'nonnegative'}"
+                          f" values; cell {bad % x.shape[-1]} has u={x.flat[bad]:.6g}")
+
+
+def _power(x: np.ndarray, p: float, k: float = 1.0):
+    """An entropy's k * x**p, x checked by ``_require_positive``; k itself if k is 0."""
+    if k == 0.0:
+        return np.full_like(x, k)
+    _require_positive(x, "entropy", p)
+    return x**p if k == 1.0 else k * x**p
 
 
 class PorousMedium(Problem):
     """A[u] = -D2(u^beta), the porous-medium / fast-diffusion operator.
 
-    Zero cells are admissible for beta >= 1 (u^(beta-1) stays finite);
-    for beta < 1 every kernel rejects a nonpositive cell with a
-    DomainError before it takes the power, because the mobility blows up.
+    Every kernel first checks the state against the domain of the mobility's
+    power beta - 1 (``_require_positive``), which holds that of beta.
     """
 
     def __init__(self, grid: Grid1D, beta: float):
         _require_real("beta", beta, 0.0)
         super().__init__(grid)
         self.beta = float(beta)
+        self._what = f"porous medium with beta={self.beta}"
 
     def _check_domain(self, x):
-        if self.beta < 1.0:
-            _require_positive(x, f"porous medium with beta={self.beta} < 1")
+        _require_positive(x, self._what, self.beta - 1.0)
 
     def apply_flat(self, x):
         self._check_domain(x)

@@ -502,6 +502,18 @@ def test_main_reports_overflowing_run(tmp_path, capsys):
     # a negative cell has no real power 1.5 in h(u) = u^1.5 / 0.75
     ({"ic = barenblatt": "ic = cosine\nmean = 0\namplitude = 1\nentropy = power\n"
                          "alpha = 0.5"}, ["simulate"], "domain"),
+    # u^5 overflows: H was inf in entropy.csv, with exit 0
+    ({"problem = pme": "problem = linear_system", "ic = barenblatt":
+      "ic = cosine\nmean = 1e70\namplitude = 1e69\nentropy = experiment_power\n"
+      "alpha = 5.0"}, ["simulate"], "domain"),
+    # and for a Barenblatt datum of height 1e297; numpy's overflow warnings
+    # once came before the error line, as they did for u^3 ~ 1e360 in A[u]
+    ({"ic = barenblatt": "ic = barenblatt\nt0 = 1e-300"}, ["simulate"], "domain"),
+    ({"beta = 2.0": "beta = 3.0", "ic = barenblatt": "ic = cosine\nmean = 1e120\n"
+      "amplitude = 1\nentropy = power\nalpha = 1.0"}, ["simulate"], "step"),
+    # a non-integer mobility power has no real value at a negative cell
+    ({"beta = 2.0": "beta = 1.5", "ic = barenblatt": "ic = cosine\nmean = 0\n"
+      "amplitude = 1"}, ["simulate"], "domain"),
 ])
 def test_main_rejects_unusable_values(tmp_path, capsys, edits, argv, category):
     text = MINIMAL.replace("t_end = 0.01", "t_end = 5e-4").replace("n = 64",
@@ -601,7 +613,10 @@ def _count_runs(monkeypatch):
                          "alpha = 0.5"}, ["simulate"], "domain"),
     ({"problem = pme": "problem = linear_system\nentropy = first_order",
       "ic = barenblatt": "ic = cosine"}, ["simulate"], "config"),
-], ids=[f"edits{i}-argv{i}" for i in range(7)])
+    # gprofile checks the entropy at the initial state too
+    ({"problem = pme": "problem = linear_system\nentropy = first_order",
+      "ic = barenblatt": "ic = cosine"}, ["gprofile", "--base-times", "3e-4"], "config"),
+], ids=[f"edits{i}-argv{i}" for i in range(8)])
 def test_times_are_checked_before_any_step(tmp_path, capsys, monkeypatch,
                                            edits, argv, category):
     calls = _count_runs(monkeypatch)

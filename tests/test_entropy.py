@@ -72,9 +72,13 @@ def test_evaluate_two_species_log_sum():
 @pytest.mark.parametrize("species", [1, 2])
 def test_log_sum_is_power_entropy_at_zero(species):
     # the alpha = 0 power entropy is the log entropy bit for bit: u ** -1.0
-    # takes numpy's reciprocal path, so hpp is exactly 1/u
+    # takes numpy's reciprocal path, so hpp is exactly 1/u; h, h' and h''
+    # each need positive cells
     e = LogEntropySum()
-    assert isinstance(e, PowerEntropy) and e.alpha == 0.0 and e.needs_positive
+    assert isinstance(e, PowerEntropy) and e.alpha == 0.0
+    for take in (e.h, e.hp, e.hpp):
+        with pytest.raises(DomainError, match="cell 3 has u=0$"):
+            take(np.array([[1.0, 2.0, 1.0, 0.0, 1.0]] * species))
     u = 10.0 ** np.random.default_rng(species).uniform(-300, 300, (species, 257))
     np.testing.assert_array_equal(e.h(u), u * (np.log(u) - 1.0))
     np.testing.assert_array_equal(e.hp(u), np.log(u))
@@ -106,9 +110,8 @@ def test_evaluate_rejects_negative_cells_for_non_integer_powers():
     grid = Grid1D(16, 1.0)
     u = StateField.scalar(np.cos(2.0 * np.pi * grid.x()))  # cell 5 is the first < 0
     for e in (PowerEntropy(0.5), ExperimentPower(2.5)):
-        with pytest.raises(DomainError, match=rf"^entropy with non-integer "
-                           rf"alpha={e.alpha!r} requires nonnegative values; "
-                           rf"cell 5 has u=-0\.382683$"):
+        with pytest.raises(DomainError, match=r"^entropy requires nonnegative "
+                           r"values; cell 5 has u=-0\.382683$"):
             evaluate(e, u, grid)
     # integer powers are real on the whole axis and keep their values
     assert evaluate(ExperimentPower(5.0), u, grid) == float(np.sum(u.values**5.0)
@@ -123,10 +126,13 @@ def test_negative_powers_need_positive_cells(pme32, alpha):
     # H = inf once came back with a RuntimeWarning
     problem, v = pme32
     e = ExperimentPower(alpha)
-    assert e.needs_positive and not ExperimentPower(0.0).needs_positive
     for bad in (0.0, -0.25):
         u = StateField(v.values.copy())
         u.values[0, 7] = bad
+        # alpha = 0 takes any cell: h = 1, and h' and h'' vanish
+        flat = ExperimentPower(0.0)
+        assert (evaluate(flat, u, problem.grid), production(flat, problem, u),
+                i0(flat, problem, u, 1.0)) == (1.0, 0.0, 0.0)
         for diagnose in (lambda: evaluate(e, u, problem.grid),
                          lambda: production(e, problem, u),
                          lambda: i0(e, problem, u, 1.0)):
@@ -135,6 +141,33 @@ def test_negative_powers_need_positive_cells(pme32, alpha):
                 diagnose()
     assert evaluate(e, v, problem.grid) == float(np.sum(v.values**alpha)
                                                  * problem.grid.dx)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e, rate, curvature", [
+    (ExperimentPower(0.0), 0.0, 0.0),
+    (ExperimentPower(0.5), None, None),
+    (ExperimentPower(1.0), 0.0, 0.0),  # h' = 1: sums of A and DA, 0 by mass conservation
+    (ExperimentPower(1.5), 1.914914545789971, None),
+    (PowerEntropy(0.5), 2.553219394386628, None),
+    (ExperimentPower(5.0), 0.9413288855185628, 219.1388598780792),
+], ids=["exp0", "exp0.5", "exp1", "exp1.5", "power0.5", "exp5"])
+def test_variations_at_the_zero_cells_of_the_barenblatt_datum(e, rate, curvature):
+    # h' and h'' each pass the domain rule of their own power: a term with
+    # coefficient 0 is 0, and a negative power needs positive cells, so the
+    # rate stays defined where only h'' is not (None: a DomainError).  i0 was
+    # NaN with a RuntimeWarning for every alpha below 2, and the rate too
+    # below 1; where defined, both keep their values
+    grid = Grid1D(64, 1.0)
+    problem, u = PorousMedium(grid, 2.0), barenblatt(grid)
+    for diagnose, want in ((lambda: production(e, problem, u), rate),
+                           (lambda: i0(e, problem, u, 1.0), curvature)):
+        if want is None:
+            with pytest.raises(DomainError, match=r"^entropy requires strictly "
+                               r"positive values; cell 0 has u=0$"):
+                diagnose()
+        else:
+            assert diagnose() == pytest.approx(want, rel=1e-12, abs=1e-11)
 
 
 # -- production -------------------------------------------------------------

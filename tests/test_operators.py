@@ -381,7 +381,7 @@ def test_batched_kernels_equal_per_row_calls(case, n):
             assert _bits(batch[row]) == _bits(kernel(*(a[row] for a in args))), (name, row)
 
 
-@pytest.mark.parametrize("case", ["pme0.5", "dlss"])
+@pytest.mark.parametrize("case", ["pme0.5", "dlss", "pme1.5"])
 def test_batched_domain_error_names_the_per_row_cell(case):
     # a batch fails at its first row with a bad cell, naming the same cell and
     # value as the 1-D call on that row

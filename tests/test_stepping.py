@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from range_cases import range_cases
 from rkentropy import stepping, tableau
 from rkentropy.cli import barenblatt_profile
-from rkentropy.entropy import PowerEntropy, profile_g
+from rkentropy.entropy import ExperimentPower, PowerEntropy, profile_g
 from rkentropy.operators import (
     Dlss,
     DomainError,
@@ -427,8 +427,12 @@ def test_overflowing_endpoint_is_a_step_error():
         with pytest.raises(StepError, match="non-finite values"):
             backward_solve(problem, get_scheme("implicit_euler"), u, 1e-3)
         for name in ("implicit_euler", "trapezoidal"):
-            prof = profile_g(PowerEntropy(1.0), problem, get_scheme(name), u, 1e-4, 4)
+            prof = profile_g(ExperimentPower(1.0), problem, get_scheme(name), u,
+                             1e-4, 4)
             assert prof.failed_index == 1, name
+        # H[u] itself overflows for u^2 / 2: no profile starts from it
+        with pytest.raises(DomainError, match="entropy overflows"):
+            profile_g(PowerEntropy(1.0), problem, get_scheme("trapezoidal"), u, 1e-4, 4)
 
 
 def test_fast_diffusion_run_raises_domain_error_not_a_warning():
@@ -440,6 +444,25 @@ def test_fast_diffusion_run_raises_domain_error_not_a_warning():
         with pytest.raises(DomainError, match=r"step \d+ \(t=\S+ -> \S+\) failed: "
                                               r"porous medium with beta=0\.5"):
             run(problem, get_scheme("explicit_euler"), u, 1e-3, 0.1)
+
+
+def test_non_integer_mobility_rejects_a_negative_cell():
+    # beta = 1.5: u^0.5 has no real value below 0, so every kernel and both
+    # directions of stepping raise where x**1.5 once gave a NaN residual
+    grid = Grid1D(32, 1.0)
+    problem = PorousMedium(grid, 1.5)
+    u = StateField.scalar(1.0 + 0.3 * np.cos(2.0 * np.pi * grid.x()))
+    u.values[0, 7] = -0.25
+    scheme = get_scheme("implicit_euler")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: problem.apply_flat(u.flat),
+                     lambda: problem.jacobian_flat(u.flat),
+                     lambda: run(problem, scheme, u, 1e-4, 1e-4),
+                     lambda: backward_solve(problem, scheme, u, 1e-4)):
+            with pytest.raises(DomainError, match=r"porous medium with beta=1\.5 "
+                               r"requires nonnegative values; cell 7 has u=-0\.25$"):
+                call()
 
 
 @pytest.mark.parametrize("blocks, offsets", [(1, (-1, 0, 1)), (2, (-1, 0, 1)),
