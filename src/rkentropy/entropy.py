@@ -110,18 +110,27 @@ def _check_state(e, u: np.ndarray):
         _require_positive(u, "entropy")
 
 
-def _total(e, u: np.ndarray, dx: float) -> float:
-    """H of a species x n array of cells; a zeroth-order entropy calls h once.
-    A non-finite H is a DomainError that names its first non-finite term."""
-    _check_state(e, u)
-    terms = diff1(e.f(u[0]), dx) ** 2 if isinstance(e, FirstOrder) else e.h(u)
-    total = float(np.sum(terms) * dx)
+def _cell_sum(terms: np.ndarray, u: np.ndarray, dx: float, what: str) -> float:
+    """sum(terms) * dx of ``what``, one term per cell of u (or of its first
+    species): only a sum that overflows is retried, scaled by 2**-64, and a result
+    still not finite is a DomainError (naming the first non-finite term's cell)."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(terms) * dx)
+        if not -np.inf < total < np.inf:  # exact unless a scaled term is subnormal
+            total = float(np.sum(terms * 2.0**-64) * dx * 2.0**64)
     if not -np.inf < total < np.inf:  # name the first non-finite term, if any
         bad = int(np.argmin(np.isfinite(terms)))
-        raise DomainError(f"entropy is not finite at cell {bad % u.shape[-1]}, where "
+        raise DomainError(f"{what} is not finite at cell {bad % u.shape[-1]}, where "
                           f"u={u.flat[bad]:.6g}" if not np.isfinite(terms.flat[bad])
-                          else "entropy overflows: its cell sum is not finite")
+                          else f"{what} overflows: its cell sum times dx is not finite")
     return total
+
+
+def _total(e, u: np.ndarray, dx: float) -> float:
+    """H of a species x n array of cells; a zeroth-order entropy calls h once."""
+    _check_state(e, u)
+    terms = diff1(e.f(u[0]), dx) ** 2 if isinstance(e, FirstOrder) else e.h(u)
+    return _cell_sum(terms, u, dx, "entropy")
 
 
 def evaluate(e, u: StateField, grid: Grid1D) -> float:
@@ -154,7 +163,7 @@ def production(e, problem: Problem, u: StateField) -> float:
     problem._check_state(u)
     dh, _ = _variations(e, u.values, problem.grid.dx)
     au = problem.apply_flat(u.flat).reshape(dh.shape)
-    return float(np.sum(dh * au) * problem.grid.dx)
+    return _cell_sum(dh * au, u.values, problem.grid.dx, "entropy production")
 
 
 def _second_variation(e, problem: Problem, u: StateField, c_rk: float) -> float:
@@ -166,7 +175,8 @@ def _second_variation(e, problem: Problem, u: StateField, c_rk: float) -> float:
     au = problem.apply_flat(u.flat)
     daa = problem.deriv_flat(u.flat, au).reshape(dh.shape)
     au = au.reshape(dh.shape)
-    return float(np.sum(c_rk * dh * daa + second(au) * au) * problem.grid.dx)
+    return _cell_sum(c_rk * dh * daa + second(au) * au, u.values, problem.grid.dx,
+                     "condition integral")
 
 
 def i0(e, problem: Problem, u: StateField, c_rk: float) -> float:
@@ -211,14 +221,12 @@ class GProfile:
 def q_denominator(e, problem: Problem, u: StateField) -> float:
     """Porous-medium normalization || u^p (D1 u)^4 ||_L1 for the quotient Q,
     with p = alpha + 2 beta - 2.  Returns NaN for problems without a power
-    nonlinearity.
+    nonlinearity; a norm that is not finite is a DomainError.
     """
     if not isinstance(problem, PorousMedium):
         return float("nan")
-    p = e.alpha + 2.0 * problem.beta - 2.0
-    uu = u.values[0]
-    dx = problem.grid.dx
-    return float(np.sum(uu**p * diff1(uu, dx) ** 4) * dx)
+    uu, dx, p = u.values[0], problem.grid.dx, e.alpha + 2.0 * problem.beta - 2.0
+    return _cell_sum(uu**p * diff1(uu, dx) ** 4, uu, dx, "Q denominator")
 
 
 def _check_sweep(tau_max: float, m: int):
@@ -265,7 +273,10 @@ def profile_g(e, problem: Problem, scheme: Scheme, u: StateField, tau_max: float
     h = taus[1] - taus[0]
     d2g = np.full(m + 1, np.nan)  # NaN g past a failed solve keeps its d2g NaN
     d2g[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
-    den = q_denominator(e, problem, u)
+    try:
+        den = q_denominator(e, problem, u)
+    except DomainError:  # the norm is not finite: Q is undefined
+        den = np.nan
     q = d2g / den if np.isfinite(den) and den != 0.0 else np.full(m + 1, np.nan)
     return GProfile(taus=taus, g=g, d2g=d2g, q=q, base_time=base_time,
                     failed_index=failed)

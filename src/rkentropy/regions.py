@@ -3,21 +3,20 @@
 The dissipation analysis of the power-law diffusion families reduces to
 deciding whether certain polynomials in derivative variables admit
 integration-by-parts multipliers making them pointwise nonnegative.  This
-module decides those questions numerically:
+module decides those questions exactly:
 
 * closed-form strips in one space dimension,
-* region membership for d >= 2 and the first-order-entropy region in
-  closed form: exact quadratic fits locate one witness per point,
+* region membership for d >= 2 and the first-order-entropy region by the
+  sign of one quadratic, in ``fractions.Fraction`` on the exact inputs,
 * the scalar-diffusion condition triple of the power-law family in closed form,
 * the fourth-order (log-diffusion) multiplier chain in exact rational
   arithmetic.
 
-A point is a member iff ``certify_r0`` / ``certify_r1`` accept its
-witness: at a fixed multiplier the polynomial is a quadratic form in
+Every member has a rational witness that ``certify_r0`` / ``certify_r1``
+accept: at a fixed multiplier the polynomial is a quadratic form in
 monomials of the derivative variables, and one rational LDL^T of its Gram
-matrix (``fractions.Fraction``, into which floats convert exactly)
-decides positive semidefiniteness with no tolerance.  The float witness
-search maximizes the determinant of the same matrix.
+matrix decides positive semidefiniteness with no tolerance.  The rules
+factor that matrix's determinant, so the certificates check them.
 """
 
 from __future__ import annotations
@@ -50,12 +49,12 @@ class RegionQuery:
 
 @dataclass(frozen=True)
 class Witness:
-    """Multiplier choice certifying a membership decision: (c1, c2) for the
-    zeroth-order region, (c1, c2, c3) for the first-order one."""
+    """Exact multiplier choice certifying a membership decision: (c1, c2) for
+    the zeroth-order region, (c1, c2, c3) for the first-order one."""
 
-    c1: float
-    c2: float
-    c3: float | None = None
+    c1: Fraction
+    c2: Fraction
+    c3: Fraction | None = None
 
 
 @dataclass
@@ -148,91 +147,62 @@ def _r0_gram(alpha, beta, d, c_rk, c1, c2):
             [0, b4 / 2, b6, 0], [0, 0, 0, b5]]
 
 
-def _det4(g):
-    """Four times the determinant of the leading 3x3 block of ``g``."""
-    return (4 * g[0][0] * g[2][2] * g[1][1] - 4 * g[2][2] * g[0][1] ** 2
-            - 4 * g[0][0] * g[1][2] ** 2 - 4 * g[1][1] * g[0][2] ** 2
-            + 8 * g[0][1] * g[0][2] * g[1][2])
+def _short_root(k2, k1, k0, lo, hi=math.inf):
+    """A rational x in (lo, hi) with f(x) = k2 x^2 + k1 x + k0 <= 0, k2 >= 0,
+    or None if there is none.  f's vertex decides if it lies inside; else the
+    end e beyond it needs f(e) < 0, and f <= 0 at e stepped inwards by
+    -f(e) / (|f'(e)| - f(e) + k2).  x is the multiple of 2^-k nearest that point
+    that passes, for the least k < 60, else the point: short x, cheap certificate."""
+    def passes(x):
+        return lo < x < hi and (k2 * x + k1) * x + k0 <= 0
 
-
-def _quadratic(f, mid=0, h=1):
-    """Coefficients (a, b, c) of a x^2 + b x + c through f at mid - h, mid
-    and mid + h: exact for a quadratic f in exact arithmetic."""
-    f_m, f_0, f_p = f(mid - h), f(mid), f(mid + h)
-    a = ((f_p + f_m) / 2 - f_0) / (h * h)
-    b = (f_p - f_m) / (2 * h) - 2 * a * mid
-    return a, b, f_0 - (a * mid + b) * mid
-
-
-def _best_point(inner, window):
-    """Multipliers (t, s) with inner(t, s) >= 0 up to rounding in the window()
-    (lo, hi), or None, also where a float ** in window or inner overflows.
-
-    inner opens downward in s, so s is its vertex, >= 0 iff the
-    discriminant in s is.  That vanishes at each finite end of (lo, hi);
-    divided by the distances to them it is a quadratic p(t), of one sign
-    between consecutive ends and real roots.  t is the best of p's vertex
-    and those pieces' midpoints, except ones rounding onto an end or on a
-    half-line (where p opens downward in every use).
-    """
-    def fit(t):
-        return _quadratic(lambda s: inner(t, s))
-
-    def reduced(t):
-        a, b, c = fit(t)
-        ends = (t - lo) * (hi - t) if hi < math.inf else t - lo
-        return (b * b - 4.0 * a * c) / ends
-
-    try:
-        lo, hi = window()
-        span = hi - lo if hi < math.inf else 4.0
-        a, b, c = _quadratic(reduced, lo + span / 2, span / 4)
-        # the stable root pair r / a, c / r, also for a = 0; without real
-        # roots p has one sign throughout, so the two spurious cuts do no harm
-        r = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
-        roots = [x / y for x, y in ((r, a), (c, r)) if y]
-        cuts = sorted(x for x in (lo, hi, *roots) if lo <= x <= hi)
-        points = [(x + y) / 2.0 for x, y in zip(cuts, cuts[1:])]
-        points += [-b / (2.0 * a)] if a else []
-        inside = [((a * x + b) * x + c, x) for x in points if lo < x < hi]
-        value, t = max(inside, default=(-math.inf, None))
-        if not value >= 0.0:  # also NaN, from overflowing coefficients
-            return None
-        a, b, _ = fit(t)
-    except OverflowError:
+    if k2 and lo < -k1 / (2 * k2) < hi:
+        t = -k1 / (2 * k2)
+    else:
+        e, s = (lo, 1) if 2 * k2 * lo + k1 >= 0 else (hi, -1)  # hi < inf for both callers
+        f_e = (k2 * e + k1) * e + k0
+        t = e - s * f_e / (s * (2 * k2 * e + k1) - f_e + k2) if f_e < 0 else None
+    if t is None or not passes(t):
         return None
-    return (t, -b / (2.0 * a)) if a else None  # a rounded to 0: no vertex
+    return next((x for x in (Fraction(round(t * 2**k), 2**k) for k in range(60))
+                 if passes(x)), t)
 
 
 def r0_membership(q: RegionQuery) -> tuple[bool, Witness | None]:
-    """Membership for d >= 2: a member iff ``certify_r0`` accepts the witness.
+    """Membership for d >= 2, decided exactly; a witness passes ``certify_r0``.
 
-    Implicit Euler (c_rk = 0) takes c1 = c2 = 0, where Q is the square
-    (eta_L + (beta - alpha) eta_G^2)^2.  Otherwise c1 = -lambda (c_rk + 1)
-    / (1 - 1/d), lambda in (0, 1), and the search maximizes R = 4 b1 b6 b3 -
-    b6 b2^2 - b1 b4^2 = ``_det4`` of the Gram matrix, which with b1, b6 > 0
-    has the sign of Q's completed-square remainder.  R opens downward in c2
-    (coefficient -b6 (2/d + 1)^2 - 4 b1 (d - 1)^2), and its discriminant in
-    c2 is K lambda (lambda - 1) q(lambda) with K > 0 and q quadratic.  On
-    the diagonal alpha = beta, where the search finds none, lambda = 0 may.
+    c_rk = 0 and the diagonal alpha = beta take c1 = c2 = 0, where Q is a
+    sum of squares.  Else (a, b, c = alpha, beta, c_rk, exactly) c1 =
+    -lambda (c+1) d / (d-1) for lambda in (0, 1) makes b1, b5, b6 > 0, so Q's
+    Gram matrix is positive semidefinite iff four times its leading 3 x 3
+    minor, R = A2 c2^2 + A1 c2 + A0, is >= 0.  R peaks at c2 = -A1 / (2 A2):
+
+        A2 = (c+1)(3 d (d-4) lambda - 4 (d-1)^2) < 0,
+        A1 = -2 d lambda (c+1)[d lambda (c+1)(a + 2b - 1) + (2 - cd) a
+             - (cd + 2d - 2c) b - 2 (c+1)].
+
+    Its discriminant in c2 is 4 d^2 (c+1)^2 lambda (lambda - 1) q(lambda), so a
+    cell is a member iff q = Q2 l^2 + Q1 l + Q0 is <= 0 somewhere in (0, 1):
+
+        Q2 = (d (c+1)(a + 2b - 1))^2,   Q0 = (2c (d-1) z)^2 > 0,   z = a - b,
+        Q1 = -4 d (c+1)[(z-1)((2-d)(z-1) - 2 (d-1) b)
+             + c ((d-1) b (z+2) + (z-1)((d-3) z + d - 2))].
     """
     if q.d < 2:
         raise ValueError("r0_membership needs d >= 2; use r0_1d for d = 1")
-    if q.c_rk == 0.0:
-        return True, Witness(c1=0.0, c2=0.0)
-
-    k = (q.c_rk + 1.0) / (1.0 - 1.0 / q.d)  # c1 = -k lambda
-    best = _best_point(lambda lam, c2: _det4(_r0_gram(
-        q.alpha, q.beta, q.d, q.c_rk, -k * lam, c2)), lambda: (0.0, 1.0))
-    if best is not None:
-        w = Witness(c1=-k * best[0], c2=best[1])
-        if certify_r0(q, w) >= 0.0:
-            return True, w
-    if q.alpha == q.beta:  # c1 = c2 = 0: Gram determinant -c_rk^2 (beta - alpha)^2 / 4
-        w = Witness(c1=0.0, c2=0.0)
-        if certify_r0(q, w) >= 0.0:
-            return True, w
-    return False, None
+    if q.c_rk == 0.0 or q.alpha == q.beta:
+        return True, Witness(c1=Fraction(0), c2=Fraction(0))
+    a, b, d, c = Fraction(q.alpha), Fraction(q.beta), q.d, int(q.c_rk)
+    z, root_q2 = a - b, d * (c + 1) * (a + 2 * b - 1)
+    lam = _short_root(root_q2**2, -4 * d * (c + 1) * (
+        (z - 1) * ((2 - d) * (z - 1) - 2 * (d - 1) * b)
+        + c * ((d - 1) * b * (z + 2) + (z - 1) * ((d - 3) * z + d - 2))),
+        (2 * c * (d - 1) * z) ** 2, 0, 1)
+    if lam is None:
+        return False, None
+    top = lam * root_q2 + (2 - c * d) * a - (c * d + 2 * d - 2 * c) * b - 2 * (c + 1)
+    c2 = d * lam * top / (3 * d * (d - 4) * lam - 4 * (d - 1) ** 2)  # -A1 / (2 A2)
+    return True, Witness(c1=-lam * (c + 1) * d / (d - 1), c2=c2)
 
 
 def certify_r0(q: RegionQuery, w: Witness) -> float:
@@ -295,25 +265,35 @@ def _r1_gram(alpha, beta, c2, c3):
 
 
 def r1_membership(alpha: float, beta: float) -> tuple[bool, Witness | None]:
-    """First-order region (order >= 2, 1D): a member iff ``certify_r1``
-    accepts the witness.
-
-    Gate: the first-derivative dissipation direction needs
+    """First-order region (order >= 2, 1D), decided exactly; a witness passes
+    ``certify_r1``.  Gate: the first-derivative dissipation direction needs
     -2 <= alpha - 2 beta <= 1; outside it the point is rejected outright.
-    The search maximizes E = ``_det4`` of the Gram matrix.  For c2 > c2*
-    the quadratic part is definite, E opens downward in c3 (coefficient
-    -100), and its peak over c3 is -3 (c2 - c2*) g(c2) / 25, g quadratic.
+
+    Inside it (a, b = alpha, beta, exactly) the lower 2 x 2 block of P's
+    Gram matrix is definite iff c2 > c2*, and there the matrix is positive
+    semidefinite iff E = four times its determinant is >= 0.  E peaks over
+    c3 (coefficient -100) at -3 (c2 - c2*) g(c2) / 25, where c3 is
+    [(12a + 29b - 69) c2 - 2a^3 - 11a^2 b + 45a^2 - 32a b^2 + 91ab - 159a
+    + 24b^3 + 46b^2 - 174b + 184] / 50.  So a cell is a member iff
+    g = 25 c2^2 + G1 c2 + G0 is <= 0 somewhere above c2*:
+
+        G1 = 2a^2 - 132ab + 202a + 128b^2 + 84b - 312,
+        G0 = -7a^4 + 60a^3 b - 6a^3 - 44a^2 b^2 - 432a^2 b + 441a^2 + 72a b^2
+             + 996ab - 1208a - 32b^4 + 384b^3 - 540b^2 - 624b + 912.
     """
-    _require_real("alpha", alpha, 0.0)
-    _require_real("beta", beta, 0.0)
-    if not (-2.0 <= alpha - 2.0 * beta <= 1.0):
+    a, b = _exact("alpha", alpha, 0.0), _exact("beta", beta, 0.0)
+    if not -2 <= a - 2 * b <= 1:
         return False, None
-    best = _best_point(lambda c2, c3: _det4(_r1_gram(alpha, beta, c2, c3)),
-                       lambda: (r1_c2_lower_bound(alpha, beta), math.inf))
-    if best is None:
+    c2 = _short_root(25, 2 * a * a - 132 * a * b + 202 * a + 128 * b * b + 84 * b - 312,
+                     a * a * (-7 * a * a + 60 * a * b - 6 * a - 44 * b * b - 432 * b + 441)
+                     + a * (72 * b * b + 996 * b - 1208)
+                     + b * (b * (-32 * b * b + 384 * b - 540) - 624) + 912,
+                     r1_c2_lower_bound(a, b))
+    if c2 is None:
         return False, None
-    w = Witness(c1=-(2.0 - alpha), c2=best[0], c3=best[1])
-    return (True, w) if certify_r1(alpha, beta, w) >= 0.0 else (False, None)
+    c3 = (a * (a * (45 - 2 * a - 11 * b) - 32 * b * b + 91 * b - 159)
+          + b * (b * (24 * b + 46) - 174) + 184 + (12 * a + 29 * b - 69) * c2) / 50
+    return True, Witness(c1=a - 2, c2=c2, c3=c3)
 
 
 def certify_r1(alpha: float, beta: float, w: Witness) -> float:

@@ -5,12 +5,42 @@ of a Gram matrix.  The functions here decide nothing: they evaluate the
 derivative polynomial itself at random points of mixed magnitude (the
 polynomials are inhomogeneous) and return the worst value normalized by
 the pointwise magnitude, so a sound witness stays above -1e-9.  They are
-an independent cross-check of the exact path.
+an independent cross-check of the exact path.  ``peak_r0`` and ``peak_r1``
+give the best multiplier at a sampled one, from the Gram determinant: no
+such multiplier may certify a non-member.
 """
 
 import numpy as np
 
-from rkentropy.regions import r0_poly_coeffs, r1_poly_coeffs
+from rkentropy.regions import (Witness, _r0_gram, _r1_gram, r0_poly_coeffs,
+                               r1_poly_coeffs)
+
+
+def det4(g):
+    """Four times the determinant of the leading 3x3 block of ``g``."""
+    return (4 * g[0][0] * g[2][2] * g[1][1] - 4 * g[2][2] * g[0][1] ** 2
+            - 4 * g[0][0] * g[1][2] ** 2 - 4 * g[1][1] * g[0][2] ** 2
+            + 8 * g[0][1] * g[0][2] * g[1][2])
+
+
+def quadratic(f):
+    """(k2, k1, k0) of the quadratic f, exact in Fraction."""
+    f_m, f_0, f_p = f(-1), f(0), f(1)
+    return (f_p + f_m) / 2 - f_0, (f_p - f_m) / 2, f_0
+
+
+def peak_r0(q, lam) -> Witness:
+    """c1 = -lam (c_rk + 1) d / (d - 1) and the c2 that maximizes the Gram
+    determinant there (the witness a member would take at lam)."""
+    c1 = -lam * (q.c_rk + 1) * q.d / (q.d - 1)
+    k2, k1, _ = quadratic(lambda c2: det4(_r0_gram(q.alpha, q.beta, q.d, q.c_rk, c1, c2)))
+    return Witness(c1, -k1 / (2 * k2))
+
+
+def peak_r1(alpha, beta, c2) -> Witness:
+    """The c3 that maximizes P's Gram determinant at c2."""
+    k2, k1, _ = quadratic(lambda c3: det4(_r1_gram(alpha, beta, c2, c3)))
+    return Witness(alpha - 2, c2, -k1 / (2 * k2))
 
 
 def eval_q_poly(eta: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -32,9 +32,11 @@ from rkentropy.regions import (
     dlss_chain,
     r0_1d,
     r0_strip_discriminant,
+    r1_c2_lower_bound,
     r1_membership,
     r0_membership,
 )
+from sampling_oracle import peak_r0, peak_r1
 from rkentropy.stepping import NewtonConfig, backward_solve, run
 from rkentropy.tableau import get_scheme
 from fractions import Fraction
@@ -102,8 +104,10 @@ def test_criterion_02_strip_closed_forms():
 
 
 def test_criterion_03_r0_certified_membership():
+    # a non-member is certified by no sampled multiplier: at each lambda the
+    # best c2 (the peak of the Gram determinant) fails the certificate
     grid = np.linspace(0.2, 5.0, 21)
-    accepted = 0
+    accepted = rejected = 0
     for d in (2, 10):
         for c_rk in (0.0, 1.0, 2.0):
             q11 = RegionQuery(1.0, 1.0, d, c_rk)
@@ -115,10 +119,14 @@ def test_criterion_03_r0_certified_membership():
                     ok, w = r0_membership(q)
                     if ok:
                         accepted += 1
-                        assert certify_r0(q, w) >= -1e-9, (a, b, d, c_rk)
+                        assert certify_r0(q, w) >= 0.0, (a, b, d, c_rk)
+                        continue
+                    rejected += 1
+                    for lam in (0.1, 0.5, 0.9):
+                        assert certify_r0(q, peak_r0(q, lam)) == -1.0, (a, b, d, c_rk)
     print(f"PASS criterion 3: {accepted} accepted points certified by an "
-          f"exact LDL^T certificate; (1,1) accepted for d in {{2,10}}, "
-          f"all c_rk")
+          f"exact LDL^T certificate, {rejected} rejected ones by no sampled "
+          f"multiplier; (1,1) accepted for d in {{2,10}}, all c_rk")
 
 
 def test_criterion_04_r1_region():
@@ -131,11 +139,16 @@ def test_criterion_04_r1_region():
                 continue
             if ok:
                 members += 1
-                assert certify_r1(float(a), float(b), w) >= -1e-9, (a, b)
+                assert certify_r1(float(a), float(b), w) >= 0.0, (a, b)
+                continue
+            c2_star = r1_c2_lower_bound(float(a), float(b))
+            for dc2 in (0.01, 1.0, 100.0):
+                w = peak_r1(float(a), float(b), c2_star + dc2)
+                assert certify_r1(float(a), float(b), w) == -1.0, (a, b)
     assert members > 0
     print(f"PASS criterion 4: first-order region nonempty ({members} members "
-          f"certified by an exact LDL^T certificate), slope gate rejections "
-          f"verified")
+          f"certified by an exact LDL^T certificate, no sampled multiplier "
+          f"certifies a gated non-member), slope gate rejections verified")
 
 
 def test_criterion_05_dlss_constants():

@@ -746,8 +746,9 @@ def test_main_region_command(tmp_path):
      "--beta-steps", "1"],
 ])
 def test_main_region_overflow_is_a_non_member(tmp_path, argv):
-    # the float witness search overflows at these exponents: no witness,
-    # so the cell is a non-member and the command still succeeds
+    # these exponents lie far outside every region: the exact rule, which
+    # takes no float power, rejects them with no witness, and the command
+    # succeeds
     out = tmp_path / "r.csv"
     assert main(["region", *argv, "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -770,8 +771,8 @@ def test_run_meta_records_the_live_blas_thread_count():
 
 
 def test_main_region_flat_fit_is_a_non_member(tmp_path):
-    # at these exponents the fitted c2 coefficient of R rounds to 0, so the
-    # fit has no vertex: no witness, and the cell is a non-member
+    # alpha - beta = -1e50 lies far outside the region, and alpha = 1e-300
+    # rounds nothing in the exact rule: no witness, and a non-member
     out = tmp_path / "r.csv"
     assert main(["region", "--family", "pme0", "--d", "2", "--alpha-min", "1e-300",
                  "--alpha-max", "1e-300", "--beta-min", "1e50", "--beta-max", "1e50",

@@ -460,6 +460,61 @@ def test_q_denominator_variants(pme32):
     assert q_denominator(e, problem, u) == pytest.approx(want, rel=1e-15)
 
 
+def _huge(grid, mean, amplitude):
+    return StateField.scalar(mean + amplitude * np.cos(2.0 * np.pi * grid.x()))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda e, p, u: production(e, p, u), "entropy production"),
+    (lambda e, p, u: i0(e, p, u, 1.0), "condition integral"),
+    (lambda e, p, u: q_denominator(e, p, u), "Q denominator"),
+    (lambda e, p, u: evaluate(e, u, p.grid), "entropy"),
+], ids=["production", "i0", "q_denominator", "evaluate"])
+def test_cell_sum_with_a_non_finite_term_is_a_domain_error(call, what):
+    # u^5 and its companions overflow at u = 1e70: production, i0 and
+    # q_denominator returned NaN (with RuntimeWarnings) where evaluate raised
+    grid = Grid1D(16, 1.0)
+    problem = PorousMedium(grid, 2.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match=rf"^{what} is not finite at cell 0, where u=1\.1e\+70$"):
+        call(ExperimentPower(5.0), problem, _huge(grid, 1e70, 1e69))
+
+
+def test_cell_sum_that_overflows_is_retried_scaled():
+    # terms of about 5e307 on 16 cells: the sum overflows, H = 5.025e307 does
+    # not, and the scaled retry gives it (the sum overflowed into a DomainError
+    # before); a sum that does not overflow keeps its bits, and an H past the
+    # float range is a DomainError
+    grid = Grid1D(16, 1.0)
+    u = _huge(grid, 1e154, 1e153)
+    terms = u.values**2 / 2.0
+    assert evaluate(PowerEntropy(1.0), u, grid) == float(np.sum(terms / 16.0))
+    assert evaluate(PowerEntropy(1.0), u, grid) == pytest.approx(5.025e307, rel=1e-12)
+    v = _huge(grid, 1e150, 1e149)
+    assert evaluate(PowerEntropy(1.0), v, grid) == float(np.sum(v.values**2 / 2.0) / 16.0)
+    with pytest.raises(DomainError, match=r"^entropy overflows: its cell sum times dx "
+                                          r"is not finite$"):
+        evaluate(PowerEntropy(1.0), u, Grid1D(16, 4.0))
+    # the first-order sum of (D1 u)^2 overflows too, and is retried the same way
+    w = StateField.scalar(1e153 * (2.0 + np.cos(2.0 * np.pi * grid.x())))
+    terms = diff1(w.values[0], grid.dx) ** 2
+    assert evaluate(FirstOrder(2.0), w, grid) == pytest.approx(np.sum(terms / 16.0),
+                                                               rel=1e-15)
+
+
+def test_profile_q_is_nan_where_its_norm_overflows():
+    # q_denominator raises, and the profile keeps G with an undefined Q
+    grid = Grid1D(16, 1.0)
+    problem = PorousMedium(grid, 2.0)
+    u = _huge(grid, 1e40, 1e39)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match="^Q denominator is not finite"):
+            q_denominator(ExperimentPower(5.0), problem, u)
+        prof = profile_g(ExperimentPower(5.0), problem, get_scheme("implicit_euler"),
+                         u, 1e-30, 4)
+    assert np.all(np.isnan(prof.q))
+
+
 def test_q_nan_for_non_power_problems():
     grid = Grid1D(16, 1.0)
     problem = LinearSystem(grid, 1.0, 1.0, 1.0)

@@ -1,17 +1,16 @@
 from dataclasses import fields, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkentropy import regions
 from rkentropy.regions import (
     RegionQuery,
     Witness,
-    _best_point,
-    _det4,
-    _quadratic,
     _r0_gram,
     _r1_a_coeffs,
     _r1_gram,
@@ -33,7 +32,22 @@ from rkentropy.regions import (
     scalar_conditions,
 )
 from range_cases import range_cases
-from sampling_oracle import eval_p_poly, eval_q_poly, sample_r0, sample_r1
+from sampling_oracle import (det4, eval_p_poly, eval_q_poly, peak_r0, peak_r1, quadratic,
+                             sample_r0, sample_r1)
+
+
+def _spy_short_root(call):
+    """call() with regions._short_root recording its arguments: the quadratic
+    the membership functions decide and its window."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return short_root(*args)
+
+    short_root = regions._short_root
+    with mock.patch.object(regions, "_short_root", spy):
+        return call(), seen
 
 
 # -- one-dimensional strips ---------------------------------------------------
@@ -84,16 +98,20 @@ def test_r0_1d_rejects_higher_dimension():
 # -- multi-dimensional membership ----------------------------------------------
 
 def test_r0_membership_unit_point_all_cases():
+    # the unit point lies on the diagonal, which every case takes at
+    # c1 = c2 = 0; one step off it, c_rk = 1 and 2 take c1 = -k lambda with
+    # lambda in (0, 1)
     for d in (2, 10):
         for c_rk in (0.0, 1.0, 2.0):
-            ok, w = r0_membership(RegionQuery(1.0, 1.0, d, c_rk))
-            assert ok and w is not None
-            if c_rk == 0.0:
-                assert w == Witness(c1=0.0, c2=0.0)
-            else:  # c1 = -k lambda with lambda in (0, 1)
+            q = RegionQuery(1.0, 1.0, d, c_rk)
+            assert r0_membership(q) == (True, Witness(c1=0.0, c2=0.0))
+            assert certify_r0(q, Witness(c1=0.0, c2=0.0)) == 0.0
+            q = RegionQuery(1.25, 1.0, d, c_rk)
+            ok, w = r0_membership(q)
+            assert ok and certify_r0(q, w) >= 0.0 and sample_r0(q, w) >= -1e-9
+            if c_rk != 0.0:
                 k = (c_rk + 1.0) / (1.0 - 1.0 / d)
                 assert -k < w.c1 < 0.0
-            assert certify_r0(RegionQuery(1.0, 1.0, d, c_rk), w) >= -1e-9
 
 
 def test_r0_membership_rejects_far_points():
@@ -235,63 +253,83 @@ def test_r0_remainder_opens_downward():
             for lam in (Fraction(1, 2000), Fraction(1, 2),
                         Fraction(1999, 2000)):
                 c1 = -lam * (c_rk + 1) / (1 - 1 / d)
-                r_m, r_0, r_p = (_det4(_r0_gram(a, b, d, c_rk, c1, c2))
+                r_m, r_0, r_p = (det4(_r0_gram(a, b, d, c_rk, c1, c2))
                                  for c2 in (-1, 0, 1))
                 b1, _, _, _, _, b6 = r0_poly_coeffs(a, b, d, c_rk, c1, 0)
                 lead = -b6 * (2 / d + 1) ** 2 - 4 * b1 * (d - 1) ** 2
                 assert (r_p + r_m) / 2 - r_0 == lead < 0
 
 
-def test_r0_discriminant_vanishes_at_the_interval_ends():
-    # disc(lambda) = K lambda (lambda - 1) q(lambda) with q quadratic, so
-    # disc / (lambda (1 - lambda)) has zero third differences: the
-    # three-node fit in r0_membership recovers it exactly
-    for a, b in ((Fraction(13, 10), Fraction(7, 10)), (Fraction(1, 2),
-                                                       Fraction(9, 4))):
-        for d in (2, 3, 10):
-            d = Fraction(d)
-            for c_rk in (1, 2):
-                def disc(lam):
-                    c1 = -lam * (c_rk + 1) / (1 - 1 / d)
-                    qa, qb, qc = _quadratic(
-                        lambda c2: _det4(_r0_gram(a, b, d, c_rk, c1, c2)))
-                    return qb * qb - 4 * qa * qc
-
-                assert disc(Fraction(0)) == 0 and disc(Fraction(1)) == 0
-                p = [disc(lam) / (lam * (1 - lam))
-                     for lam in (Fraction(k, 5) for k in range(1, 5))]
-                assert p[3] - 3 * p[2] + 3 * p[1] - p[0] == 0
+_EXACT = st.fractions(Fraction(1, 64), 8, max_denominator=1 << 20)
 
 
-def test_r1_peak_over_c3_vanishes_at_c2_star():
-    # E has c3^2 coefficient -100, and its peak over c3 is
-    # F(c2) = -3 (c2 - c2*) g(c2) / 25 with g quadratic
-    for a, b in ((1, 1), (Fraction(7, 4), Fraction(1, 3)),
-                 (Fraction(3, 2), Fraction(6, 5))):
-        a, b = Fraction(a), Fraction(b)
-        c2_star = r1_c2_lower_bound(a, b)
+@settings(max_examples=40, deadline=None)
+@given(a=_EXACT, b=_EXACT, d=st.integers(2, 10), c_rk=st.sampled_from([1, 2]),
+       lam=st.fractions(0, 1, max_denominator=1000))
+def test_r0_discriminant_vanishes_at_the_interval_ends(a, b, d, c_rk, lam):
+    # R(c2) = det4 of the Gram matrix at c1 = -lambda (c+1) d / (d-1): its
+    # discriminant in c2 is 4 d^2 (c+1)^2 lambda (lambda - 1) q(lambda), with
+    # q the quadratic (Q2, Q1, Q0) r0_membership decides on (0, 1), and a
+    # member's witness c2 is R's vertex -A1 / (2 A2)
+    q = RegionQuery(a, b, d, c_rk)
+    (ok, w), seen = _spy_short_root(lambda: r0_membership(q))
+    if a == b:
+        assert (ok, w, seen) == (True, Witness(0.0, 0.0), [])
+        return
+    (q2, q1, q0, lo, hi), = seen
+    assert (lo, hi) == (0, 1) and q0 > 0
 
-        def peak(c2):
-            qa, qb, qc = _quadratic(
-                lambda c3: _det4(_r1_gram(a, b, c2, c3)))
-            assert qa == -100
-            return qc - qb * qb / (4 * qa)
+    def peak(lam):
+        c1 = -lam * (c_rk + 1) * d / Fraction(d - 1)
+        return quadratic(lambda c2: det4(_r0_gram(a, b, Fraction(d), c_rk, c1, c2)))
 
-        assert peak(c2_star) == 0
-        f = [peak(c2_star + k) / k for k in range(1, 5)]
-        assert f[3] - 3 * f[2] + 3 * f[1] - f[0] == 0
-        assert (f[2] - 2 * f[1] + f[0]) / 2 == -3  # the c2^2 coefficient
+    r2, r1, r0 = peak(lam)
+    q_lam = (q2 * lam + q1) * lam + q0
+    assert r1 * r1 - 4 * r2 * r0 == 4 * d * d * (c_rk + 1) ** 2 * lam * (lam - 1) * q_lam
+    assert ok or not (0 < lam < 1 and q_lam <= 0)
+    if ok:
+        lam = -w.c1 * (d - 1) / ((c_rk + 1) * d)
+        r2, r1, _ = peak(lam)
+        assert 0 < lam < 1 and (q2 * lam + q1) * lam + q0 <= 0
+        assert w.c2 == -r1 / (2 * r2) and certify_r0(q, w) >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_EXACT, b=_EXACT, dc2=st.fractions(0, 50, max_denominator=1000))
+def test_r1_peak_over_c3_vanishes_at_c2_star(a, b, dc2):
+    # E(c3) = det4 of P's Gram matrix peaks over c3 at -3 (c2 - c2*) g(c2) / 25,
+    # with g = 25 c2^2 + G1 c2 + G0 the quadratic r1_membership decides above
+    # c2*, and a member's witness c3 is that peak
+    (ok, w), seen = _spy_short_root(lambda: r1_membership(a, b))
+    if not -2 <= a - 2 * b <= 1:
+        assert (ok, w, seen) == (False, None, [])
+        return
+    (k2, g1, g0, c2_star), = seen
+    assert k2 == 25 and c2_star == r1_c2_lower_bound(a, b)
+
+    def fit(c2):
+        return quadratic(lambda c3: det4(_r1_gram(a, b, c2, c3)))
+
+    c2 = c2_star + dc2
+    e2, e1, e0 = fit(c2)
+    assert e2 == -100
+    assert e0 - e1 * e1 / (4 * e2) == -3 * dc2 * ((25 * c2 + g1) * c2 + g0) / 25
+    if ok:
+        e2, e1, _ = fit(w.c2)
+        assert w.c2 > c2_star and (25 * w.c2 + g1) * w.c2 + g0 <= 0
+        assert w.c3 == -e1 / (2 * e2) and w.c1 == a - 2
+        assert certify_r1(a, b, w) >= 0.0
 
 
 def test_r1_accepts_a_witness_just_above_c2_star():
-    # the witness needs c2 - c2* ~ 0.0103: a c2 grid of step 100/4001 on
+    # the witness needs c2 - c2* ~ 0.011: a c2 grid of step 100/4001 on
     # (c2*, c2* + 100] has no feasible node here
     a, b = 1.5818239901211149, 1.1931352500525725
     ok, w = r1_membership(a, b)
     assert ok
     assert 0.0 < w.c2 - r1_c2_lower_bound(a, b) < 100 / 4001
     assert certify_r1(a, b, w) > 0.0
-    assert sample_r1(a, b, w) == pytest.approx(0.0198, abs=1e-4)
+    assert sample_r1(a, b, w) > 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,38 +344,37 @@ def test_implicit_euler_witness_is_a_perfect_square(a, b, d):
     assert sample_r0(q, w) >= -1e-9
 
 
-def test_best_point_finds_narrow_and_one_sided_windows():
-    # inner(t, s) = ends(t) q(t) - s^2, where ends(t) is the product of the
-    # distances to the finite ends, so the reduced quadratic is 4 q(t)
-    def search(q, lo=0.0, hi=1.0):
-        def ends(t):
-            return (t - lo) * (hi - t) if hi < np.inf else t - lo
-        return _best_point(lambda t, s: ends(t) * q(t) - s * s, lambda: (lo, hi))
-
-    t, s = search(lambda t: -(t - 0.9) * (t - 0.95))  # vertex inside
-    assert t == pytest.approx(0.925) and s == 0.0
-    t, _ = search(lambda t: -(t - 0.95) * (t - 1.2))  # vertex beyond hi
-    assert t == pytest.approx(0.975)
-    t, _ = search(lambda t: t - 0.99)  # linear
-    assert t == pytest.approx(0.995)
-    assert search(lambda t: -1.0 - t * t) is None  # no real root
-    assert search(lambda t: -(t - 0.5) ** 2 - 1e-3) is None
-    t, _ = search(lambda t: -(t - 3.0) * (t + 1.0), 2.0, np.inf)
-    assert 2.0 < t < 3.0
+@pytest.mark.parametrize("a, b, c_rk", [(1.5, 0.5, 1.0), (0.5, 2.5, 1.0),
+                                         (1.0, 2.0, 2.0)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_cells_are_members_with_margin_zero(a, b, c_rk, d):
+    # alpha - beta = 1, -2 (c_rk = 1) and -1 (c_rk = 2) are roots of q's
+    # discriminant: q touches 0 at its vertex, so the one multiplier that
+    # certifies leaves a singular Gram matrix
+    q = RegionQuery(a, b, d, c_rk)
+    ok, w = r0_membership(q)
+    assert ok and certify_r0(q, w) == 0.0
+    assert sample_r0(q, w) >= -1e-9
 
 
-def test_best_point_has_no_witness_where_a_float_power_overflows():
-    # one rule for the window and the objective: a float ** that overflows
-    # leaves no witness, in the r1 lower bound c2* as in the Gram entries
-    def inner(t, s):
-        return -(t - 0.5) ** 2 + 1.0 - s * s
+def test_d3_notch_is_decided_exactly():
+    # at d = 3 the region has a notch along alpha = 0.1: q > 0 on [0, 1] up
+    # to beta = 0.3, disc(q) < 0 between the lines alpha + 3 beta = 1 and
+    # 3 alpha + 5 beta = 2 (beta = 0.3 to 0.34), members from there on
+    mask = emit_mask("pme0", (0.1, 4.0), (0.1, 4.0), 21, 21, d=3, c_rk=1.0)
+    assert mask.alphas[0] == 0.1
+    assert [mask.betas[j] for j in range(3)] == pytest.approx([0.1, 0.295, 0.49])
+    assert mask.member[0, 0] and mask.member[0, 2] and not mask.member[0, 1]
+    q = RegionQuery(0.1, float(mask.betas[1]), 3, 1.0)
+    for lam in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        assert certify_r0(q, peak_r0(q, lam)) == -1.0
 
-    assert _best_point(inner, lambda: (0.0, 1.0)) is not None
-    assert _best_point(lambda t, s: inner(t, s) * 1e200 ** 2,
-                       lambda: (0.0, 1.0)) is None
-    assert _best_point(inner, lambda: (r1_c2_lower_bound(2e200, 1e200), np.inf)) is None
+
+def test_huge_exponents_are_decided_exactly():
+    # the exact rule needs no float power, so no exponent overflows it
     assert r1_membership(2e200, 1e200) == (False, None)
     assert r0_membership(RegionQuery(1e300, 0.5, 2, 1.0)) == (False, None)
+    assert r0_membership(RegionQuery(1e300, 1e300, 2, 1.0))[0]
 
 
 # -- exact certificates against the sampling oracle ------------------------------
@@ -368,6 +405,27 @@ def test_every_witness_passes_the_exact_certificate(config, i, j, shift):
         if ok:
             assert certify_r1(a, b, w) >= 0.0
             assert sample_r1(a, b, w) >= -1e-9
+
+
+_NON_MEMBER_LAMBDAS = (0.0, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_CONFIGS, i=st.integers(0, 20), j=st.integers(0, 20))
+def test_no_sampled_multiplier_certifies_a_non_member(config, i, j):
+    # at each sampled multiplier the best other one (the peak of the Gram
+    # determinant) fails the exact certificate wherever the rule says no
+    family, d, c_rk = config
+    a, b = 0.5 + 3.5 * i / 20, 0.5 + 3.5 * j / 20
+    if family == "pme0":
+        q = RegionQuery(a, b, d, c_rk)
+        if not r0_membership(q)[0]:
+            for lam in _NON_MEMBER_LAMBDAS:
+                assert certify_r0(q, peak_r0(q, lam)) == -1.0, lam
+    elif not r1_membership(a, b)[0]:
+        c2_star = r1_c2_lower_bound(a, b)
+        for dc2 in (1e-3, 0.01, 0.1, 1.0, 10.0, 100.0):
+            assert certify_r1(a, b, peak_r1(a, b, c2_star + dc2)) == -1.0, dc2
 
 
 def test_exact_certificates_reject_a_shifted_witness():
@@ -438,7 +496,7 @@ def test_r0_gram_determinant_is_the_remainder():
                             (10, 0, fr(0), fr(11, 4))):
         args = (fr(13, 10), fr(7, 10), fr(d), fr(c_rk), c1, c2)
         b1, b2, b3, b4, _, b6 = r0_poly_coeffs(*args)
-        assert _det4(_r0_gram(*args)) == 4 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
+        assert det4(_r0_gram(*args)) == 4 * b1 * b6 * b3 - b6 * b2**2 - b1 * b4**2
 
 
 def test_r1_gram_determinant_is_the_lemma_expression():
@@ -449,7 +507,7 @@ def test_r1_gram_determinant_is_the_lemma_expression():
                          (fr(1), fr(1), fr(1, 3), fr(7)),
                          (fr(7, 4), fr(1, 3), fr(-2), fr(5, 9))):
         b1, b2, b3, b4, b5, _, b7 = r1_poly_coeffs(a, b, c2, c3)
-        assert _det4(_r1_gram(a, b, c2, c3)) == (
+        assert det4(_r1_gram(a, b, c2, c3)) == (
             b1 * (4 * b4 * b7 - b5**2) - b2**2 * b7 - b3**2 * b4 + b2 * b3 * b5)
 
 
@@ -804,8 +862,8 @@ def test_region_reals_are_range_checked(name, build, value):
 @pytest.mark.parametrize("d", [3, 4])
 def test_diagonal_takes_the_lambda_zero_witness(a, d):
     # at c1 = c2 = 0 the Gram determinant is -c_rk^2 (beta - alpha)^2 / 4, so
-    # on the diagonal the lambda = 0 witness certifies (exactly 0) where the
-    # search over the open interval finds none
+    # on the diagonal the lambda = 0 witness certifies (exactly 0), and
+    # r0_membership takes it there
     q = RegionQuery(a, a, d, 1.0)
     zero = Witness(c1=0.0, c2=0.0)
     assert certify_r0(q, zero) == 0.0

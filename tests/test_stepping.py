@@ -430,9 +430,15 @@ def test_overflowing_endpoint_is_a_step_error():
             prof = profile_g(ExperimentPower(1.0), problem, get_scheme(name), u,
                              1e-4, 4)
             assert prof.failed_index == 1, name
-        # H[u] itself overflows for u^2 / 2: no profile starts from it
+        # H[u] = 5.025e307 is finite though its cell sum overflows, so this
+        # profile starts too; on a grid four times as long H[u] overflows, and
+        # no profile starts from it
+        prof = profile_g(PowerEntropy(1.0), problem, get_scheme("trapezoidal"), u,
+                         1e-4, 4)
+        assert prof.failed_index == 1
+        longer = PorousMedium(Grid1D(16, 4.0), 2.0)
         with pytest.raises(DomainError, match="entropy overflows"):
-            profile_g(PowerEntropy(1.0), problem, get_scheme("trapezoidal"), u, 1e-4, 4)
+            profile_g(PowerEntropy(1.0), longer, get_scheme("trapezoidal"), u, 1e-4, 4)
 
 
 def test_fast_diffusion_run_raises_domain_error_not_a_warning():
